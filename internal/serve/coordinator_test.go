@@ -80,18 +80,23 @@ func TestRendezvousRanking(t *testing.T) {
 // its /v1/outcome endpoint served and optionally going dark (aborting
 // every connection) after a fixed number of outcome calls — a
 // deterministic mid-sweep kill. gate() arms a one-shot barrier instead:
-// the holdAt-th outcome call parks (closing held) until release closes,
-// giving tests a deterministic "mid-sweep" moment to mutate membership in.
+// the first outcome call from the holdAt-th on that satisfies holdIf parks
+// (closing held) until release closes, giving tests a deterministic
+// "mid-sweep" moment to mutate membership in.
 type trackingWorker struct {
 	t         *testing.T
 	srv       *Server
 	killAfter int64 // 0 = immortal
 	holdAt    int64 // 0 = never parks
-	held      chan struct{}
-	release   chan struct{}
-	served    atomic.Int64
+	// holdIf sees the calls per trace identity so far, the arriving one
+	// included; nil parks the holdAt-th call itself.
+	holdIf  func(traces map[string]int) bool
+	held    chan struct{}
+	release chan struct{}
+	served  atomic.Int64
 
 	mu     sync.Mutex
+	parked bool           // the barrier is one-shot
 	traces map[string]int // trace-key encoding -> outcome calls
 }
 
@@ -107,10 +112,10 @@ func newTrackingWorker(t *testing.T, killAfter int64) (*trackingWorker, *httptes
 	return w, ts
 }
 
-// gate arms the mid-sweep barrier: the holdAt-th outcome call signals
-// held and parks until release is closed.
-func (w *trackingWorker) gate(holdAt int64) {
-	w.holdAt = holdAt
+// gate arms the mid-sweep barrier: the parking outcome call signals held
+// and waits until release is closed.
+func (w *trackingWorker) gate(holdAt int64, holdIf func(traces map[string]int) bool) {
+	w.holdAt, w.holdIf = holdAt, holdIf
 	w.held = make(chan struct{})
 	w.release = make(chan struct{})
 }
@@ -121,24 +126,26 @@ func (w *trackingWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		if w.killAfter > 0 && n > w.killAfter {
 			panic(http.ErrAbortHandler) // killed: every further call dies
 		}
-		if w.holdAt > 0 && n == w.holdAt {
-			close(w.held)
-			<-w.release
-		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			w.t.Error(err)
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
+		w.mu.Lock()
 		var js JobSpec
 		if json.Unmarshal(body, &js) == nil {
 			if job, err := js.Resolve(); err == nil {
 				if tk, err := sim.EncodeTraceKey(job.Key().TraceKey()); err == nil {
-					w.mu.Lock()
 					w.traces[string(tk)]++
-					w.mu.Unlock()
 				}
 			}
+		}
+		park := w.holdAt > 0 && !w.parked && n >= w.holdAt && (w.holdIf == nil || w.holdIf(w.traces))
+		w.parked = w.parked || park
+		w.mu.Unlock()
+		if park {
+			close(w.held)
+			<-w.release
 		}
 	}
 	w.srv.ServeHTTP(rw, r)
@@ -296,7 +303,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	// second registers mid-sweep, the first's heartbeat TTL lapses
 	// mid-sweep, and every re-routed arm fetches its captured trace blob
 	// from the previous owner — byte-identical report, zero re-captures.
-	distinct := make(map[string]bool)
+	arms := make(map[string]int) // trace identity -> arms replaying it
 	for _, js := range req.Jobs {
 		job, err := js.Resolve()
 		if err != nil {
@@ -306,13 +313,44 @@ func TestCoordinatorEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		distinct[string(tk)] = true
+		arms[string(tk)]++
 	}
 
+	// Arms dispatch in scheduler order and rendezvous placement hashes the
+	// workers' random ports, so a moved identity has to be arranged, not
+	// hoped for. The joined worker is one that becomes home to at least
+	// three identities several arms share, and the join waits until the
+	// first worker is about to hold one of them with a sibling arm still to
+	// come: that sibling then routes to the joined worker, which must fetch
+	// the capture. Three suffice — the four calls before the gate opens can
+	// use up every arm of at most two.
 	e1, ets1 := newTrackingWorker(t, 0)
-	e1.gate(5) // park the 5th arm: the join happens here
-	e2, ets2 := newTrackingWorker(t, 0)
-	e2.gate(1) // park w2's first arm: the expiry happens here
+	var (
+		e2     *trackingWorker
+		ets2   *httptest.Server
+		moving []string
+	)
+	for tries := 0; len(moving) < 3; tries++ {
+		if tries == 50 {
+			t.Fatal("no listener port in 50 makes the joined worker home to 3 shared identities")
+		}
+		e2, ets2 = newTrackingWorker(t, 0)
+		moving = moving[:0]
+		for tk, n := range arms {
+			if n > 1 && rankByRendezvous([]string{ets1.URL, ets2.URL}, []byte(tk))[0] == 1 {
+				moving = append(moving, tk)
+			}
+		}
+	}
+	e1.gate(5, func(traces map[string]int) bool { // the join happens here
+		for _, tk := range moving {
+			if n := traces[tk]; n > 0 && n < arms[tk] {
+				return true
+			}
+		}
+		return false
+	})
+	e2.gate(1, nil) // park w2's first arm: the expiry happens here
 
 	// FanoutConcurrency 1 serializes arms, so membership mutations at the
 	// gates land between arms, never during a concurrent capture.
@@ -372,9 +410,9 @@ func TestCoordinatorEquivalence(t *testing.T) {
 		t.Fatal("joined worker served nothing; membership change did not re-route")
 	}
 	st1, st2 := e1.srv.eng.Stats(), e2.srv.eng.Stats()
-	if got := st1.TraceCaptures + st2.TraceCaptures; got != int64(len(distinct)) {
+	if got := st1.TraceCaptures + st2.TraceCaptures; got != int64(len(arms)) {
 		t.Errorf("tier captured %d traces for %d identities — re-routed arms re-captured instead of fetching blobs (w1 %d, w2 %d)",
-			got, len(distinct), st1.TraceCaptures, st2.TraceCaptures)
+			got, len(arms), st1.TraceCaptures, st2.TraceCaptures)
 	}
 	if st2.TracePeerHits == 0 {
 		t.Error("joined worker never fetched a peer blob")

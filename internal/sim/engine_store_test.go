@@ -121,7 +121,7 @@ func TestEngineStoreCorruptionRecovers(t *testing.T) {
 	// job persisted an outcome, one trace chunk, and the trace manifest.
 	var damaged int
 	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || filepath.Ext(p) != ".json" {
+		if err != nil || info.IsDir() || filepath.Ext(p) != store.EntryExt {
 			return err
 		}
 		damaged++

@@ -19,8 +19,8 @@ func IsInjected(err error) bool { return errors.Is(err, errInjectedWrite) }
 // All probabilities are in [0, 1]; zero disables that class.
 type FaultConfig struct {
 	// TornWrite publishes only a prefix of the entry's bytes, as if the
-	// medium lost the tail of a write. The resulting file fails to parse as
-	// JSON and is deleted on the next read.
+	// medium lost the tail of a write. The resulting file fails the
+	// envelope's length check and is deleted on the next read.
 	TornWrite float64
 	// BitFlip flips one random bit of the published bytes — the classic
 	// silent media corruption. If the flip lands inside the payload, only

@@ -1,12 +1,8 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // ScrubReport summarizes one Scrub pass.
@@ -14,9 +10,9 @@ type ScrubReport struct {
 	// Scanned is the number of entry files examined.
 	Scanned int `json:"scanned"`
 	// Corrupt is the number of entries that failed verification and were
-	// deleted (unparseable envelope, wrong version, payload checksum
-	// mismatch, a recorded key that does not hash to the filename, or a
-	// classifier rejection).
+	// deleted (bad magic, wrong version, lengths that do not account for
+	// the file, payload checksum mismatch, a recorded key that does not
+	// hash to the filename, or a classifier rejection).
 	Corrupt int `json:"corrupt"`
 	// OrphanChunks is the number of chunk entries deleted because no
 	// healthy manifest names them: their group's manifest is absent,
@@ -77,8 +73,8 @@ type ScrubOptions struct {
 }
 
 // Scrub walks every entry on disk, verifies its envelope end to end —
-// parseable JSON, current format version, payload checksum, and that the
-// recorded key hashes to the filename — and deletes entries that fail.
+// magic, current format version, exact length, payload checksum, and that
+// the recorded key hashes to the filename — and deletes entries that fail.
 // Healthy entries are untouched (recency included). It returns what it
 // found; scrubbing is safe to run concurrently with reads and writes, and
 // an entry being written during the walk is simply seen in whichever state
@@ -112,16 +108,9 @@ func (s *Store) ScrubWith(opts ScrubOptions) ScrubReport {
 		if err != nil || info.IsDir() {
 			return nil
 		}
-		name := info.Name()
-		if strings.Contains(name, ".tmp-") || strings.HasSuffix(name, seqSuffix) {
-			return nil
-		}
-		hash := strings.TrimSuffix(name, ".json")
-		if filepath.Ext(name) != ".json" || len(hash) != sha256.Size*2 {
-			return nil
-		}
-		if _, err := hex.DecodeString(hash); err != nil {
-			return nil
+		hash, ok := entryHash(info.Name())
+		if !ok {
+			return nil // staging file, sidecar or stray
 		}
 		rep.Scanned++
 		data, err := os.ReadFile(path)
@@ -129,9 +118,9 @@ func (s *Store) ScrubWith(opts ScrubOptions) ScrubReport {
 			rep.Errors++
 			return nil
 		}
-		e, ok := scrubEntry(data, hash)
+		key, value, ok := scrubEntry(data, hash)
 		if ok && opts.Classify != nil {
-			class, healthy := opts.Classify(e.Key, e.Value)
+			class, healthy := opts.Classify(key, value)
 			if !healthy {
 				ok = false
 			} else {
@@ -196,17 +185,9 @@ func (s *Store) ScrubWith(opts ScrubOptions) ScrubReport {
 }
 
 // scrubEntry verifies a raw entry file against the hash its filename
-// claims, returning the parsed entry for classification when healthy.
-func scrubEntry(data []byte, hash string) (entry, bool) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return e, false
-	}
-	if e.Version != formatVersion || e.Value == nil {
-		return e, false
-	}
-	if hashKey(e.Key) != hash {
-		return e, false
-	}
-	return e, e.Sum == valueSum(e.Value)
+// claims, returning the recorded key and value for classification when
+// healthy.
+func scrubEntry(data []byte, hash string) (key, value []byte, ok bool) {
+	key, value, ok = parseEntry(data)
+	return key, value, ok && hashKey(key) == hash
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // corruptFile mutates one byte near the end of the file at path (inside the
-// base64 payload for typical entries).
+// value for typical entries).
 func corruptFile(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -41,7 +41,7 @@ func TestScrub(t *testing.T) {
 		}
 	}
 
-	// Payload bit flip (JSON still parses; only the checksum catches it).
+	// Payload bit flip (the header is intact; only the checksum catches it).
 	corruptFile(t, damaged[0])
 	// Truncation.
 	data, err := os.ReadFile(damaged[1])
@@ -52,7 +52,7 @@ func TestScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unparseable junk.
-	if err := os.WriteFile(damaged[2], []byte("not json at all"), 0o666); err != nil {
+	if err := os.WriteFile(damaged[2], []byte("not an entry at all"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	// Entry whose recorded key does not hash to its filename: copy a valid

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,12 @@ func open(t *testing.T, dir string, max int64) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// entrySize is the on-disk size of one entry, so budgets in these tests are
+// stated in entries, whatever the envelope costs.
+func entrySize(key string, val []byte) int64 {
+	return int64(len(encodeEntry([]byte(key), val)))
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -101,7 +109,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 		}
 	}
 	err := filepath.Walk(s.Dir(), func(p string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(p) == ".json" {
+		if err == nil && !info.IsDir() && filepath.Ext(p) == EntryExt {
 			paths = append(paths, p)
 		}
 		return nil
@@ -116,13 +124,15 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 	if err := os.WriteFile(paths[0], full[:len(full)/2], 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(paths[1], []byte("not json at all"), 0o666); err != nil {
+	if err := os.WriteFile(paths[1], []byte("not an entry at all"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(paths[2], []byte(`{"version":999,"key":"YQ==","value":"eA=="}`), 0o666); err != nil {
+	skewed, _ := os.ReadFile(paths[2])
+	binary.LittleEndian.PutUint32(skewed[4:], formatVersion+1)
+	if err := os.WriteFile(paths[2], skewed, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(paths[3], []byte(`{"version":1,"key":"V1JPTkc=","value":"eA=="}`), 0o666); err != nil {
+	if err := os.WriteFile(paths[3], encodeEntry([]byte("WRONG"), []byte("value")), 0o666); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,9 +157,9 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	val := bytes.Repeat([]byte("x"), 1024)
-	// Entry file ≈ envelope + base64(value): ~1.4KB. Budget of 8KB keeps
-	// roughly 5 entries.
-	s := open(t, dir, 8<<10)
+	// Room for five entries (and their sidecars), not six.
+	budget := 5*entrySize("k0", val) + 512
+	s := open(t, dir, budget)
 	for i := 0; i < 5; i++ {
 		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
 			t.Fatal(err)
@@ -169,7 +179,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Bytes > 8<<10 {
+	if st.Bytes > budget {
 		t.Errorf("size bound violated: %d bytes indexed", st.Bytes)
 	}
 	if st.Evictions == 0 {
@@ -194,7 +204,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 		return nil
 	})
-	if onDisk > 8<<10 {
+	if onDisk > budget {
 		t.Errorf("on-disk bytes %d exceed the bound", onDisk)
 	}
 }
@@ -246,7 +256,7 @@ func TestEvictionRecencyPersists(t *testing.T) {
 	}
 	s.Get([]byte("k0")) // re-touch the oldest
 
-	s2 := open(t, dir, 4<<10) // ~2 entries fit
+	s2 := open(t, dir, 2*entrySize("k0", val)+512) // two entries fit
 	if err := s2.Put([]byte("new"), val); err != nil {
 		t.Fatal(err)
 	}
@@ -364,48 +374,163 @@ func TestEvictionOrderDeterministicUnderMtimeTies(t *testing.T) {
 }
 
 // TestEvictionTieBreakByKeyWithoutSidecars covers the fallback total order:
-// with no sidecars at all and every mtime tied, eviction order is still
-// deterministic (keys break the tie), so two processes sharing a directory
-// agree on the victims no matter what order the entries were written in.
+// with every sidecar missing or damaged (each reads as sequence 0) and every
+// mtime tied, eviction order is still deterministic (keys break the tie), so
+// two processes sharing a directory agree on the victims no matter what
+// order the entries were written in.
 func TestEvictionTieBreakByKeyWithoutSidecars(t *testing.T) {
 	keys := [][]byte{[]byte("kb-0"), []byte("kb-1"), []byte("kb-2"), []byte("kb-3")}
 	val := bytes.Repeat([]byte("v"), 100)
-	survivors := func(order []int) string {
-		dir := t.TempDir()
-		s := open(t, dir, -1)
-		for _, i := range order {
-			if err := s.Put(keys[i], val); err != nil {
-				t.Fatal(err)
+	damages := map[string]func(sidecar string, good []byte) error{
+		"missing":   func(p string, _ []byte) error { return os.Remove(p) },
+		"short":     func(p string, good []byte) error { return os.WriteFile(p, good[:seqRecord-1], 0o666) },
+		"long":      func(p string, good []byte) error { return os.WriteFile(p, append(good, 0), 0o666) },
+		"wrong-crc": func(p string, good []byte) error { good[0] ^= 1; return os.WriteFile(p, good, 0o666) },
+		"all-zero":  func(p string, _ []byte) error { return os.WriteFile(p, make([]byte, seqRecord), 0o666) },
+	}
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			survivors := func(order []int) string {
+				dir := t.TempDir()
+				s := open(t, dir, -1)
+				for _, i := range order {
+					if err := s.Put(keys[i], val); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Damage the sequence sidecars and tie every mtime: nothing
+				// but the key is left to order on.
+				for _, k := range keys {
+					path := s.pathFor(hashKey(k))
+					if readSeq(path) == 0 {
+						t.Fatalf("%s: no sequence persisted by Put", k)
+					}
+					good, err := os.ReadFile(path + seqSuffix)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := damage(path+seqSuffix, good); err != nil {
+						t.Fatal(err)
+					}
+					if got := readSeq(path); got != 0 {
+						t.Fatalf("%s: damaged sidecar read as sequence %d, want 0", k, got)
+					}
+				}
+				tieMtimes(t, s, keys)
+				size := s.Stats().Bytes / int64(len(keys))
+				s2 := open(t, dir, 2*size)
+				out := ""
+				for i, k := range keys {
+					if _, ok := s2.Get(k); ok {
+						out += fmt.Sprintf("%d", i)
+					}
+				}
+				return out
 			}
-		}
-		// Strip the sequence sidecars and tie every mtime: nothing but the
-		// key is left to order on.
-		if err := filepath.Walk(s.Dir(), func(path string, info os.FileInfo, err error) error {
-			if err == nil && !info.IsDir() && filepath.Ext(path) == seqSuffix {
-				return os.Remove(path)
+			a := survivors([]int{0, 1, 2, 3})
+			b := survivors([]int{3, 2, 1, 0})
+			if a != b {
+				t.Errorf("eviction order depends on write order under tied mtimes: %q vs %q", a, b)
 			}
-			return err
-		}); err != nil {
+			if len(a) != 2 {
+				t.Errorf("want 2 survivors, got %q", a)
+			}
+		})
+	}
+}
+
+// TestSidecarConcurrentHandles: two handles on one directory (two processes
+// sharing a cache) touch one entry at once. Whatever interleaving the
+// in-place writes take, the sidecar must hold a sequence one of the handles
+// issued, or read as 0 — never a blend of the two.
+func TestSidecarConcurrentHandles(t *testing.T) {
+	dir := t.TempDir()
+	a := open(t, dir, -1)
+	key := []byte("shared")
+	if err := a.Put(key, []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	b := open(t, dir, -1)
+	// Far-apart ranges, so a blend of the two records' bytes lies in neither.
+	const bBase = 0x5a5a5a5a5a5a5a00
+	b.seq.Store(bBase)
+	aBase := a.seq.Load()
+
+	const touches = 300
+	var wg sync.WaitGroup
+	for _, s := range []*Store{a, b} {
+		wg.Add(1)
+		go func(s *Store) {
+			defer wg.Done()
+			for i := 0; i < touches; i++ {
+				if _, ok := s.Get(key); !ok {
+					t.Error("miss on an entry nobody removed")
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	got := readSeq(a.pathFor(hashKey(key)))
+	fromA := got > aBase && got <= a.seq.Load()
+	fromB := got > bBase && got <= b.seq.Load()
+	if got != 0 && !fromA && !fromB {
+		t.Errorf("sidecar holds sequence %#x, which neither handle issued (a: (%#x, %#x], b: (%#x, %#x])",
+			got, aBase, a.seq.Load(), int64(bBase), b.seq.Load())
+	}
+}
+
+// TestOpenResumesSequence: a fresh handle continues the persisted sequence
+// past the largest value on disk, so its writes order after everything the
+// previous process did even under tied mtimes.
+func TestOpenResumesSequence(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, -1)
+	for i := 0; i < 3; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		tieMtimes(t, s, keys)
-		size := s.Stats().Bytes / int64(len(keys))
-		s2 := open(t, dir, 2*size)
-		out := ""
-		for i, k := range keys {
-			if _, ok := s2.Get(k); ok {
-				out += fmt.Sprintf("%d", i)
-			}
+	}
+	s.Get([]byte("k0")) // sequence 4, the largest on disk
+	s2 := open(t, dir, -1)
+	if err := s2.Put([]byte("next"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readSeq(s2.pathFor(hashKey([]byte("next")))); got != 5 {
+		t.Errorf("first write after reopen persisted sequence %d, want 5", got)
+	}
+}
+
+// TestEvictionLeavesNoOrphanSidecar: every sidecar on disk sits next to
+// its entry file after evictions and deletes.
+func TestEvictionLeavesNoOrphanSidecar(t *testing.T) {
+	val := bytes.Repeat([]byte("o"), 512)
+	s := open(t, t.TempDir(), 3*entrySize("k0", val))
+	for i := 0; i < 12; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
+			t.Fatal(err)
 		}
-		return out
 	}
-	a := survivors([]int{0, 1, 2, 3})
-	b := survivors([]int{3, 2, 1, 0})
-	if a != b {
-		t.Errorf("eviction order depends on write order under tied mtimes: %q vs %q", a, b)
+	s.Delete([]byte("k11"))
+	if st := s.Stats(); st.Evictions == 0 {
+		t.Fatalf("no evictions: %+v", st)
 	}
-	if len(a) != 2 {
-		t.Errorf("want 2 survivors, got %q", a)
+	sidecars := 0
+	err := filepath.Walk(s.Dir(), func(p string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() || filepath.Ext(p) != seqSuffix {
+			return err
+		}
+		sidecars++
+		if _, err := os.Stat(strings.TrimSuffix(p, seqSuffix)); err != nil {
+			t.Errorf("orphan sidecar %s: %v", filepath.Base(p), err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sidecars != s.Len() {
+		t.Errorf("%d sidecars for %d entries", sidecars, s.Len())
 	}
 }
 
