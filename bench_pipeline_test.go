@@ -6,8 +6,8 @@
 //	go test -run xxx -bench BenchmarkPipeline -benchmem .
 //
 // and compare cycles/s (simulated cycles per wall-clock second) and
-// allocs/op across commits; cmd/mgprof runs the same matrix outside the
-// testing framework and records it in BENCH_pipeline.json.
+// allocs/op across commits; add -cpuprofile cpu.out (or -memprofile) to
+// profile exactly these loops. Measurements of record live in bench/.
 //
 // Golden-invariance rule: a perf refactor of the hot path must leave every
 // testdata/golden/*.json fixture byte-identical (TestGoldenReports with no
@@ -60,9 +60,7 @@ func BenchmarkPipelineBaseline(b *testing.B) {
 // mini-graph binary timed under several DRAM latencies. All arms of one
 // benchmark share a single trace identity, so the replay engine emulates
 // each binary once and replays it everywhere — the configuration-sweep
-// shape of the paper's figures. cmd/mgprof measures the same matrix
-// outside the testing framework and records the capture/replay split in
-// BENCH_pipeline.json.
+// shape of the paper's figures.
 var sweepMemLats = []int{0, 110, 120, 130, 140, 150, 160, 170}
 
 func sweepArms() []minigraph.SimJob {

@@ -20,8 +20,8 @@ import (
 
 // benchSubset holds one representative per suite (kept small so a full
 // -bench=. run completes in minutes). The list itself lives in the
-// workload package so cmd/mgprof and the golden fixtures use the same
-// subset. TestBenchSubsetValid fails fast — listing the registered
+// workload package so the golden fixtures use the same subset.
+// TestBenchSubsetValid fails fast — listing the registered
 // benchmark names — if an entry goes stale.
 var benchSubset = workload.BenchSubset()
 

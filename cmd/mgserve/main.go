@@ -112,6 +112,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *chunkWindow > 0 && *cacheDir == "" {
+		// Captures only spill to a store: without one every trace stays
+		// fully resident and the bound would silently not be in force.
+		usageExit("-trace-chunk-window requires -cache-dir")
+	}
 	eng := sim.New(*parallel).WithGangReplay(*gang).
 		WithTraceChunkRecords(*chunkRecords).
 		WithTraceChunkWindow(*chunkWindow).

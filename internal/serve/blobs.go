@@ -1,7 +1,7 @@
-// Peer trace-blob transfer: captured traces move instead of re-emulating.
+// Peer trace transfer: captured traces move instead of re-emulating.
 //
 // The expensive artifact behind every arm is the captured dynamic trace
-// (PR 4), portable in chunked form through the trace codec. When
+// (PR 4), portable as a manifest plus chunk frames (trace codec). When
 // membership changes re-route an arm to a worker that lacks the capture,
 // re-emulating would waste exactly the work the trace layer exists to
 // avoid — so the coordinator names the key's previous rendezvous owners
@@ -20,6 +20,7 @@ package serve
 import (
 	"context"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -104,20 +105,20 @@ func blobPath(traceKey []byte) string {
 }
 
 // fetchedChunks is the resumable state of one chunked peer transfer: the
-// manifest (once any peer delivered it) and the verified raw chunk
-// payloads collected so far. It doubles as the ChunkSource the assembled
-// trace encodes from.
+// verified raw chunk payloads collected so far (nil = still missing). It
+// doubles as the ChunkSource behind the trace handed to the engine.
 type fetchedChunks [][]byte
 
 func (f fetchedChunks) FetchChunk(index int64) ([]byte, error) {
 	return f[index], nil
 }
 
-// fetchTraceBlob is the sim.Engine trace-fetcher hook: when the request
+// fetchTrace is the sim.Engine trace-fetcher hook: when the request
 // context names peer workers, stream the trace from them chunk by chunk
-// and return it assembled as the monolithic blob the engine adopts.
-// (nil, nil) when no peer is named or the chunk set cannot be completed —
-// the engine then captures locally.
+// and return it as the manifest over the fetched chunks, which the engine
+// verifies and adopts exactly as it would a store load. (nil, nil) when no
+// peer is named or the chunk set cannot be completed — the engine then
+// captures locally.
 //
 // The transfer walks peers in rendezvous order: the first to deliver a
 // decodable manifest fixes the chunk plan, then chunks are pulled from
@@ -132,7 +133,7 @@ func (f fetchedChunks) FetchChunk(index int64) ([]byte, error) {
 // optimization over re-capturing, and a hung peer must not eat the arm's
 // whole call budget — the capture fallback still has to fit before the
 // coordinator times the worker out and marks it down.
-func (s *Server) fetchTraceBlob(ctx context.Context, key sim.TraceKey) ([]byte, error) {
+func (s *Server) fetchTrace(ctx context.Context, key sim.TraceKey) (*trace.Trace, error) {
 	src := blobPeers(ctx)
 	if len(src.peers) == 0 {
 		return nil, nil
@@ -199,30 +200,21 @@ func (s *Server) fetchTraceBlob(ctx context.Context, key sim.TraceKey) ([]byte, 
 			chunks[i] = raw
 		}
 		if haveManifest && complete {
-			tr, err := trace.FromManifest(m, chunks)
-			if err != nil {
-				return nil, fmt.Errorf("serve: assemble fetched trace: %w", err)
-			}
-			blob, err := trace.Encode(tr)
-			if err != nil {
-				return nil, fmt.Errorf("serve: encode fetched trace: %w", err)
-			}
-			return blob, nil
+			return trace.FromManifest(m, chunks)
 		}
 	}
 	if damaged {
 		// Distinguish "a peer served bytes that failed verification" (the
 		// engine counts it as a peer reject) from "no peer had the trace".
-		return nil, fmt.Errorf("serve: peer trace transfer rejected: damaged manifest or chunk")
+		return nil, errors.New("serve: peer trace transfer rejected: damaged manifest or chunk")
 	}
 	return nil, nil
 }
 
 // handleBlob serves GET /v1/blobs/{traceKey} for the base64url canonical
-// TraceKey in the path, in three forms: ?manifest=1 returns the trace's
-// chunk manifest (trace manifest codec), ?chunk=N returns chunk N's frame
-// (trace chunk codec), and the bare path returns the whole trace as one
-// monolithic blob — kept for tooling, but peers stream chunk by chunk.
+// TraceKey in the path, in two forms: ?manifest=1 returns the trace's
+// chunk manifest (trace manifest codec) and ?chunk=N returns chunk N's
+// frame (trace chunk codec); a request naming neither is a 400.
 // 404 when this worker holds no valid copy of what was asked — per chunk,
 // so a peer missing (or holding a damaged copy of) one chunk still serves
 // the rest and the asker fills the hole elsewhere. Chaos injection
@@ -253,7 +245,8 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		}
 		data, ok = s.eng.TraceChunk(key, n)
 	default:
-		data, ok = s.eng.TraceBlob(key)
+		httpError(w, http.StatusBadRequest, fmt.Errorf("a trace is served as ?manifest=1 or ?chunk=N, not whole"))
+		return
 	}
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("trace blob not resident on this worker"))

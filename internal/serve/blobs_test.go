@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -26,12 +27,12 @@ func blobTestJob(t *testing.T) sim.SimJob {
 	return job
 }
 
-// TestBlobChunkEndpoints exercises the three forms of GET /v1/blobs/{key}
+// TestBlobChunkEndpoints exercises the two forms of GET /v1/blobs/{key}
 // against a worker whose resident trace spans several chunks: the manifest
 // decodes and covers the trace, each chunk frame decodes and matches the
-// manifest's CRC, reassembling every chunk reproduces the monolithic blob
-// byte for byte, and malformed or out-of-range chunk indices are rejected
-// with the right statuses.
+// manifest's CRC, the fetched pieces materialize into a trace with the
+// same manifest, and a request naming neither form, or a malformed or
+// out-of-range chunk index, is rejected with the right status.
 func TestBlobChunkEndpoints(t *testing.T) {
 	ctx := context.Background()
 	eng := sim.New(2).WithTraceChunkRecords(256)
@@ -53,11 +54,11 @@ func TestBlobChunkEndpoints(t *testing.T) {
 	}
 	base := ts.URL + blobPath(kb)
 
-	resp, body := getBody(t, base+"?manifest=1")
+	resp, manifest := getBody(t, base+"?manifest=1")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET ?manifest=1: %d: %s", resp.StatusCode, body)
+		t.Fatalf("GET ?manifest=1: %d: %s", resp.StatusCode, manifest)
 	}
-	m, err := trace.DecodeManifest(body)
+	m, err := trace.DecodeManifest(manifest)
 	if err != nil {
 		t.Fatalf("served manifest does not decode: %v", err)
 	}
@@ -81,25 +82,26 @@ func TestBlobChunkEndpoints(t *testing.T) {
 		chunks[i] = raw
 	}
 
-	resp, blob := getBody(t, base)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET bare blob: %d: %s", resp.StatusCode, blob)
-	}
 	tr, err := trace.FromManifest(m, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reassembled, err := trace.Encode(tr)
-	if err != nil {
-		t.Fatal(err)
+	if err := tr.Materialize(); err != nil {
+		t.Fatalf("fetched chunks do not verify against the fetched manifest: %v", err)
 	}
-	if !bytes.Equal(reassembled, blob) {
-		t.Error("chunk-by-chunk reassembly differs from the monolithic blob")
+	if !bytes.Equal(trace.EncodeManifest(tr.Manifest()), manifest) {
+		t.Error("chunk-by-chunk reassembly does not reproduce the served manifest")
 	}
 
-	for _, q := range []string{"?chunk=abc", "?chunk=-1"} {
-		if resp, _ := getBody(t, base+q); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET %s: %d, want 400", q, resp.StatusCode)
+	// The bare path (no form named) is a client error with the JSON error
+	// shape, like every other 400.
+	for _, q := range []string{"", "?chunk=abc", "?chunk=-1"} {
+		resp, body := getBody(t, base+q)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error == "" {
+			t.Errorf("GET %q: %d %s, want 400 with a JSON error", q, resp.StatusCode, body)
 		}
 	}
 	if resp, _ := getBody(t, base+"?chunk=999"); resp.StatusCode != http.StatusNotFound {
@@ -154,12 +156,13 @@ func (p *blobPeer) askedChunks() []int64 {
 	return append([]int64(nil), p.asked...)
 }
 
-// TestBlobFetchResumesAcrossPeers drives fetchTraceBlob against two
+// TestBlobFetchResumesAcrossPeers drives fetchTrace against two
 // handcrafted peers: the first serves a good manifest but corrupts one
 // chunk and dies (500) on a later one; the second serves everything. The
 // transfer must keep the chunks the first peer delivered intact — asking
 // the second peer only for what is missing — reject the damaged chunk by
-// CRC, and assemble a blob byte-identical to the source worker's.
+// CRC, and hand over a trace whose manifest and every chunk payload are
+// byte-identical to the source worker's.
 func TestBlobFetchResumesAcrossPeers(t *testing.T) {
 	ctx := context.Background()
 	src := sim.New(2).WithTraceChunkRecords(256)
@@ -178,10 +181,6 @@ func TestBlobFetchResumesAcrossPeers(t *testing.T) {
 	}
 	if len(m.Chunks) < 4 {
 		t.Fatalf("trace split into %d chunks; the scenario needs several", len(m.Chunks))
-	}
-	wantBlob, ok := src.TraceBlob(tk)
-	if !ok {
-		t.Fatal("source engine holds no blob")
 	}
 	chunkFrame := func(i int64) []byte {
 		frame, ok := src.TraceChunk(tk, i)
@@ -213,12 +212,24 @@ func TestBlobFetchResumesAcrossPeers(t *testing.T) {
 	fetcher := mustNew(t, Options{Engine: sim.New(1)})
 	t.Cleanup(fetcher.Close)
 	fctx := withBlobPeers(ctx, blobSources{peers: []string{p1.URL, p2.URL}})
-	blob, err := fetcher.fetchTraceBlob(fctx, tk)
+	tr, err := fetcher.fetchTrace(fctx, tk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(blob, wantBlob) {
-		t.Fatal("assembled blob differs from the source worker's")
+	if err := tr.Materialize(); err != nil {
+		t.Fatalf("fetched trace does not verify: %v", err)
+	}
+	if !bytes.Equal(trace.EncodeManifest(tr.Manifest()), manifest) {
+		t.Fatal("fetched trace's manifest differs from the source worker's")
+	}
+	for i := range m.Chunks {
+		_, want, err := trace.DecodeChunk(chunkFrame(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tr.ChunkPayload(int64(i)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("fetched chunk %d differs from the source worker's (%v)", i, err)
+		}
 	}
 
 	// The first peer was asked for everything once; the second only for
@@ -272,8 +283,8 @@ func TestBlobFetchAllPeersDamaged(t *testing.T) {
 	fetcher := mustNew(t, Options{Engine: sim.New(1)})
 	t.Cleanup(fetcher.Close)
 	fctx := withBlobPeers(ctx, blobSources{peers: []string{p.URL}})
-	blob, err := fetcher.fetchTraceBlob(fctx, tk)
-	if err == nil {
-		t.Fatalf("fetch over all-damaged chunks returned blob=%d bytes, err=nil; want a rejection", len(blob))
+	tr, err := fetcher.fetchTrace(fctx, tk)
+	if err == nil || tr != nil {
+		t.Fatalf("fetch over all-damaged chunks returned trace=%v, err=%v; want a rejection", tr != nil, err)
 	}
 }

@@ -164,16 +164,9 @@ func (c *Client) OutcomeFrom(ctx context.Context, js JobSpec, peers []string, pe
 	return sim.DecodeOutcome(data)
 }
 
-// TraceBlob fetches the encoded trace blob for a canonical TraceKey
-// encoding (sim.EncodeTraceKey bytes) from this worker's blob endpoint.
-// The bytes are CRC-framed; callers decode (and thereby verify) them
-// before use.
-func (c *Client) TraceBlob(ctx context.Context, traceKey []byte) ([]byte, error) {
-	return c.doRaw(ctx, http.MethodGet, blobPath(traceKey), nil)
-}
-
 // TraceManifest fetches the chunk manifest (trace manifest codec) for a
-// canonical TraceKey encoding — the first step of a chunked transfer.
+// canonical TraceKey encoding (sim.EncodeTraceKey bytes) from this
+// worker's blob endpoint — the first step of a chunked transfer.
 func (c *Client) TraceManifest(ctx context.Context, traceKey []byte) ([]byte, error) {
 	return c.doRaw(ctx, http.MethodGet, blobPath(traceKey)+"?manifest=1", nil)
 }

@@ -178,7 +178,7 @@ func New(o Options) (*Server, error) {
 	}
 	// Workers fetch trace blobs from the peers the coordinator names on
 	// each /v1/outcome call instead of re-capturing (see blobs.go).
-	o.Engine.WithTraceFetcher(s.fetchTraceBlob)
+	o.Engine.WithTraceFetcher(s.fetchTrace)
 	s.jobs = newJobManager(s, o.JobQueue, o.JobRunners)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)

@@ -102,8 +102,8 @@ func DecodeSimKey(data []byte) (SimKey, error) {
 	return key, err
 }
 
-// traceKeyPayload wraps a TraceKey with an explicit kind marker so a trace
-// blob's content address can never collide with a SimKey's, even if the
+// traceKeyPayload wraps a TraceKey with an explicit kind marker so a
+// trace's content address can never collide with a SimKey's, even if the
 // two structs ever converge shapewise.
 type traceKeyPayload struct {
 	Kind string   `json:"kind"`
@@ -112,8 +112,9 @@ type traceKeyPayload struct {
 
 // EncodeTraceKey renders key in the canonical versioned JSON encoding.
 // Equal keys encode to equal bytes; the persistent store uses the bytes as
-// the content address of the captured trace blob. The blob itself uses the
-// trace package's binary codec, which carries its own version.
+// the content address of the captured trace's manifest. The manifest
+// itself uses the trace package's binary codec, which carries its own
+// version.
 func EncodeTraceKey(key TraceKey) ([]byte, error) {
 	return seal(traceKeyPayload{Kind: "trace", Key: key})
 }

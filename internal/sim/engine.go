@@ -36,8 +36,8 @@ const ProfileLimit = 4_000_000
 // limit) into an immutable structure-of-arrays trace, and every machine
 // configuration swept over that binary replays the shared trace through
 // its own zero-allocation cursor — concurrently, with no locking. With a
-// persistent store attached, trace blobs round-trip through disk so cold
-// processes replay without ever emulating.
+// persistent store attached, traces round-trip through disk (manifest +
+// chunk entries) so cold processes replay without ever emulating.
 //
 // An Engine is safe for concurrent use and is meant to be shared across
 // experiments so cross-figure common work (benchmark preparations, the
@@ -50,11 +50,11 @@ type Engine struct {
 	live    bool // force live emulation sources (golden-invariance testing)
 	gangOff bool // disable gang replay in RunEach (solo-path benchmarking)
 
-	// traceFetch, when set, is consulted for a trace blob that is neither
-	// in memory nor in the store before falling back to capturing (see
-	// WithTraceFetcher). The serving tier uses it to move blobs between
-	// workers when membership changes re-route an arm.
-	traceFetch func(ctx context.Context, key TraceKey) ([]byte, error)
+	// traceFetch, when set, is the peer tier: consulted for a trace that is
+	// neither in memory nor in the store before falling back to capturing
+	// (see WithTraceFetcher). The serving tier uses it to move traces
+	// between workers when membership changes re-route an arm.
+	traceFetch func(ctx context.Context, key TraceKey) (*trace.Trace, error)
 
 	// Chunked-trace policy (see WithTraceChunkRecords and friends).
 	// chunkRecords overrides the capture chunk geometry (0: trace package
@@ -177,7 +177,7 @@ type Stats struct {
 	// Peer-transfer counters (see WithTraceFetcher). TracePeerHits counts
 	// traces adopted from a peer instead of being captured or re-captured;
 	// TracePeerRejects counts fetch attempts that failed or returned a
-	// damaged blob (CRC mismatch) and fell back to capturing.
+	// trace with a damaged chunk (CRC mismatch) and fell back to capturing.
 	TracePeerHits    int64 `json:"trace_peer_hits,omitempty"`
 	TracePeerRejects int64 `json:"trace_peer_rejects,omitempty"`
 
@@ -340,17 +340,18 @@ func (e *Engine) WithStore(s *store.Store) *Engine {
 // Store returns the attached persistent store (nil if none).
 func (e *Engine) Store() *store.Store { return e.store }
 
-// WithTraceFetcher installs a hook consulted when a simulation needs a
-// trace that is neither memoized in memory nor present in the store: f
-// returns the encoded blob (the trace package's CRC-framed binary codec)
-// or an error. A (nil, nil) return means "no source available" and is not
-// counted. The blob is CRC-checked on arrival — any damage counts as a
-// reject and the engine falls back to capturing, never to a wrong replay —
-// and an adopted blob is written through to the store. The serving tier
-// uses this to fetch blobs from peer workers when membership changes
-// re-route an arm. Set before submitting jobs (the field is not
-// synchronized); e is returned for chaining.
-func (e *Engine) WithTraceFetcher(f func(ctx context.Context, key TraceKey) ([]byte, error)) *Engine {
+// WithTraceFetcher installs the peer tier: a hook consulted when a
+// simulation needs a trace that is neither memoized in memory nor present
+// in the store. f returns the trace as a manifest over a ChunkSource
+// (trace.FromManifest) or an error; a (nil, nil) return means "no source
+// available" and is not counted. What f returns crossed a trust boundary
+// and is adopted exactly as a store load is: every chunk is CRC-verified
+// against the manifest before the first record replays, any damage counts
+// as a reject and the engine falls back to capturing — never to a wrong
+// replay — and an adopted trace is written through to the store. Set
+// before submitting jobs (the field is not synchronized); e is returned
+// for chaining.
+func (e *Engine) WithTraceFetcher(f func(ctx context.Context, key TraceKey) (*trace.Trace, error)) *Engine {
 	e.traceFetch = f
 	return e
 }
@@ -375,51 +376,48 @@ func (e *Engine) memoTrace(key TraceKey) (*trace.Trace, bool) {
 	return nil, false
 }
 
-// storedTrace opens key's trace from the attached store: manifest entry
-// under the trace key, chunk payloads faulted through chunk entries.
-// Nothing is verified beyond the manifest decode — callers stream chunks
-// through the returned trace (Encode, ChunkPayload, Materialize), each of
-// which CRC-checks what it touches.
-func (e *Engine) storedTrace(key TraceKey) (*trace.Trace, bool) {
+// storedManifest is the one lookup of key's manifest entry in the attached
+// store: the bytes as stored and the manifest they decode to. A missing,
+// damaged or stale entry is a miss.
+func (e *Engine) storedManifest(key TraceKey) ([]byte, trace.Manifest, bool) {
 	if e.store == nil {
-		return nil, false
+		return nil, trace.Manifest{}, false
 	}
 	kb, err := EncodeTraceKey(key)
 	if err != nil {
-		return nil, false
+		return nil, trace.Manifest{}, false
 	}
 	data, ok := e.store.Get(kb)
 	if !ok {
-		return nil, false
+		return nil, trace.Manifest{}, false
 	}
 	m, err := trace.DecodeManifest(data)
-	if err != nil {
-		return nil, false
-	}
-	tr, err := trace.FromManifest(m, &storeChunkIO{e: e, tk: key})
-	if err != nil {
-		return nil, false
-	}
-	return tr, true
+	return data, m, err == nil
 }
 
-// TraceBlob returns the encoded monolithic blob (trace binary codec) for
-// key, assembled from the in-memory trace cache or the attached store's
-// manifest + chunk entries. ok is false when the trace is not resident or
-// any chunk is missing or damaged — a partial trace must read as a miss,
-// never ship as a wrong blob.
-func (e *Engine) TraceBlob(key TraceKey) ([]byte, bool) {
-	if tr, ok := e.memoTrace(key); ok {
-		if data, err := trace.Encode(tr); err == nil {
-			return data, true
-		}
+// storedChunk is the one lookup of a chunk entry of key's trace in the
+// attached store: the frame as stored and the raw rows it decodes to
+// (frame-verified; the caller still checks them against its manifest).
+func (e *Engine) storedChunk(key TraceKey, index int64) (frame, raw []byte, err error) {
+	if e.store == nil {
+		return nil, nil, errors.New("sim: no store attached")
 	}
-	if tr, ok := e.storedTrace(key); ok {
-		if data, err := trace.Encode(tr); err == nil {
-			return data, true
-		}
+	kb, err := EncodeTraceChunkKey(key, index)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, false
+	frame, ok := e.store.Get(kb)
+	if !ok {
+		return nil, nil, fmt.Errorf("sim: trace chunk %d not in store", index)
+	}
+	idx, raw, err := trace.DecodeChunk(frame)
+	if err != nil {
+		return nil, nil, err
+	}
+	if idx != index {
+		return nil, nil, fmt.Errorf("sim: trace chunk entry %d carries index %d", index, idx)
+	}
+	return frame, raw, nil
 }
 
 // TraceManifest returns the encoded chunk manifest (trace manifest codec)
@@ -429,23 +427,8 @@ func (e *Engine) TraceManifest(key TraceKey) ([]byte, bool) {
 	if tr, ok := e.memoTrace(key); ok {
 		return trace.EncodeManifest(tr.Manifest()), true
 	}
-	if e.store == nil {
-		return nil, false
-	}
-	kb, err := EncodeTraceKey(key)
-	if err != nil {
-		return nil, false
-	}
-	data, ok := e.store.Get(kb)
-	if !ok {
-		return nil, false
-	}
-	// Validate before serving: a damaged entry must read as a miss here
-	// just as it would on replay.
-	if _, err := trace.DecodeManifest(data); err != nil {
-		return nil, false
-	}
-	return data, true
+	data, _, ok := e.storedManifest(key)
+	return data, ok
 }
 
 // TraceChunk returns the encoded frame (trace chunk codec) of chunk
@@ -453,26 +436,13 @@ func (e *Engine) TraceManifest(key TraceKey) ([]byte, bool) {
 // store. A missing or damaged chunk is a miss for that chunk only — the
 // peer protocol rejects and re-sources chunks individually.
 func (e *Engine) TraceChunk(key TraceKey, index int64) ([]byte, bool) {
-	if tr, ok := e.memoTrace(key); ok && index >= 0 && index < tr.NumChunks() {
+	if tr, ok := e.memoTrace(key); ok {
 		if raw, err := tr.ChunkPayload(index); err == nil {
 			return trace.EncodeChunk(index, raw, e.traceCompress), true
 		}
 	}
-	if e.store == nil {
-		return nil, false
-	}
-	kb, err := EncodeTraceChunkKey(key, index)
-	if err != nil {
-		return nil, false
-	}
-	data, ok := e.store.Get(kb)
-	if !ok {
-		return nil, false
-	}
-	if idx, _, err := trace.DecodeChunk(data); err != nil || idx != index {
-		return nil, false
-	}
-	return data, true
+	frame, _, err := e.storedChunk(key, index)
+	return frame, err == nil
 }
 
 // storeChunkIO moves one trace's chunks between a Trace and the engine's
@@ -497,22 +467,8 @@ func (s *storeChunkIO) SealChunk(index, rows int64, data []byte, crc uint32) err
 }
 
 func (s *storeChunkIO) FetchChunk(index int64) ([]byte, error) {
-	kb, err := EncodeTraceChunkKey(s.tk, index)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := s.e.store.Get(kb)
-	if !ok {
-		return nil, fmt.Errorf("sim: trace chunk %d not in store", index)
-	}
-	idx, raw, err := trace.DecodeChunk(data)
-	if err != nil {
-		return nil, err
-	}
-	if idx != index {
-		return nil, fmt.Errorf("sim: trace chunk entry %d carries index %d", index, idx)
-	}
-	return raw, nil
+	_, raw, err := s.e.storedChunk(s.tk, index)
+	return raw, err
 }
 
 // WithGangReplay enables or disables gang replay in Run/RunEach (enabled
@@ -578,8 +534,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // noteFrontend folds one executed simulation's front-end counters into the
-// engine totals. Called at the three places an in-process pipeline run
-// produces a Result: trace replay, live emulation, and gang arms.
+// engine totals (see ranArm).
 func (e *Engine) noteFrontend(res *uarch.Result) {
 	e.feCondBranches.Add(res.CondBranches)
 	e.feCondMispreds.Add(res.CondMispredicts)
@@ -697,13 +652,28 @@ func buildProgram(pr *Prepared, key TraceKey) (*isa.Program, []*core.Template, *
 }
 
 // captureTrace returns the memoized capture for key's trace identity,
-// emulating at most once per process no matter how many arms ask. With a
-// store attached the capture round-trips through disk: a cold process
-// loads the persisted blob and never emulates. Like Prepare, the compute
-// takes its own worker slot and callers must not hold one.
+// sourcing it at most once per process no matter how many arms ask (see
+// sourceTrace for where it comes from). Like Prepare, the compute takes
+// its own worker slot and callers must not hold one.
 func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*capturedTrace, error) {
 	tk := key.TraceKey()
-	ct, err := e.captureTraceLocked(ctx, tk, key, pr)
+	ct, err := singleflight(e, ctx, e.traces, tk, &e.traceRuns, &e.traceHits,
+		func(ctx context.Context) (*capturedTrace, error) {
+			if err := e.acquire(ctx); err != nil {
+				return nil, err
+			}
+			defer e.release()
+			prog, templates, sel, err := buildProgram(pr, tk)
+			if err != nil {
+				return nil, err
+			}
+			tr, err := e.sourceTrace(ctx, key, pr, prog, templates)
+			if err != nil {
+				return nil, err
+			}
+			e.traceBytes.Add(tr.SizeBytes())
+			return &capturedTrace{prog: prog, templates: templates, sel: sel, trace: tr}, nil
+		})
 	if err == nil {
 		// The LRU accounts what the trace actually holds resident — a
 		// spilled trace costs its manifest bookkeeping, not its logical
@@ -739,13 +709,155 @@ func (e *Engine) evictTrace(key TraceKey) {
 	}
 }
 
+// sourceTrace produces key's trace from the first tier holding a valid
+// copy — the attached store, a peer, else a fresh capture. Fall-through is
+// the only recovery: a tier whose trace fails verification is a miss at
+// that tier and the next one runs, so a damaged or short chunk from any
+// source costs a capture, never a wrong replay.
+func (e *Engine) sourceTrace(ctx context.Context, key SimKey, pr *Prepared, prog *isa.Program, templates []*core.Template) (*trace.Trace, error) {
+	tk := key.TraceKey()
+	if tr := e.storeTier(tk); tr != nil {
+		return tr, nil
+	}
+	if tr := e.peerTier(ctx, tk); tr != nil {
+		return tr, nil
+	}
+	return e.captureTier(ctx, key, pr, prog, templates)
+}
+
+// storeTier loads tk's trace from the attached store: the manifest entry
+// under the trace key, chunk payloads behind chunk entries. A trace whose
+// chunks do not all verify loses its manifest, so it reads as a clean miss
+// everywhere (the chunks it named become scrub fodder).
+func (e *Engine) storeTier(tk TraceKey) *trace.Trace {
+	_, m, ok := e.storedManifest(tk)
+	if !ok {
+		return nil
+	}
+	tr, err := trace.FromManifest(m, &storeChunkIO{e: e, tk: tk})
+	if err == nil {
+		tr, err = e.adopt(tk, tr, tierStore)
+	}
+	if err != nil {
+		if kb, kerr := EncodeTraceKey(tk); kerr == nil {
+			e.store.Delete(kb)
+		}
+		return nil
+	}
+	e.traceStoreHits.Add(1)
+	return tr
+}
+
+// peerTier asks the trace fetcher (see WithTraceFetcher) for tk's trace.
+// A fetch error or a trace that fails verification is a counted reject;
+// (nil, nil) from the fetcher is "no source" and counts as nothing.
+func (e *Engine) peerTier(ctx context.Context, tk TraceKey) *trace.Trace {
+	if e.traceFetch == nil {
+		return nil
+	}
+	tr, err := e.traceFetch(ctx, tk)
+	if err == nil && tr != nil {
+		tr, err = e.adopt(tk, tr, tierPeer)
+	}
+	if err != nil {
+		e.tracePeerRejects.Add(1)
+		return nil
+	}
+	if tr != nil {
+		e.tracePeerHits.Add(1)
+	}
+	return tr
+}
+
+// captureTier emulates key's binary. With a store and a bounded window,
+// sealed chunks spill to the store as capture proceeds — the capture
+// itself never holds more than one open chunk — and adopt lands the
+// manifest after every chunk is durable.
+func (e *Engine) captureTier(ctx context.Context, key SimKey, pr *Prepared, prog *isa.Program, templates []*core.Template) (*trace.Trace, error) {
+	tk := key.TraceKey()
+	io := &storeChunkIO{e: e, tk: tk}
+	var sink trace.ChunkSink
+	if e.store != nil && e.chunkWindow > 0 {
+		sink = io
+	}
+	tr, err := e.capture(ctx, key, pr, prog, templates, sink)
+	if err != nil {
+		return nil, err
+	}
+	if tr.Spilled() {
+		tr.BindSource(io)
+	}
+	return e.adopt(tk, tr, tierCapture)
+}
+
+// capture runs the functional emulation of key's binary into a fresh
+// trace. The profile's dynamic-instruction count sizes the chunk buffers
+// in one allocation (nop-fill rewriting preserves record counts).
+func (e *Engine) capture(ctx context.Context, key SimKey, pr *Prepared, prog *isa.Program, templates []*core.Template, sink trace.ChunkSink) (*trace.Trace, error) {
+	opts := trace.CaptureOptions{ChunkRecords: e.chunkRecords, Hint: pr.Prof.DynInsts, Sink: sink}
+	tr, err := trace.CaptureWith(ctx, prog, newMGT(key, templates), key.Config.MaxRecords, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.traceCaptures.Add(1)
+	return tr, nil
+}
+
+// tier names where sourceTrace got a trace, which is all adopt needs to
+// know about it.
+type tier int
+
+const (
+	tierStore   tier = iota // untrusted, already durable
+	tierPeer                // untrusted, in memory only
+	tierCapture             // produced here; spilled chunks already durable
+)
+
+// adopt is the one step every tier's trace passes through on its way into
+// the engine: verify what crossed a trust boundary chunk by chunk against
+// its manifest, make what is not yet durable durable, and hold the result
+// the way replay wants it — resident with an unbounded chunk window,
+// spilled behind the store with a bounded one. An error means a chunk
+// failed verification; no part of such a trace is ever replayed.
+func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier) (*trace.Trace, error) {
+	bounded := e.store != nil && e.chunkWindow > 0
+	switch {
+	case from == tierCapture:
+		// Produced in-process: nothing crossed a trust boundary.
+	case from == tierStore && bounded:
+		// Already where a bounded replay wants it: stream every chunk
+		// through once (constant memory) and leave the trace spilled.
+		for ci := int64(0); ci < tr.NumChunks(); ci++ {
+			if _, err := tr.ChunkPayload(ci); err != nil {
+				return nil, err
+			}
+		}
+	default:
+		// Verify and retain in one pass. A peer's chunks are in memory
+		// already, so this costs no copy.
+		if err := tr.Materialize(); err != nil {
+			return nil, err
+		}
+	}
+	if from == tierStore || e.store == nil || !e.persistTrace(tk, tr) || !bounded {
+		return tr, nil
+	}
+	// Durable in chunked form: hold the spilled equivalent, so residency
+	// stays bounded even right after a transfer.
+	return trace.FromManifest(tr.Manifest(), &storeChunkIO{e: e, tk: tk})
+}
+
 // persistTrace writes tr's resident chunks and then its manifest to the
 // store — in that order, so a crash between the two leaves orphan chunks
 // (scrub fodder) rather than a manifest naming missing chunks. Chunks
 // already spilled are already durable and are skipped. Returns false if
 // any write failed, in which case the manifest is not written and the
 // store reads as a clean miss.
-func (e *Engine) persistTrace(tk TraceKey, keyBytes []byte, tr *trace.Trace) bool {
+func (e *Engine) persistTrace(tk TraceKey, tr *trace.Trace) bool {
+	keyBytes, err := EncodeTraceKey(tk)
+	if err != nil {
+		return false
+	}
 	io := &storeChunkIO{e: e, tk: tk}
 	for ci := int64(0); ci < tr.NumChunks(); ci++ {
 		if !tr.ChunkResident(ci) {
@@ -763,105 +875,37 @@ func (e *Engine) persistTrace(tk TraceKey, keyBytes []byte, tr *trace.Trace) boo
 	return true
 }
 
-func (e *Engine) captureTraceLocked(ctx context.Context, tk TraceKey, key SimKey, pr *Prepared) (*capturedTrace, error) {
-	return singleflight(e, ctx, e.traces, tk, &e.traceRuns, &e.traceHits,
-		func(ctx context.Context) (*capturedTrace, error) {
-			if err := e.acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer e.release()
-			prog, templates, sel, err := buildProgram(pr, tk)
-			if err != nil {
-				return nil, err
-			}
-			ct := &capturedTrace{prog: prog, templates: templates, sel: sel}
-			var keyBytes []byte
-			if e.store != nil {
-				if kb, err := EncodeTraceKey(tk); err == nil {
-					keyBytes = kb
-					if tr, ok := e.storedTrace(tk); ok {
-						// Verify the whole trace against its manifest before
-						// adopting it. Unbounded window: materialize — verify
-						// and retain in one pass, the fully resident
-						// pre-chunking behavior. Bounded window: stream every
-						// chunk through once (constant memory), then leave
-						// the trace spilled for windowed replay.
-						var verr error
-						if e.chunkWindow <= 0 {
-							verr = tr.Materialize()
-						} else {
-							for ci := int64(0); ci < tr.NumChunks() && verr == nil; ci++ {
-								_, verr = tr.ChunkPayload(ci)
-							}
-						}
-						if verr == nil {
-							e.traceStoreHits.Add(1)
-							e.traceBytes.Add(tr.SizeBytes())
-							ct.trace = tr
-							return ct, nil
-						}
-						// Incomplete or damaged: drop the manifest so the
-						// trace reads as a clean miss everywhere (the chunks
-						// it named become scrub fodder) and fall through to
-						// re-sourcing it.
-						e.store.Delete(keyBytes)
-					}
-				}
-			}
-			// Neither memory nor store has the capture; before emulating,
-			// try to adopt the blob from a peer. The frame is CRC-checked,
-			// so a damaged transfer degrades to a re-capture, never to a
-			// wrong replay.
-			if e.traceFetch != nil {
-				if data, err := e.traceFetch(ctx, tk); err != nil {
-					e.tracePeerRejects.Add(1)
-				} else if data != nil {
-					if tr, err := trace.Decode(data); err == nil {
-						e.tracePeerHits.Add(1)
-						e.traceBytes.Add(tr.SizeBytes())
-						ct.trace = tr
-						if keyBytes != nil && e.persistTrace(tk, keyBytes, tr) && e.chunkWindow > 0 {
-							// Durable in chunked form: swap the adopted blob
-							// for its spilled equivalent so residency stays
-							// bounded even right after a transfer.
-							if spilled, ok := e.storedTrace(tk); ok {
-								ct.trace = spilled
-							}
-						}
-						return ct, nil
-					}
-					e.tracePeerRejects.Add(1)
-				}
-			}
-			var mgt *core.MGT
-			if !tk.Baseline {
-				mgt = core.NewMGT(templates, ExecParams(key.Config))
-			}
-			// The profile's dynamic-instruction count sizes the chunk
-			// buffers in one allocation (nop-fill rewriting preserves record
-			// counts). With a store and a bounded window, sealed chunks
-			// spill to the store as capture proceeds — the capture itself
-			// never holds more than one open chunk — and the manifest lands
-			// after every chunk is durable.
-			opts := trace.CaptureOptions{ChunkRecords: e.chunkRecords, Hint: pr.Prof.DynInsts}
-			if keyBytes != nil && e.chunkWindow > 0 {
-				opts.Sink = &storeChunkIO{e: e, tk: tk}
-			}
-			tr, err := trace.CaptureWith(ctx, prog, mgt, tk.Limit, opts)
-			if err != nil {
-				return nil, err
-			}
-			e.traceCaptures.Add(1)
-			e.traceBytes.Add(tr.SizeBytes())
-			if tr.Spilled() {
-				tr.BindSource(&storeChunkIO{e: e, tk: tk})
-			}
-			ct.trace = tr
-			if keyBytes != nil {
-				e.persistTrace(tk, keyBytes, tr)
-			}
-			return ct, nil
-		})
+// loadOutcome is the store read-before of one arm: the arm's store key
+// (nil when no store is attached, i.e. nothing to write through to) and
+// its persisted outcome, if a valid one exists. A disk hit never touches
+// preparation or a pipeline.
+func (e *Engine) loadOutcome(key SimKey) ([]byte, *Outcome) {
+	if e.store == nil {
+		return nil, nil
+	}
+	keyBytes, err := EncodeSimKey(key)
+	if err != nil {
+		return nil, nil
+	}
+	if data, ok := e.store.Get(keyBytes); ok {
+		if out, err := DecodeOutcome(data); err == nil {
+			e.storeHits.Add(1)
+			return keyBytes, out
+		}
+	}
+	e.storeMisses.Add(1)
+	return keyBytes, nil
+}
+
+// saveOutcome writes a computed outcome through to the store. Store
+// failures are never job failures: a failed write-through is dropped.
+func (e *Engine) saveOutcome(keyBytes []byte, out *Outcome) {
+	if keyBytes == nil {
+		return
+	}
+	if data, err := EncodeOutcome(out); err == nil && e.store.Put(keyBytes, data) == nil {
+		e.storePuts.Add(1)
+	}
 }
 
 // Simulate runs (or returns the cached result of) one timing simulation.
@@ -892,19 +936,9 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 	key := job.Key()
 	return singleflight(e, ctx, e.sims, key, &e.simRuns, &e.simHits,
 		func(ctx context.Context) (*Outcome, error) {
-			var keyBytes []byte
-			if e.store != nil {
-				kb, err := EncodeSimKey(key)
-				if err == nil {
-					keyBytes = kb
-					if data, ok := e.store.Get(keyBytes); ok {
-						if out, err := DecodeOutcome(data); err == nil {
-							e.storeHits.Add(1)
-							return out, nil
-						}
-					}
-					e.storeMisses.Add(1)
-				}
+			keyBytes, out := e.loadOutcome(key)
+			if out != nil {
+				return out, nil
 			}
 			pr, err := e.Prepare(ctx, job.Prepare)
 			if err != nil {
@@ -916,12 +950,7 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 			if e.live {
 				res, sel, err = e.simulateLive(ctx, key, job.Config.Name, pr)
 			} else {
-				var ct *capturedTrace
-				ct, err = e.captureTrace(ctx, key, pr)
-				if err == nil {
-					res, err = e.replay(ctx, key, job.Config.Name, ct)
-					sel = ct.sel
-				}
+				res, sel, err = e.replay(ctx, key, job.Config.Name, pr)
 				if errors.Is(err, trace.ErrChunkUnavailable) {
 					// A spilled chunk vanished mid-replay (store eviction
 					// under pressure, a peer gone away). The trace itself is
@@ -929,11 +958,7 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 					// it, which re-verifies the store or re-captures.
 					e.chunkRecaptures.Add(1)
 					e.evictTrace(key.TraceKey())
-					ct, err = e.captureTrace(ctx, key, pr)
-					if err == nil {
-						res, err = e.replay(ctx, key, job.Config.Name, ct)
-						sel = ct.sel
-					}
+					res, sel, err = e.replay(ctx, key, job.Config.Name, pr)
 				}
 				if errors.Is(err, trace.ErrChunkUnavailable) {
 					// Still losing chunks after re-sourcing: the store is
@@ -947,40 +972,53 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 			if err != nil {
 				return nil, err
 			}
-			out := &Outcome{Result: res, Selection: sel}
-			if keyBytes != nil {
-				if data, err := EncodeOutcome(out); err == nil {
-					if e.store.Put(keyBytes, data) == nil {
-						e.storePuts.Add(1)
-					}
-				}
-			}
+			out = &Outcome{Result: res, Selection: sel}
+			e.saveOutcome(keyBytes, out)
 			return out, nil
 		})
 }
 
-// replay runs one timing simulation over a shared captured trace through a
-// private zero-allocation cursor. cfgName is the job's display name (the
-// canonical key clears it), used only in error messages.
-func (e *Engine) replay(ctx context.Context, key SimKey, cfgName string, ct *capturedTrace) (*uarch.Result, error) {
-	if err := e.acquire(ctx); err != nil {
-		return nil, err
+// newMGT builds the mini-graph table one arm simulates with: the shared
+// templates scheduled under the arm's own machine parameters (nil for
+// baseline jobs, which have no mini-graphs).
+func newMGT(key SimKey, templates []*core.Template) *core.MGT {
+	if key.Baseline {
+		return nil
 	}
-	defer e.release()
-	var mgt *core.MGT
-	if !key.Baseline {
-		mgt = core.NewMGT(ct.templates, ExecParams(key.Config))
-	}
-	rd := trace.NewReaderWindowed(ct.trace, ct.prog, key.Config.MaxRecords, e.chunkWindow)
-	res, err := uarch.NewWithSource(key.Config, mgt, rd).Run(ctx)
-	e.noteWindow(rd.WindowStats())
+	return core.NewMGT(templates, ExecParams(key.Config))
+}
+
+// ranArm is the tail of every in-process pipeline run — solo replay, live
+// emulation and gang arms: name the arm in a failure, fold a result's
+// front-end counters into the engine totals. cfgName is the job's display
+// name (the canonical key clears it). ErrChunkUnavailable stays
+// unwrappable through the %w so Simulate can recover by re-capturing.
+func (e *Engine) ranArm(key SimKey, cfgName string, res *uarch.Result, err error) (*uarch.Result, error) {
 	if err != nil {
-		// ErrChunkUnavailable stays unwrappable through the %w so Simulate
-		// can recover by re-capturing.
 		return nil, fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, cfgName, err)
 	}
 	e.noteFrontend(res)
 	return res, nil
+}
+
+// replay runs one timing simulation over the shared captured trace for
+// key's binary (sourcing it if need be — before taking a worker slot,
+// since captureTrace takes its own) through a private zero-allocation
+// cursor.
+func (e *Engine) replay(ctx context.Context, key SimKey, cfgName string, pr *Prepared) (*uarch.Result, *core.Selection, error) {
+	ct, err := e.captureTrace(ctx, key, pr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.acquire(ctx); err != nil {
+		return nil, nil, err
+	}
+	defer e.release()
+	rd := trace.NewReaderWindowed(ct.trace, ct.prog, key.Config.MaxRecords, e.chunkWindow)
+	res, err := uarch.NewWithSource(key.Config, newMGT(key, ct.templates), rd).Run(ctx)
+	e.noteWindow(rd.WindowStats())
+	res, err = e.ranArm(key, cfgName, res, err)
+	return res, ct.sel, err
 }
 
 // replayResident is the last-resort recovery for replays that keep losing
@@ -995,32 +1033,19 @@ func (e *Engine) replayResident(ctx context.Context, key SimKey, cfgName string,
 		return nil, nil, err
 	}
 	defer e.release()
-	tk := key.TraceKey()
-	prog, templates, sel, err := buildProgram(pr, tk)
+	prog, templates, sel, err := buildProgram(pr, key.TraceKey())
 	if err != nil {
 		return nil, nil, err
 	}
-	var cmgt *core.MGT
-	if !tk.Baseline {
-		cmgt = core.NewMGT(templates, ExecParams(key.Config))
-	}
-	tr, err := trace.CaptureWith(ctx, prog, cmgt, tk.Limit, trace.CaptureOptions{ChunkRecords: e.chunkRecords, Hint: pr.Prof.DynInsts})
+	tr, err := e.capture(ctx, key, pr, prog, templates, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.traceCaptures.Add(1)
 	e.traceBytes.Add(tr.SizeBytes())
-	var mgt *core.MGT
-	if !key.Baseline {
-		mgt = core.NewMGT(templates, ExecParams(key.Config))
-	}
 	rd := trace.NewReader(tr, prog, key.Config.MaxRecords)
-	res, err := uarch.NewWithSource(key.Config, mgt, rd).Run(ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, cfgName, err)
-	}
-	e.noteFrontend(res)
-	return res, sel, nil
+	res, err := uarch.NewWithSource(key.Config, newMGT(key, templates), rd).Run(ctx)
+	res, err = e.ranArm(key, cfgName, res, err)
+	return res, sel, err
 }
 
 // simulateLive runs one timing simulation with live, step-by-step
@@ -1034,16 +1059,9 @@ func (e *Engine) simulateLive(ctx context.Context, key SimKey, cfgName string, p
 	if err != nil {
 		return nil, nil, err
 	}
-	var mgt *core.MGT
-	if !key.Baseline {
-		mgt = core.NewMGT(templates, ExecParams(key.Config))
-	}
-	res, err := uarch.New(key.Config, prog, mgt).Run(ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, cfgName, err)
-	}
-	e.noteFrontend(res)
-	return res, sel, nil
+	res, err := uarch.New(key.Config, prog, newMGT(key, templates)).Run(ctx)
+	res, err = e.ranArm(key, cfgName, res, err)
+	return res, sel, err
 }
 
 // Run submits every job, waits for all of them, and returns the outcomes

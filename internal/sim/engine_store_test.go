@@ -191,14 +191,14 @@ func TestEngineStoreKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// TestOversizedTraceBlobRefusedByStore: with a store budget smaller than
-// a captured trace blob, the blob's write-through is refused (counted in
+// TestOversizedTraceRefusedByStore: with a store budget smaller than a
+// captured trace's chunk, the chunk's write-through is refused (counted in
 // RejectedPuts) while the much smaller outcome entries still persist —
-// the giant blob must not evict the whole store. A cold engine then
+// the giant chunk must not evict the whole store. A cold engine then
 // answers from the persisted outcomes without recapturing.
-func TestOversizedTraceBlobRefusedByStore(t *testing.T) {
+func TestOversizedTraceRefusedByStore(t *testing.T) {
 	dir := t.TempDir()
-	// 3000 records encode to ~80KB; 24KB holds outcomes but never a blob.
+	// 3000 records are one ~126KB chunk; 24KB holds outcomes but never it.
 	st, err := store.Open(dir, store.Options{MaxBytes: 24 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +216,10 @@ func TestOversizedTraceBlobRefusedByStore(t *testing.T) {
 	}
 	ss := st.Stats()
 	if ss.RejectedPuts == 0 {
-		t.Fatalf("trace blob slipped under the %d-byte budget: %+v", 24<<10, ss)
+		t.Fatalf("trace chunk slipped under the %d-byte budget: %+v", 24<<10, ss)
 	}
 	if ss.Evictions != 0 {
-		t.Errorf("oversized blob evicted store entries: %+v", ss)
+		t.Errorf("oversized chunk evicted store entries: %+v", ss)
 	}
 	if ss.Entries == 0 {
 		t.Error("outcome entry was not persisted")

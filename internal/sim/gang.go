@@ -3,9 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 
-	"minigraph/internal/core"
 	"minigraph/internal/trace"
 	"minigraph/internal/uarch"
 )
@@ -236,28 +234,19 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 		}
 	}
 
-	// Store read-before, arm by arm: a disk hit never touches a pipeline,
-	// exactly as in Simulate.
-	if e.store != nil {
-		kept := pending[:0:0]
-		for _, m := range pending {
-			if kb, err := EncodeSimKey(m.key); err == nil {
-				m.keyBytes = kb
-				if data, ok := e.store.Get(kb); ok {
-					if out, err := DecodeOutcome(data); err == nil {
-						e.storeHits.Add(1)
-						e.fulfill(m, out, nil)
-						continue
-					}
-				}
-				e.storeMisses.Add(1)
-			}
-			kept = append(kept, m)
+	// Store read-before, arm by arm, exactly as in Simulate.
+	kept := pending[:0:0]
+	for _, m := range pending {
+		var out *Outcome
+		if m.keyBytes, out = e.loadOutcome(m.key); out != nil {
+			e.fulfill(m, out, nil)
+			continue
 		}
-		pending = kept
-		if len(pending) == 0 {
-			return
-		}
+		kept = append(kept, m)
+	}
+	pending = kept
+	if len(pending) == 0 {
+		return
 	}
 
 	pr, err := e.Prepare(ctx, g.pk)
@@ -284,12 +273,8 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 	defer func() { e.noteWindow(gr.WindowStats()) }()
 	arms := make([]*gangArm, 0, len(pending))
 	for _, m := range pending {
-		var mgt *core.MGT
-		if !m.key.Baseline {
-			mgt = core.NewMGT(ct.templates, ExecParams(m.key.Config))
-		}
 		cur := gr.Cursor(m.key.Config.MaxRecords)
-		arms = append(arms, &gangArm{m: m, cur: cur, p: uarch.NewWithSource(m.key.Config, mgt, cur)})
+		arms = append(arms, &gangArm{m: m, cur: cur, p: uarch.NewWithSource(m.key.Config, newMGT(m.key, ct.templates), cur)})
 	}
 
 	active := arms
@@ -318,11 +303,8 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 					}
 				}
 				return
-			case err != nil:
-				e.fulfill(a.m, nil, fmt.Errorf("%s @ %s: %w", a.m.key.Prepare.Bench, a.m.cfgName, err))
-				a.fulfilled = true
-			case done:
-				e.finishArm(a, ct)
+			case err != nil || done:
+				e.finishArm(a, ct, err)
 				a.fulfilled = true
 			default:
 				next = append(next, a)
@@ -333,22 +315,19 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 	e.gangShared.Add(gr.SharedServes())
 }
 
-// finishArm finalizes one arm's statistics, writes the outcome through the
-// store, and fulfills its call — the tail of Simulate's solo path.
-func (e *Engine) finishArm(a *gangArm, ct *capturedTrace) {
-	res, err := a.p.Finish()
-	if err != nil {
-		e.fulfill(a.m, nil, fmt.Errorf("%s @ %s: %w", a.m.key.Prepare.Bench, a.m.cfgName, err))
+// finishArm fulfills one arm's call — the tail of Simulate's solo path:
+// with its hard error, or with its finalized statistics written through
+// the store.
+func (e *Engine) finishArm(a *gangArm, ct *capturedTrace, err error) {
+	var res *uarch.Result
+	if err == nil {
+		res, err = a.p.Finish()
+	}
+	if res, err = e.ranArm(a.m.key, a.m.cfgName, res, err); err != nil {
+		e.fulfill(a.m, nil, err)
 		return
 	}
-	e.noteFrontend(res)
 	out := &Outcome{Result: res, Selection: ct.sel}
-	if a.m.keyBytes != nil {
-		if data, err := EncodeOutcome(out); err == nil {
-			if e.store.Put(a.m.keyBytes, data) == nil {
-				e.storePuts.Add(1)
-			}
-		}
-	}
+	e.saveOutcome(a.m.keyBytes, out)
 	e.fulfill(a.m, out, nil)
 }

@@ -117,7 +117,7 @@ type TraceKey struct {
 // machine configuration is absent, every arm of a configuration sweep over
 // one binary shares one TraceKey — the serving tier's coordinator mode
 // exploits exactly this, sharding arms across workers by TraceKey so
-// capture memoization and stored trace blobs hit on the worker that
+// capture memoization and stored traces hit on the worker that
 // already holds the trace.
 func (k SimKey) TraceKey() TraceKey {
 	return TraceKey{

@@ -372,19 +372,9 @@ func (w *chunkWindow) rows(ci int64) ([]byte, error) {
 		w.touch(ci)
 		return data, nil
 	}
-	if w.t.source == nil {
-		return nil, fmt.Errorf("%w: chunk %d is not resident and the trace has no source", ErrChunkUnavailable, ci)
-	}
-	data, err := w.t.source.FetchChunk(ci)
+	data, err := w.t.ChunkPayload(ci)
 	if err != nil {
-		return nil, fmt.Errorf("%w: chunk %d: %v", ErrChunkUnavailable, ci, err)
-	}
-	if int64(len(data)) != w.t.chunkRows(ci)*recordBytes {
-		return nil, fmt.Errorf("%w: chunk %d: source returned %d bytes, want %d",
-			ErrChunkUnavailable, ci, len(data), w.t.chunkRows(ci)*recordBytes)
-	}
-	if crc32.ChecksumIEEE(data) != w.t.crcs[ci] {
-		return nil, fmt.Errorf("%w: chunk %d: payload checksum mismatch", ErrChunkUnavailable, ci)
+		return nil, err
 	}
 	if w.cache == nil {
 		w.cache = make(map[int64][]byte)

@@ -1,162 +1,19 @@
 package trace
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"math/bits"
-)
-
 // CodecVersion is the on-the-wire version of the binary trace encodings
-// (the monolithic blob, the chunk frame, and the manifest all carry it).
-// Any change to the record layout or framing must bump it: persisted
-// traces written under an older version then read back as decode errors
-// (cache misses) instead of replaying garbage.
+// (the chunk frame and the manifest both carry it; see chunk.go). Any
+// change to the record layout or framing must bump it: persisted traces
+// written under an older version then read back as decode errors (cache
+// misses) instead of replaying garbage.
 //
 // Version history:
 //
 //	1: initial 27-byte packed rows.
 //	2: rows grew destVal/storeVal u64 pairs (43 bytes) so replay folds the
 //	   same retired-state digest as the live stream.
-//	3: chunked framing — the monolithic blob became a container of
-//	   per-chunk frames (each with its own CRC), and the manifest/chunk
-//	   encodings were introduced for chunk-granular store persistence and
-//	   peer transfer. v2 monolithic blobs are strictly rejected.
+//	3: chunked framing — per-chunk frames (each with its own CRC) and the
+//	   manifest naming them, for chunk-granular store persistence and peer
+//	   transfer. A single-blob container of those frames also carried this
+//	   version until it was removed; manifest and chunk encodings did not
+//	   change, so the version did not move.
 const CodecVersion = 3
-
-// magic tags a monolithic trace blob ("MGTR", little-endian).
-const magic uint32 = 0x5254474d
-
-// Monolithic-blob header layout: magic(4) version(2) flags(2: bit0 =
-// halted) errLen(4) n(8) chunkRecords(8) crc(4), then errMsg bytes, then
-// one uncompressed chunk frame per sealed chunk, back to back. crc is the
-// IEEE CRC-32 of errMsg followed by the frame bytes; each frame carries
-// its own payload CRC as well, so damage anywhere — header, framing, or
-// rows — reads as a cache miss, never as a wrong replay. Frames inside
-// the blob are always uncompressed: the blob is the canonical form
-// (equal traces encode to equal bytes, fuzz-checked), and compression is
-// a property of how an individual chunk is stored or shipped, not of the
-// trace itself.
-const headerBytes = 4 + 2 + 2 + 4 + 8 + 8 + 4
-
-// Encode renders t in the versioned binary encoding: the full record
-// stream as one self-contained blob. The encoding is canonical — equal
-// traces encode to equal bytes regardless of which chunks happen to be
-// resident — which is why spilled chunks are fetched (and verified)
-// through the trace's source; the only possible error is a chunk the
-// source cannot deliver.
-func Encode(t *Trace) ([]byte, error) {
-	frames := make([][]byte, t.NumChunks())
-	total := 0
-	for ci := range frames {
-		raw, err := t.ChunkPayload(int64(ci))
-		if err != nil {
-			return nil, err
-		}
-		frames[ci] = EncodeChunk(int64(ci), raw, false)
-		total += len(frames[ci])
-	}
-	crc := crc32.ChecksumIEEE([]byte(t.errMsg))
-	for _, f := range frames {
-		crc = crc32.Update(crc, crc32.IEEETable, f)
-	}
-	buf := make([]byte, 0, headerBytes+len(t.errMsg)+total)
-	var h [headerBytes]byte
-	binary.LittleEndian.PutUint32(h[0:], magic)
-	binary.LittleEndian.PutUint16(h[4:], CodecVersion)
-	var fl uint16
-	if t.halted {
-		fl = 1
-	}
-	binary.LittleEndian.PutUint16(h[6:], fl)
-	binary.LittleEndian.PutUint32(h[8:], uint32(len(t.errMsg)))
-	binary.LittleEndian.PutUint64(h[12:], uint64(t.Len()))
-	binary.LittleEndian.PutUint64(h[20:], uint64(t.ChunkRecords()))
-	binary.LittleEndian.PutUint32(h[28:], crc)
-	buf = append(buf, h[:]...)
-	buf = append(buf, t.errMsg...)
-	for _, f := range frames {
-		buf = append(buf, f...)
-	}
-	return buf, nil
-}
-
-// Decode parses a monolithic binary trace encoding into a fully resident
-// Trace. It rejects bad magic, version mismatches (including pre-chunking
-// v2 blobs), truncated data, trailing garbage, compressed or out-of-order
-// frames, geometry violations, and payload corruption — a persisted blob
-// that fails any check reads as a cache miss, never as a wrong replay.
-func Decode(data []byte) (*Trace, error) {
-	if len(data) < headerBytes {
-		return nil, fmt.Errorf("trace: short header (%d bytes)", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:]); m != magic {
-		return nil, fmt.Errorf("trace: bad magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != CodecVersion {
-		return nil, fmt.Errorf("trace: codec version %d, want %d", v, CodecVersion)
-	}
-	fl := binary.LittleEndian.Uint16(data[6:])
-	if fl > 1 {
-		return nil, fmt.Errorf("trace: unknown header flags %#x", fl)
-	}
-	errLen := int64(binary.LittleEndian.Uint32(data[8:]))
-	n := binary.LittleEndian.Uint64(data[12:])
-	cr := int64(binary.LittleEndian.Uint64(data[20:]))
-	if cr < minChunkRecords || cr > 1<<30 || cr&(cr-1) != 0 {
-		return nil, fmt.Errorf("trace: implausible chunk geometry %d", cr)
-	}
-	// The records must fit in what was handed to us; checking against the
-	// input length first keeps the size arithmetic below overflow-free.
-	if n > uint64(len(data))/recordBytes || errLen > int64(len(data))-headerBytes {
-		return nil, fmt.Errorf("trace: implausible record count %d for %d bytes", n, len(data))
-	}
-	wantCRC := binary.LittleEndian.Uint32(data[28:])
-	if crc := crc32.ChecksumIEEE(data[headerBytes : headerBytes+errLen]); crc32.Update(crc, crc32.IEEETable, data[headerBytes+errLen:]) != wantCRC {
-		return nil, fmt.Errorf("trace: payload checksum mismatch")
-	}
-	t := &Trace{
-		chunkRecords: cr,
-		chunkShift:   uint(bits.TrailingZeros64(uint64(cr))),
-		halted:       fl&1 != 0,
-		errMsg:       string(data[headerBytes : headerBytes+errLen]),
-	}
-	rest := data[headerBytes+errLen:]
-	wantChunks := (int64(n) + cr - 1) / cr
-	for ci := int64(0); ci < wantChunks; ci++ {
-		if int64(len(rest)) < chunkHeaderBytes {
-			return nil, fmt.Errorf("trace: truncated at chunk %d", ci)
-		}
-		if frameFl := binary.LittleEndian.Uint16(rest[6:]); frameFl != 0 {
-			// Compressed frames never appear inside the canonical blob.
-			return nil, fmt.Errorf("trace: chunk %d frame has flags %#x inside monolithic blob", ci, frameFl)
-		}
-		frameLen := chunkHeaderBytes + int64(binary.LittleEndian.Uint32(rest[20:]))
-		if int64(len(rest)) < frameLen {
-			return nil, fmt.Errorf("trace: truncated chunk %d frame", ci)
-		}
-		idx, raw, err := DecodeChunk(rest[:frameLen])
-		if err != nil {
-			return nil, err
-		}
-		if idx != ci {
-			return nil, fmt.Errorf("trace: chunk frame %d carries index %d", ci, idx)
-		}
-		want := cr
-		if ci == wantChunks-1 {
-			want = int64(n) - ci*cr
-		}
-		if int64(len(raw)) != want*recordBytes {
-			return nil, fmt.Errorf("trace: chunk %d holds %d rows, geometry wants %d", ci, int64(len(raw))/recordBytes, want)
-		}
-		t.addChunk(raw)
-		rest = rest[frameLen:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes after chunk frames", len(rest))
-	}
-	if t.n != int64(n) {
-		return nil, fmt.Errorf("trace: chunks hold %d records, header claims %d", t.n, n)
-	}
-	return t, nil
-}

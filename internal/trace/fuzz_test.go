@@ -11,17 +11,6 @@ import (
 	"minigraph/internal/trace"
 )
 
-// mustEncode encodes a trace for use as a fuzz seed, failing the harness
-// on the (impossible for a resident trace) encode error.
-func mustEncode(tb testing.TB, tr *trace.Trace) []byte {
-	tb.Helper()
-	data, err := trace.Encode(tr)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
-}
-
 // fuzzSeedSrc is a tiny program whose capture exercises every record shape
 // the codec carries: ALU ops, loads, stores, conditional branches, calls,
 // returns and halt.
@@ -44,47 +33,6 @@ loop:   ldq   r4, 0(r2)
 leaf:   addq  r3, r3, r3
         ret   (ra)
 `
-
-// FuzzTraceCodec: Decode must never panic on arbitrary bytes, must never
-// accept trailing garbage, and anything it does accept must re-encode to
-// the identical canonical bytes (a decoded trace IS the trace).
-func FuzzTraceCodec(f *testing.F) {
-	prog := asm.MustAssemble("seed", fuzzSeedSrc)
-	tr, err := trace.Capture(context.Background(), prog, nil, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mustEncode(f, tr))
-	short, err := trace.Capture(context.Background(), prog, nil, 3)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mustEncode(f, short))
-	f.Add(mustEncode(f, &trace.Trace{}))
-	f.Add([]byte{})
-	f.Add([]byte("MGTR garbage"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.Decode(data)
-		if err != nil {
-			return
-		}
-		re, err := trace.Encode(tr)
-		if err != nil {
-			t.Fatalf("accepted blob does not re-encode: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted non-canonical blob: %d bytes in, %d bytes re-encoded", len(data), len(re))
-		}
-		back, err := trace.Decode(re)
-		if err != nil {
-			t.Fatalf("re-encoded blob does not decode: %v", err)
-		}
-		if back.Len() != tr.Len() || back.Halted() != tr.Halted() {
-			t.Fatal("round trip changed trace metadata")
-		}
-	})
-}
 
 // FuzzReaderRewind drives a solo Reader and a gang cursor (over a tiny
 // shared window, so the lag boundary is crossed constantly) through an

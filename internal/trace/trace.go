@@ -176,8 +176,8 @@ func (t *Trace) ChunkResident(ci int64) bool { return t.chunks[ci] != nil }
 
 // Materialize faults every spilled chunk in through the bound source and
 // retains it, leaving the trace fully resident (and fully CRC-verified).
-// Replay then needs no source at all — the mode a cold store load uses
-// when no residency bound is in force.
+// Replay then needs no source at all — how a store load or a peer
+// transfer is adopted when no residency bound is in force.
 func (t *Trace) Materialize() error {
 	for ci := range t.chunks {
 		if t.chunks[ci] == nil {
@@ -217,8 +217,11 @@ func (t *Trace) Manifest() Manifest {
 
 // FromManifest builds a fully spilled Trace from its manifest and the
 // source its chunk payloads live behind: every chunk is non-resident
-// until a reader faults it in. This is how a cold process replays a
-// persisted chunked trace without ever holding more than a window of it.
+// until a reader faults it in. This is the one way a trace enters a
+// process from outside it — the store and a remote peer are both just
+// sources behind a manifest — and how a cold process replays a persisted
+// trace without ever holding more than a window of it. The result is
+// unverified: nothing has been read through src yet.
 func FromManifest(m Manifest, src ChunkSource) (*Trace, error) {
 	cr := m.ChunkRecords
 	if cr < minChunkRecords || cr&(cr-1) != 0 {
@@ -335,13 +338,6 @@ func (t *Trace) seal(sink ChunkSink) {
 	t.cur = nil
 }
 
-// addChunk installs a pre-built sealed chunk (decode path).
-func (t *Trace) addChunk(raw []byte) {
-	t.chunks = append(t.chunks, raw)
-	t.crcs = append(t.crcs, crc32.ChecksumIEEE(raw))
-	t.n += int64(len(raw)) / recordBytes
-}
-
 // fillRow reconstructs the record at sequence seq from its packed row
 // into dst. Every field is written, so dst may be reused across calls
 // without clearing. Inst is resolved through prog — the same lookup the
@@ -408,12 +404,6 @@ type CaptureOptions struct {
 // returns is ctx cancellation.
 func Capture(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit int64) (*Trace, error) {
 	return CaptureWith(ctx, prog, mgt, limit, CaptureOptions{})
-}
-
-// CaptureSized is Capture with a record-count hint; see
-// CaptureOptions.Hint.
-func CaptureSized(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit, hint int64) (*Trace, error) {
-	return CaptureWith(ctx, prog, mgt, limit, CaptureOptions{Hint: hint})
 }
 
 // CaptureWith is Capture with explicit chunk geometry and an optional

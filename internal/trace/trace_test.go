@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -263,28 +264,74 @@ func TestCaptureFaultParity(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip: encode→decode→encode is byte-stable and the decoded
-// trace replays identically.
+// wire is a trace in its one wire form: the encoded manifest plus one
+// encoded frame per chunk, as a store holds it and a peer ships it.
+type wire struct {
+	manifest []byte
+	frames   [][]byte
+}
+
+// FetchChunk makes the frames a ChunkSource the way a store or a peer is
+// one: it only moves bytes. Whether they are the right bytes for chunk i
+// is for the trace to decide against its manifest.
+func (w wire) FetchChunk(i int64) ([]byte, error) {
+	_, raw, err := trace.DecodeChunk(w.frames[i])
+	return raw, err
+}
+
+// encodeWire renders tr on the wire, alternating raw and DEFLATE frames.
+func encodeWire(t *testing.T, tr *trace.Trace) wire {
+	t.Helper()
+	w := wire{manifest: trace.EncodeManifest(tr.Manifest())}
+	for ci := int64(0); ci < tr.NumChunks(); ci++ {
+		raw, err := tr.ChunkPayload(ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.frames = append(w.frames, trace.EncodeChunk(ci, raw, ci%2 == 1))
+	}
+	return w
+}
+
+// adopt is the path every trace takes into a process: decode the manifest,
+// build the spilled trace over the frames, verify every chunk.
+func (w wire) adopt() (*trace.Trace, error) {
+	m, err := trace.DecodeManifest(w.manifest)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := trace.FromManifest(m, w)
+	if err != nil {
+		return nil, err
+	}
+	if err := tr.Materialize(); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// TestCodecRoundTrip: manifest + chunk frames (raw and DEFLATE mixed) →
+// DecodeManifest → FromManifest → Materialize yields a trace whose
+// manifest re-encodes byte-identically and which replays identically.
 func TestCodecRoundTrip(t *testing.T) {
 	prog, mgt, _ := rewritten(t, "adpcm.enc")
-	tr, err := trace.Capture(context.Background(), prog, mgt, 30_000)
+	tr, err := trace.CaptureWith(context.Background(), prog, mgt, 30_000, trace.CaptureOptions{ChunkRecords: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := trace.Encode(tr)
+	if tr.NumChunks() < 4 {
+		t.Fatalf("trace has %d chunks, want several", tr.NumChunks())
+	}
+	w := encodeWire(t, tr)
+	back, err := w.adopt()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.Decode(blob)
-	if err != nil {
-		t.Fatal(err)
+	if back.Spilled() {
+		t.Fatal("materialized trace still has spilled chunks")
 	}
-	re, err := trace.Encode(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re, blob) {
-		t.Fatal("encode→decode→encode not byte-stable")
+	if !bytes.Equal(trace.EncodeManifest(back.Manifest()), w.manifest) {
+		t.Fatal("manifest → trace → manifest not byte-stable")
 	}
 	if back.Len() != tr.Len() || back.Halted() != tr.Halted() {
 		t.Fatalf("metadata changed: len %d→%d halted %v→%v", tr.Len(), back.Len(), tr.Halted(), back.Halted())
@@ -300,35 +347,77 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("decoded trace replays differently")
+		t.Fatal("adopted trace replays differently")
 	}
 }
 
-// TestDecodeRejectsDamage: every kind of blob damage reads as an error,
-// never as a silently wrong trace.
+// TestDecodeRejectsDamage: every kind of damage to either encoding reads
+// as an error — ErrChunkUnavailable when it is a chunk's payload that is
+// wrong — never as a trace.
 func TestDecodeRejectsDamage(t *testing.T) {
 	prog, mgt, _ := rewritten(t, "sha")
-	tr, err := trace.Capture(context.Background(), prog, mgt, 1000)
+	tr, err := trace.CaptureWith(context.Background(), prog, mgt, 1000, trace.CaptureOptions{ChunkRecords: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := trace.Encode(tr)
-	if err != nil {
-		t.Fatal(err)
+	good := encodeWire(t, tr)
+	if _, err := good.adopt(); err != nil {
+		t.Fatalf("undamaged wire form rejected: %v", err)
 	}
-	flipped := append([]byte{}, blob...)
-	flipped[len(flipped)-5] ^= 0x40 // a record byte, not the header
-	cases := map[string][]byte{
-		"empty":       {},
-		"magic":       append([]byte{'X'}, blob[1:]...),
-		"version":     append(append([]byte{}, blob[:4]...), append([]byte{0xff, 0xff}, blob[6:]...)...),
-		"truncated":   blob[:len(blob)/2],
-		"trailing":    append(append([]byte{}, blob...), 0),
-		"payload-bit": flipped,
+	badMagic := func(b []byte) []byte { return append([]byte{'X'}, b[1:]...) }
+	badVersion := func(b []byte) []byte {
+		return append(append(append([]byte{}, b[:4]...), 0xff, 0xff), b[6:]...)
 	}
-	for name, data := range cases {
-		if _, err := trace.Decode(data); err == nil {
-			t.Errorf("%s: decode accepted damaged blob", name)
+	cases := []struct {
+		name string
+		// manifest damages the decoded manifest, which is then re-encoded
+		// (so its own checksum is good and only its content is wrong);
+		// bytes damages the encoded forms directly.
+		manifest    func(m *trace.Manifest)
+		bytes       func(w *wire)
+		unavailable bool
+	}{
+		{name: "payload bit", unavailable: true, bytes: func(w *wire) {
+			w.frames[0] = append([]byte{}, w.frames[0]...)
+			w.frames[0][len(w.frames[0])-5] ^= 0x40
+		}},
+		{name: "frames swapped", unavailable: true, bytes: func(w *wire) { w.frames[0], w.frames[2] = w.frames[2], w.frames[0] }},
+		{name: "frame truncated", unavailable: true, bytes: func(w *wire) { w.frames[1] = w.frames[1][:len(w.frames[1])/2] }},
+		{name: "frame trailing byte", unavailable: true, bytes: func(w *wire) { w.frames[3] = append(append([]byte{}, w.frames[3]...), 0) }},
+		{name: "frame magic", unavailable: true, bytes: func(w *wire) { w.frames[0] = badMagic(w.frames[0]) }},
+		{name: "frame version", unavailable: true, bytes: func(w *wire) { w.frames[0] = badVersion(w.frames[0]) }},
+		{name: "manifest empty", bytes: func(w *wire) { w.manifest = nil }},
+		{name: "manifest magic", bytes: func(w *wire) { w.manifest = badMagic(w.manifest) }},
+		{name: "manifest version", bytes: func(w *wire) { w.manifest = badVersion(w.manifest) }},
+		{name: "manifest truncated", bytes: func(w *wire) { w.manifest = w.manifest[:len(w.manifest)-3] }},
+		{name: "manifest trailing byte", bytes: func(w *wire) { w.manifest = append(append([]byte{}, w.manifest...), 0) }},
+		{name: "manifest table bit", bytes: func(w *wire) {
+			w.manifest = append([]byte{}, w.manifest...)
+			w.manifest[len(w.manifest)-1] ^= 1
+		}},
+		{name: "manifest row count", manifest: func(m *trace.Manifest) { m.Rows++ }},
+		{name: "manifest chunk count", manifest: func(m *trace.Manifest) { m.Chunks = m.Chunks[:len(m.Chunks)-1] }},
+		{name: "manifest geometry", manifest: func(m *trace.Manifest) { m.ChunkRecords = 48 }},
+	}
+	for _, c := range cases {
+		w := wire{manifest: good.manifest, frames: append([][]byte{}, good.frames...)}
+		if c.manifest != nil {
+			m := tr.Manifest()
+			c.manifest(&m)
+			if _, err := trace.FromManifest(m, w); err == nil {
+				t.Errorf("%s: FromManifest accepted the damaged manifest", c.name)
+			}
+			w.manifest = trace.EncodeManifest(m)
+		}
+		if c.bytes != nil {
+			c.bytes(&w)
+		}
+		got, err := w.adopt()
+		if err == nil || got != nil {
+			t.Errorf("%s: damaged wire form adopted as a trace", c.name)
+		}
+		if errors.Is(err, trace.ErrChunkUnavailable) != c.unavailable {
+			t.Errorf("%s: ErrChunkUnavailable=%v, want %v (err: %v)", c.name, !c.unavailable, c.unavailable, err)
 		}
 	}
 }

@@ -149,8 +149,8 @@ func ByName(name string) (*Benchmark, bool) {
 func Suites() []string { return []string{SPECint, MediaBench, CommBench, MiBench} }
 
 // BenchSubset returns one representative benchmark per suite. The pipeline
-// benchmarks, the golden fixtures and cmd/mgprof all measure this subset,
-// so their numbers stay comparable with each other and across commits.
+// benchmarks and the golden fixtures both measure this subset, so their
+// numbers stay comparable with each other and across commits.
 func BenchSubset() []string { return []string{"gzip", "adpcm.enc", "reed.dec", "sha"} }
 
 // Names returns every registered benchmark name in All() order, for

@@ -16,6 +16,16 @@ trap cleanup EXIT
 
 go build -o "$work/mgserve" ./cmd/mgserve
 
+# A chunk window cannot bound anything without a store to spill to: the
+# flag must be refused at startup, not accepted and ignored.
+status=0
+msg=$("$work/mgserve" -addr 127.0.0.1:18459 -trace-chunk-window 2 2>&1 >/dev/null) || status=$?
+if [ "$status" -ne 2 ] || ! grep -q -- '-trace-chunk-window requires -cache-dir' <<<"$msg"; then
+  echo "-trace-chunk-window without -cache-dir: exit $status, want 2 and a usage error; stderr:" >&2
+  echo "$msg" >&2
+  exit 1
+fi
+
 coord=http://127.0.0.1:18450
 "$work/mgserve" -addr 127.0.0.1:18451 -cache-dir "$work/w1" &
 "$work/mgserve" -addr 127.0.0.1:18452 -cache-dir "$work/w2" &
