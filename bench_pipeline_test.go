@@ -86,14 +86,14 @@ func sweepArms() []minigraph.SimJob {
 // both modes and memoized since PR 1, so — like extraction in
 // BenchmarkPipelineMiniGraph — it is warmed outside the measured region;
 // the clock sees extraction, capture/emulation, and timing simulation.
-func benchSweep(b *testing.B, live, gang bool) {
+func benchSweep(b *testing.B, live bool) {
 	b.Helper()
 	b.ReportAllocs()
 	jobs := sweepArms()
 	var captures, replays int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := minigraph.NewEngine(0).WithLiveStream(live).WithGangReplay(gang)
+		eng := minigraph.NewEngine(0).WithLiveStream(live)
 		for _, name := range workload.BenchSubset() {
 			pk := minigraph.PrepareKey{Bench: name, Input: minigraph.InputTrain}
 			if _, err := eng.Prepare(context.Background(), pk); err != nil {
@@ -119,22 +119,17 @@ func benchSweep(b *testing.B, live, gang bool) {
 }
 
 // BenchmarkSweep times the multi-arm configuration sweep through the
-// trace-replay engine with gang replay disabled (one functional emulation
-// per benchmark, N independent timed replays) — the solo baseline gang
-// execution is measured against.
-func BenchmarkSweep(b *testing.B) { benchSweep(b, false, false) }
-
-// BenchmarkSweepGang is the same sweep with gang replay (the engine
-// default): each benchmark's eight arms interleave over one shared-decode
-// trace traversal. Reports are byte-identical to BenchmarkSweep's
-// (TestGangMatchesSequential); only throughput may differ.
-func BenchmarkSweepGang(b *testing.B) { benchSweep(b, false, true) }
+// trace-replay engine: one functional emulation per benchmark, N
+// independent timed replays of the resident trace. (A resident engine
+// never gangs; the two replay regimes are measured by bench/'s
+// config_sweep and store_stream workloads.)
+func BenchmarkSweep(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepLiveStream is the same sweep with live step-by-step
 // emulation inside every arm — the pre-trace behavior, kept measurable so
 // the replay speedup stays an observable number rather than a changelog
 // claim.
-func BenchmarkSweepLiveStream(b *testing.B) { benchSweep(b, true, false) }
+func BenchmarkSweepLiveStream(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkPipelineMiniGraph times the mini-graph machine over the subset,
 // with extraction and rewriting done once outside the measured region: the

@@ -2,10 +2,11 @@
 // programs (internal/progen) are executed by the functional emulator and by
 // the timing pipeline under the full configuration matrix — {baseline,
 // minigraph} × {hybrid, tage} × {none, delta} — and under every record
-// delivery mode (live, replay, gang). A seed passes when every arm retires
-// the architecturally identical state (register-write/store digest and
-// retired count), all modes produce byte-identical encoded outcomes, and
-// the rewritten binary's final memory matches the original's.
+// delivery mode (live; replay of a resident trace; gang replay of chunks
+// spilled to a scratch store, removed on exit). A seed passes when every
+// arm retires the architecturally identical state (register-write/store
+// digest and retired count), all modes produce byte-identical encoded
+// outcomes, and the rewritten binary's final memory matches the original's.
 //
 // Usage:
 //
@@ -29,7 +30,10 @@ import (
 	"minigraph/internal/progen"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main behind an exit code, so that every path runs its defers.
+func run() int {
 	seed := flag.Int64("seed", -1, "check a single seed (reproduce a reported divergence)")
 	seeds := flag.Int64("seeds", 0, "sweep this many consecutive seeds")
 	start := flag.Int64("start", 0, "first seed of the sweep")
@@ -41,20 +45,30 @@ func main() {
 	if *seed < 0 && *seeds <= 0 {
 		fmt.Fprintln(os.Stderr, "mgdiff: need -seed N or -seeds N")
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng := progen.NewEngines(0)
+	dir, err := os.MkdirTemp("", "mgdiff-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgdiff:", err)
+		return 1
+	}
+	defer os.RemoveAll(dir) // gang mode's scratch store
+	eng, err := progen.NewEngines(0, dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgdiff:", err)
+		return 1
+	}
 
 	if *seed >= 0 {
 		if err := progen.DiffSeed(ctx, eng, *seed, *maxRecords); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("seed %d: ok (8 arms x 3 modes)\n", *seed)
-		return
+		return 0
 	}
 
 	n := *workers
@@ -97,11 +111,12 @@ func main() {
 	close(errCh)
 	if err := <-errCh; err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "mgdiff: interrupted after %d seeds\n", passed.Load())
-		os.Exit(130)
+		return 130
 	}
 	fmt.Printf("all %d seeds ok (8 arms x 3 modes each)\n", *seeds)
+	return 0
 }

@@ -7,19 +7,21 @@
 // Usage:
 //
 //	mgserve [-addr :8347] [-cache-dir DIR] [-cache-max-bytes N] [-scrub]
-//	        [-parallel N] [-max-sweep-jobs N] [-gang=false]
+//	        [-parallel N] [-max-sweep-jobs N]
 //	        [-trace-chunk-records N] [-trace-chunk-window N] [-trace-compress]
 //	        [-workers URL,URL,...] [-coordinator] [-member-ttl D] [-fanout N]
 //	        [-register URL -advertise URL [-heartbeat D]]
 //	        [-rate-limit N] [-rate-burst N] [-max-inflight-sweeps N]
 //	        [-max-body-bytes N] [-job-queue N] [-job-runners N]
 //
-// Sweep arms sharing a captured trace execute as gangs by default — their
-// pipelines interleave over one shared-decode traversal, with reports
-// byte-identical to independent execution; -gang=false restores the
-// independent per-arm path (visible in /statsz gang counters either way).
-// In coordinator mode ganging happens on the workers, which see arms one
-// at a time — cross-arm ganging currently applies to single-process sweeps.
+// How sweep arms sharing a captured trace execute is not a flag: with
+// -cache-dir and -trace-chunk-window they replay chunks spilled to the
+// store, and execute as gangs — their pipelines interleave over one
+// traversal, so each chunk is faulted in once per gang instead of once per
+// arm; a server whose traces are resident replays every arm on its own
+// cursor, which is the faster path there. Reports are byte-identical
+// either way and /statsz's gang counters show which one ran. In
+// coordinator mode workers see arms one at a time, so nothing gangs.
 //
 // With -workers (static members) or -coordinator (dynamic membership) the
 // process runs as a coordinator: sweep arms shard across the worker
@@ -85,7 +87,6 @@ func main() {
 	cacheMax := flag.Int64("cache-max-bytes", 0, "store size bound in bytes (0 = 1GiB default, negative = unbounded)")
 	scrub := flag.Bool("scrub", false, "verify every store entry's checksum at startup, deleting corrupt entries, orphan trace chunks, and manifests referencing missing chunks (requires -cache-dir); the report appears in /statsz")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
-	gang := flag.Bool("gang", true, "gang-replay sweep arms sharing a captured trace")
 	maxSweep := flag.Int("max-sweep-jobs", serve.DefaultMaxSweepJobs, "max arms per sweep request")
 	workers := flag.String("workers", "", "comma-separated worker base URLs; enables coordinator mode")
 	coordinator := flag.Bool("coordinator", false, "coordinator mode with dynamic worker registration (workers join via POST /v1/workers/register)")
@@ -117,7 +118,7 @@ func main() {
 		// fully resident and the bound would silently not be in force.
 		usageExit("-trace-chunk-window requires -cache-dir")
 	}
-	eng := sim.New(*parallel).WithGangReplay(*gang).
+	eng := sim.New(*parallel).
 		WithTraceChunkRecords(*chunkRecords).
 		WithTraceChunkWindow(*chunkWindow).
 		WithTraceCompression(*traceCompress)

@@ -10,6 +10,7 @@ import (
 	"minigraph/internal/emu"
 	"minigraph/internal/rewrite"
 	"minigraph/internal/sim"
+	"minigraph/internal/store"
 	"minigraph/internal/uarch"
 	"minigraph/internal/uarch/bpred"
 	"minigraph/internal/uarch/prefetch"
@@ -18,15 +19,17 @@ import (
 
 // Mode selects how records are delivered to the pipelines under test. The
 // oracle runs every arm under every mode: divergence in exactly one mode
-// pinpoints the delivery layer (trace codec, gang ring, live stream)
-// rather than the pipeline.
+// pinpoints the delivery layer (trace codec, chunk spill and gang ring,
+// live stream) rather than the pipeline.
 type Mode string
 
-// Delivery modes.
+// Delivery modes. Replay and gang are the engine's two replay regimes, not
+// switches: a resident engine always replays solo, and an engine bounded
+// over a store gangs every trace group of a sweep.
 const (
-	ModeReplay Mode = "replay" // capture once, solo replay cursors
+	ModeReplay Mode = "replay" // capture once, resident trace, solo replay cursors
 	ModeLive   Mode = "live"   // step-by-step live emulation
-	ModeGang   Mode = "gang"   // shared-decode gang replay
+	ModeGang   Mode = "gang"   // chunks spilled to a store, shared-window gang replay
 )
 
 // AllModes lists every delivery mode in canonical order.
@@ -105,28 +108,30 @@ func (d *Divergence) Error() string {
 // path and mirrors how a long-lived service would run.
 type Engines struct {
 	byMode map[Mode]*sim.Engine
-	modes  []Mode
 }
 
+// Chunk geometry of the gang-mode engine: small enough that a generated
+// program's trace spans several chunks, behind the tightest window a gang
+// can run in.
+const (
+	gangChunkRecords = 128
+	gangChunkWindow  = 2
+)
+
 // NewEngines builds one engine per mode with the given worker-pool size.
-func NewEngines(workers int, modes ...Mode) *Engines {
-	if len(modes) == 0 {
-		modes = AllModes()
+// dir is scratch space for the store gang mode spills its chunks to; the
+// caller owns and removes it.
+func NewEngines(workers int, dir string) (*Engines, error) {
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		return nil, err
 	}
-	e := &Engines{byMode: make(map[Mode]*sim.Engine), modes: modes}
-	for _, m := range modes {
-		eng := sim.New(workers)
-		switch m {
-		case ModeLive:
-			eng.WithLiveStream(true)
-		case ModeReplay:
-			eng.WithGangReplay(false)
-		case ModeGang:
-			// default: gang replay on
-		}
-		e.byMode[m] = eng
-	}
-	return e
+	return &Engines{byMode: map[Mode]*sim.Engine{
+		ModeReplay: sim.New(workers),
+		ModeLive:   sim.New(workers).WithLiveStream(true),
+		ModeGang: sim.New(workers).WithStore(st).
+			WithTraceChunkRecords(gangChunkRecords).WithTraceChunkWindow(gangChunkWindow),
+	}}, nil
 }
 
 // reference is the emulator-side truth for one trace identity.
@@ -140,7 +145,8 @@ type reference struct {
 //     functional emulator's digest over the same binary, and the retired
 //     record count must equal the emulator's.
 //  2. Across modes, each arm's encoded outcome must be byte-identical —
-//     live, replay and gang delivery must be indistinguishable.
+//     live, resident replay and gang-over-spilled-chunks delivery must be
+//     indistinguishable.
 //  3. Across binaries, the rewritten program's final memory image must
 //     equal the original's (the transparency claim; registers may
 //     legitimately differ where rewriting elides dead interior writes).
@@ -154,7 +160,7 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 	arms := Matrix(bench, maxRecords)
 
 	// Emulator references, one per trace identity (baseline + rewritten).
-	refEng := eng.byMode[eng.modes[0]]
+	refEng := eng.byMode[ModeReplay]
 	pr, err := refEng.Prepare(ctx, sim.PrepareKey{Bench: bench, Input: workload.InputTrain})
 	if err != nil {
 		return fmt.Errorf("progen: seed %d: prepare: %w", seed, err)
@@ -200,10 +206,10 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 		return mgRef
 	}
 
-	// Run the whole matrix under each mode; RunEach lets gang mode form
-	// its gangs (arms sharing a TraceKey interleave over one traversal).
+	// Run the whole matrix under each mode; the bounded engine forms a gang
+	// per TraceKey (arms interleave over one traversal of spilled chunks).
 	encoded := make(map[Mode][][]byte)
-	for _, m := range eng.modes {
+	for _, m := range AllModes() {
 		jobs := make([]sim.SimJob, len(arms))
 		for i := range arms {
 			jobs[i] = arms[i].Job
@@ -234,31 +240,13 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 	}
 
 	// Cross-mode: every delivery path must produce byte-identical outcomes.
-	first := eng.modes[0]
-	for _, m := range eng.modes[1:] {
+	first := AllModes()[0]
+	for _, m := range AllModes()[1:] {
 		for i := range arms {
 			if !bytes.Equal(encoded[first][i], encoded[m][i]) {
 				return &Divergence{Seed: seed, Arm: arms[i].Name, Mode: m,
 					Detail: fmt.Sprintf("outcome differs from mode %s", first)}
 			}
-		}
-	}
-	return nil
-}
-
-// DiffSeeds checks seeds sequentially against a shared engine set,
-// stopping at the first failure. onPass, when non-nil, fires after each
-// passing seed (progress reporting).
-func DiffSeeds(ctx context.Context, eng *Engines, seeds []int64, maxRecords int64, onPass func(seed int64)) error {
-	for _, s := range seeds {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := DiffSeed(ctx, eng, s, maxRecords); err != nil {
-			return err
-		}
-		if onPass != nil {
-			onPass(s)
 		}
 	}
 	return nil

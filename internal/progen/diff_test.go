@@ -12,18 +12,16 @@ import (
 // run is 24,000 pipeline simulations cross-checked against the emulator.
 const corpusSize = 1000
 
-// sharedEngines hands every test and fuzz worker one engine set. Engine
-// state is keyed by benchmark name (which embeds the seed), so concurrent
-// seeds never collide; sharing mirrors a long-lived service and keeps the
-// corpus run fast.
-var (
-	enginesOnce sync.Once
-	engines     *Engines
-)
-
-func sharedEnginesInit() *Engines {
-	enginesOnce.Do(func() { engines = NewEngines(0) })
-	return engines
+// testEngines builds the oracle's engine set over a scratch store that
+// lives as long as the calling test (gang mode spills its chunks there).
+// Engine state is keyed by benchmark name (which embeds the seed), so the
+// concurrent seeds of one test never collide.
+func testEngines(tb testing.TB) *Engines {
+	eng, err := NewEngines(0, tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
 }
 
 // TestDifferentialCorpus is the seeded differential oracle: every corpus
@@ -36,7 +34,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	eng := sharedEnginesInit()
+	eng := testEngines(t)
 	ctx := context.Background()
 
 	shards := runtime.GOMAXPROCS(0)
@@ -62,6 +60,22 @@ func TestDifferentialCorpus(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	if t.Failed() {
+		return
+	}
+	// The modes must have been the delivery paths they are named for: every
+	// arm of every seed in a gang (each seed's baseline and mini-graph
+	// trace groups form one gang apiece, or two where the worker pool is
+	// wide enough for planGangs to split them) streaming spilled chunks
+	// through a window that had to evict, and not one gang on the resident
+	// engine.
+	if st := eng.byMode[ModeGang].Stats(); st.GangArms != 8*n || st.GangsFormed < 2*n || st.GangsFormed > 4*n ||
+		st.TraceChunkFaults == 0 || st.TraceChunkEvictions == 0 {
+		t.Errorf("gang mode did not gang over spilled chunks: %+v", st)
+	}
+	if st := eng.byMode[ModeReplay].Stats(); st.GangsFormed != 0 || st.TraceChunkFaults != 0 {
+		t.Errorf("replay mode was not solo over resident traces: %+v", st)
+	}
 }
 
 // TestSeed681Regression pins the seed that exposed the cross-instance
@@ -70,7 +84,7 @@ func TestDifferentialCorpus(t *testing.T) {
 // silently corrupting an address computation. The full oracle must stay
 // clean on it.
 func TestSeed681Regression(t *testing.T) {
-	if err := DiffSeed(context.Background(), sharedEnginesInit(), 681, 0); err != nil {
+	if err := DiffSeed(context.Background(), testEngines(t), 681, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +97,7 @@ func FuzzDifferential(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 681, 1337, 99991, -1, -424242} {
 		f.Add(seed)
 	}
-	eng := sharedEnginesInit()
+	eng := testEngines(f)
 	f.Fuzz(func(t *testing.T, seed int64) {
 		if err := DiffSeed(context.Background(), eng, seed, 0); err != nil {
 			t.Fatal(err)

@@ -193,32 +193,19 @@ func (c *Coordinator) Run(ctx context.Context, specs []JobSpec, jobs []sim.SimJo
 		return nil, fmt.Errorf("serve: %d specs for %d jobs", len(specs), len(jobs))
 	}
 	outs := make([]*sim.Outcome, len(jobs))
-	errs := make([]error, len(jobs))
 	down := &downSet{m: make(map[string]bool)}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case c.sem <- struct{}{}:
-				defer func() { <-c.sem }()
-			case <-gctx.Done():
-				errs[i] = gctx.Err()
-				return
-			}
-			outs[i], errs[i] = c.runArm(gctx, specs[i], jobs[i], down)
-			if errs[i] != nil {
-				cancel()
-			} else if onDone != nil {
-				onDone(i, outs[i])
-			}
-		}(i)
-	}
-	wg.Wait()
-	return outs, sim.JoinErrors(ctx, errs)
+	err := sim.FanOut(ctx, len(jobs), c.sem, func(ctx context.Context, i int) error {
+		out, err := c.runArm(ctx, specs[i], jobs[i], down)
+		if err != nil {
+			return err
+		}
+		outs[i] = out
+		if onDone != nil {
+			onDone(i, out)
+		}
+		return nil
+	})
+	return outs, err
 }
 
 // runArm executes one arm, trying live members in rendezvous order of the

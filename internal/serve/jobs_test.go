@@ -267,13 +267,10 @@ func TestJobPersistsAcrossRestart(t *testing.T) {
 	}
 
 	slow := slowSweep(16)
-	// Distinct record limits give every arm its own TraceKey: the arms
-	// cannot gang, so they complete one at a time on the 1-worker engine
-	// and the poll below can observe the job mid-flight. (Ganged arms
-	// advance in lockstep and all complete together at the end, leaving no
-	// partial-progress window to interrupt.)
+	// One shared record cap bounds the run (server 3 re-runs all 16 arms)
+	// and leaves the arms on one trace.
 	for i := range slow.Jobs {
-		slow.Jobs[i].MaxRecords = int64(4_000_000 + i)
+		slow.Jobs[i].MaxRecords = 4_000_000
 	}
 	st2, err := c2.SubmitJob(ctx, slow)
 	if err != nil {
@@ -288,6 +285,9 @@ func TestJobPersistsAcrossRestart(t *testing.T) {
 		if running.State.Terminal() {
 			t.Fatalf("slow job finished too fast to interrupt: %+v", running)
 		}
+	}
+	if running.Completed >= running.Total {
+		t.Fatalf("no partial-progress window: job went 0 -> %d of %d between polls", running.Completed, running.Total)
 	}
 	stop2() // mid-sweep shutdown: the job must persist as requeueable
 

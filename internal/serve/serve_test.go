@@ -408,9 +408,12 @@ func TestStatszReportsStore(t *testing.T) {
 
 // TestStatszTraceCounters: a configuration sweep over one binary captures
 // its trace once, and a second sweep with fresh machine overrides replays
-// it with zero new captures — all visible through /statsz.
+// it with zero new captures — all visible through /statsz, and the same on
+// a resident server and on one bounded over a store. What differs is how
+// the arms ran, which the operator reads off the gang counters: a resident
+// server ticks none, a bounded one gangs each sweep; the report bodies are
+// byte-identical.
 func TestStatszTraceCounters(t *testing.T) {
-	ts, _ := newTestServer(t, nil)
 	sweep := func(lats ...int) SweepRequest {
 		req := SweepRequest{Name: "latsweep"}
 		for _, ml := range lats {
@@ -421,51 +424,67 @@ func TestStatszTraceCounters(t *testing.T) {
 		}
 		return req
 	}
-	statsz := func() statsResponse {
-		resp, err := http.Get(ts.URL + "/statsz")
-		if err != nil {
-			t.Fatal(err)
+	// run posts the two sweeps to one server, checks the capture-once
+	// counters, and returns the report bodies and the final engine stats.
+	run := func(t *testing.T, ts *httptest.Server) ([2][]byte, sim.Stats) {
+		statsz := func() sim.Stats {
+			resp, err := http.Get(ts.URL + "/statsz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var st statsResponse
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			return st.Engine
 		}
-		defer resp.Body.Close()
-		var st statsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
+		var bodies [2][]byte
+		var resp *http.Response
+		if resp, bodies[0] = postJSON(t, ts.URL+"/v1/sweep", sweep(120, 140, 160)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("first sweep status %d", resp.StatusCode)
 		}
-		return st
+		if st := statsz(); st.TraceCaptures != 1 || st.TraceReplayHits != 2 {
+			t.Fatalf("first sweep captures=%d replay hits=%d, want 1/2: %+v", st.TraceCaptures, st.TraceReplayHits, st)
+		}
+		if resp, bodies[1] = postJSON(t, ts.URL+"/v1/sweep", sweep(200, 240)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("second sweep status %d", resp.StatusCode)
+		}
+		st := statsz()
+		if st.TraceCaptures != 1 || st.TraceReplayHits != 4 {
+			t.Fatalf("second sweep captures=%d replay hits=%d, want 1 (no new capture)/4", st.TraceCaptures, st.TraceReplayHits)
+		}
+		if st.TraceBytes == 0 {
+			t.Fatal("trace bytes counter not populated")
+		}
+		return bodies, st
 	}
 
-	if resp, _ := postJSON(t, ts.URL+"/v1/sweep", sweep(120, 140, 160)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first sweep status %d", resp.StatusCode)
-	}
-	st := statsz()
-	if st.Engine.TraceCaptures != 1 {
-		t.Fatalf("first sweep captured %d traces, want 1: %+v", st.Engine.TraceCaptures, st.Engine)
-	}
-	if st.Engine.TraceReplayHits != 2 {
-		t.Fatalf("first sweep replay hits %d, want 2: %+v", st.Engine.TraceReplayHits, st.Engine)
+	resident, _ := newTestServer(t, nil)
+	want, st := run(t, resident)
+	if st.GangsFormed != 0 || st.GangArms != 0 || st.GangSharedRecords != 0 || st.GangFallbackSolo != 0 {
+		t.Fatalf("resident server ticked a gang counter: %+v", st)
 	}
 
-	if resp, _ := postJSON(t, ts.URL+"/v1/sweep", sweep(200, 240)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("second sweep status %d", resp.StatusCode)
+	cache, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	st2 := statsz()
-	if st2.Engine.TraceCaptures != 1 {
-		t.Fatalf("second sweep performed %d new captures, want 0", st2.Engine.TraceCaptures-1)
-	}
-	if st2.Engine.TraceReplayHits != 4 {
-		t.Fatalf("second sweep replay hits %d, want 4", st2.Engine.TraceReplayHits)
-	}
-	if st2.Engine.TraceBytes == 0 {
-		t.Fatal("trace bytes counter not populated")
-	}
+	bounded, eng := newTestServer(t, cache)
+	eng.WithTraceChunkRecords(256).WithTraceChunkWindow(2)
+	got, st := run(t, bounded)
 	// Both sweeps' arms share one TraceKey, so each ran as one gang — the
-	// operator-facing proof that sweeps actually gang.
-	if st2.Engine.GangsFormed != 2 || st2.Engine.GangArms != 5 {
-		t.Fatalf("gang counters formed=%d arms=%d, want 2/5: %+v",
-			st2.Engine.GangsFormed, st2.Engine.GangArms, st2.Engine)
+	// operator-facing proof that bounded sweeps actually gang.
+	if st.GangsFormed != 2 || st.GangArms != 5 {
+		t.Fatalf("gang counters formed=%d arms=%d, want 2/5: %+v", st.GangsFormed, st.GangArms, st)
 	}
-	if st2.Engine.GangSharedRecords == 0 {
+	if st.GangSharedRecords == 0 {
 		t.Fatal("gang shared-decode counter not populated")
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("sweep %d: bounded server's report differs from the resident server's", i)
+		}
 	}
 }
 

@@ -48,7 +48,6 @@ type Engine struct {
 	sem     chan struct{}
 	store   *store.Store
 	live    bool // force live emulation sources (golden-invariance testing)
-	gangOff bool // disable gang replay in RunEach (solo-path benchmarking)
 
 	// traceFetch, when set, is the peer tier: consulted for a trace that is
 	// neither in memory nor in the store before falling back to capturing
@@ -269,6 +268,13 @@ func (e *Engine) WithTraceChunkWindow(n int) *Engine {
 	return e
 }
 
+// boundedReplay reports which of the engine's two replay regimes is in
+// force: resident (false — a trace lives whole in the in-memory LRU) or
+// spilled (true — captures spill sealed chunks to the store, adopted
+// traces are held as manifests over it, readers fault chunks in through
+// the window). It is also all that selects gang replay (see planGangs).
+func (e *Engine) boundedReplay() bool { return e.store != nil && e.chunkWindow > 0 }
+
 // WithTraceCompression toggles DEFLATE compression of chunk payloads
 // persisted to the store (off by default). The chunk CRC is always of the
 // raw rows, so compressed and raw entries verify identically. Set before
@@ -469,18 +475,6 @@ func (s *storeChunkIO) SealChunk(index, rows int64, data []byte, crc uint32) err
 func (s *storeChunkIO) FetchChunk(index int64) ([]byte, error) {
 	_, raw, err := s.e.storedChunk(s.tk, index)
 	return raw, err
-}
-
-// WithGangReplay enables or disables gang replay in Run/RunEach (enabled
-// by default): sweep jobs sharing a TraceKey interleave their pipelines
-// over one shared-decode trace traversal instead of walking private
-// cursors end-to-end (see internal/sim/gang.go). Reports are byte-identical
-// either way — disabling exists for solo-path benchmarking and as a
-// diagnostic escape hatch. Set before submitting jobs (the field is not
-// synchronized); e is returned for chaining.
-func (e *Engine) WithGangReplay(on bool) *Engine {
-	e.gangOff = !on
-	return e
 }
 
 // WithLiveStream switches the engine to live, step-by-step functional
@@ -777,7 +771,7 @@ func (e *Engine) captureTier(ctx context.Context, key SimKey, pr *Prepared, prog
 	tk := key.TraceKey()
 	io := &storeChunkIO{e: e, tk: tk}
 	var sink trace.ChunkSink
-	if e.store != nil && e.chunkWindow > 0 {
+	if e.boundedReplay() {
 		sink = io
 	}
 	tr, err := e.capture(ctx, key, pr, prog, templates, sink)
@@ -820,7 +814,7 @@ const (
 // spilled behind the store with a bounded one. An error means a chunk
 // failed verification; no part of such a trace is ever replayed.
 func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier) (*trace.Trace, error) {
-	bounded := e.store != nil && e.chunkWindow > 0
+	bounded := e.boundedReplay()
 	switch {
 	case from == tierCapture:
 		// Produced in-process: nothing crossed a trust boundary.
@@ -1066,9 +1060,7 @@ func (e *Engine) simulateLive(ctx context.Context, key SimKey, cfgName string, p
 
 // Run submits every job, waits for all of them, and returns the outcomes
 // index-aligned with jobs. The first hard failure cancels the remaining
-// jobs errgroup-style; the returned error joins every distinct failure
-// (cancellations triggered by another job's failure are filtered out so
-// the root causes are what surfaces).
+// jobs and the returned error joins the root causes (see FanOut).
 func (e *Engine) Run(ctx context.Context, jobs []SimJob) ([]*Outcome, error) {
 	return e.RunEach(ctx, jobs, nil)
 }
@@ -1077,53 +1069,36 @@ func (e *Engine) Run(ctx context.Context, jobs []SimJob) ([]*Outcome, error) {
 // finishes successfully, from that job's goroutine (it must be safe for
 // concurrent use). Use it to stream progress during long sweeps.
 //
-// Jobs sharing a TraceKey are (unless WithGangReplay(false)) executed as
-// gangs: their pipelines interleave over one shared-decode traversal of
-// the common trace, producing outcomes byte-identical to independent
-// execution while paying the record-decode cost once per gang (see
-// internal/sim/gang.go). Singleton groups, duplicates, and already-cached
-// keys take the plain Simulate path.
+// How the arms execute is the engine's choice, not the caller's: under
+// bounded replay (see boundedReplay) jobs sharing a TraceKey run as gangs,
+// one traversal of the spilled trace serving every member (see
+// internal/sim/gang.go); everything else — every job of a resident engine,
+// singleton groups, duplicates, already-cached keys — takes the plain
+// Simulate path. Outcomes are byte-identical either way.
 func (e *Engine) RunEach(ctx context.Context, jobs []SimJob, onDone func(i int, out *Outcome)) ([]*Outcome, error) {
 	outs := make([]*Outcome, len(jobs))
-	errs := make([]error, len(jobs))
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	plan := e.planGangs(jobs)
-	var wg sync.WaitGroup
-	if plan != nil {
-		for _, g := range plan.gangs {
-			wg.Add(1)
-			go func(g *gang) {
-				defer wg.Done()
-				e.runGang(gctx, g)
-			}(g)
+	// One fan-out carries the gang runners (which fulfill their arms' calls
+	// and have no error of their own) and then one waiter per job.
+	ng := len(plan.gangs)
+	err := FanOut(ctx, ng+len(jobs), nil, func(ctx context.Context, i int) error {
+		if i < ng {
+			e.runGang(ctx, plan.gangs[i])
+			return nil
 		}
-	}
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(i int, job SimJob) {
-			defer wg.Done()
-			if plan != nil {
-				if c, ok := plan.byIndex[i]; ok {
-					outs[i], errs[i] = e.waitGangCall(gctx, c, job)
-					if errs[i] != nil {
-						cancel()
-					} else if onDone != nil {
-						onDone(i, outs[i])
-					}
-					return
-				}
-			}
-			outs[i], errs[i] = e.Simulate(gctx, job)
-			if errs[i] != nil {
-				cancel()
-			} else if onDone != nil {
-				onDone(i, outs[i])
-			}
-		}(i, job)
-	}
-	wg.Wait()
-	return outs, JoinErrors(ctx, errs)
+		j := i - ng
+		var err error
+		if c, ok := plan.byIndex[j]; ok {
+			outs[j], err = e.waitGangCall(ctx, c, jobs[j])
+		} else {
+			outs[j], err = e.Simulate(ctx, jobs[j])
+		}
+		if err == nil && onDone != nil {
+			onDone(j, outs[j])
+		}
+		return err
+	})
+	return outs, err
 }
 
 // Each runs fn(0..n-1) with the engine's concurrency bound and the same
@@ -1131,44 +1106,48 @@ func (e *Engine) RunEach(ctx context.Context, jobs []SimJob, onDone func(i int, 
 // the worker pool) so fn may itself submit engine jobs without risking a
 // pool deadlock.
 func (e *Engine) Each(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	return FanOut(ctx, n, make(chan struct{}, e.workers), fn)
+}
+
+// FanOut is the one cancel-on-first-hard-failure fan-out (Run, Each and
+// the serving tier's coordinator all go through it): fn(ctx, 0..n-1) each
+// on its own goroutine, at most cap(limit) of them inside fn at once (nil
+// limit: unbounded). The first fn to fail cancels the ctx its siblings
+// see. The returned error joins every failure, dropping cancellations
+// that a sibling's failure induced so the root causes are what surfaces;
+// if the parent ctx itself was canceled (or every error is a
+// cancellation), the cancellation is reported as-is.
+func FanOut(ctx context.Context, n int, limit chan struct{}, fn func(ctx context.Context, i int) error) error {
 	errs := make([]error, n)
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	limit := make(chan struct{}, e.workers)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			select {
-			case limit <- struct{}{}:
-				defer func() { <-limit }()
-			case <-gctx.Done():
-				errs[i] = gctx.Err()
-				return
+			if limit != nil {
+				select {
+				case limit <- struct{}{}:
+					defer func() { <-limit }()
+				case <-gctx.Done():
+					errs[i] = gctx.Err()
+					return
+				}
 			}
-			if err := fn(gctx, i); err != nil {
-				errs[i] = err
+			if errs[i] = fn(gctx, i); errs[i] != nil {
 				cancel()
 			}
 		}(i)
 	}
 	wg.Wait()
-	return JoinErrors(ctx, errs)
-}
 
-// JoinErrors joins every failure from a fan-out, dropping cancellations
-// that were induced by a sibling's failure. If the parent ctx itself was
-// canceled (or every error is a cancellation), the cancellation is
-// reported as-is. Exported so sibling fan-out layers (the serving tier's
-// coordinator) report sweep failures with the same semantics as Run.
-func JoinErrors(ctx context.Context, errs []error) error {
 	var hard []error
 	var canceled error
 	for _, err := range errs {
 		switch {
 		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case isCtxErr(err):
 			canceled = err
 		default:
 			hard = append(hard, err)

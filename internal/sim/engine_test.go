@@ -229,7 +229,7 @@ func TestEachCollectsErrors(t *testing.T) {
 // TestSimulateRefusesImpossibleConfig: a job carrying a degenerate machine
 // fails its own simulation with a structured error — job specs arrive over
 // HTTP, so this must never panic a worker. Gang planning must likewise
-// skip the bad job (Run exercises that path).
+// skip the bad job (Run on the bounded engine exercises that path).
 func TestSimulateRefusesImpossibleConfig(t *testing.T) {
 	eng := New(1)
 	bad := baselineTestJob()
@@ -240,13 +240,16 @@ func TestSimulateRefusesImpossibleConfig(t *testing.T) {
 		t.Fatalf("error %q does not name the bad axis", err)
 	}
 
-	// In a sweep the bad arm fails alone with the same structured error.
+	// In a sweep the bad arm fails alone with the same structured error,
+	// under either replay regime.
 	good := baselineTestJob()
 	bad2 := good
 	bad2.Config.ROBSize = -1
-	if _, err := eng.Run(context.Background(), []SimJob{good, bad2}); err == nil {
-		t.Fatal("sweep with an impossible arm succeeded")
-	} else if !strings.Contains(err.Error(), "window capacity") {
-		t.Fatalf("sweep error %q does not name the bad axis", err)
+	for _, eng := range []*Engine{eng, gangEngine(t, t.TempDir())} {
+		if _, err := eng.Run(context.Background(), []SimJob{good, bad2}); err == nil {
+			t.Fatal("sweep with an impossible arm succeeded")
+		} else if !strings.Contains(err.Error(), "window capacity") {
+			t.Fatalf("sweep error %q does not name the bad axis", err)
+		}
 	}
 }

@@ -10,15 +10,18 @@ import (
 
 // Gang replay: every arm of a configuration sweep over one binary consumes
 // the byte-identical record stream (the config-free TraceKey guarantees
-// it), so instead of walking a private trace.Reader cursor end-to-end per
-// arm, RunEach groups a sweep's new jobs by TraceKey and runs each group as
-// a *gang* — one goroutine interleaving all of the group's pipelines over a
-// shared-decode trace.GangReader. Each packed record is decoded once at the
-// gang's frontier; trailing arms are served by a struct copy from the
+// it). Where replay is window-bounded, walking a private trace.Reader
+// cursor end-to-end per arm faults every spilled chunk in from the store
+// once per arm; instead RunEach groups a sweep's new jobs by TraceKey and
+// runs each group as a *gang* — one goroutine interleaving all of the
+// group's pipelines over a shared-decode trace.GangReader and one chunk
+// window. Each chunk is faulted in and each packed record decoded once at
+// the gang's frontier; trailing arms are served by a struct copy from the
 // decoded ring. The scheduler steps pipelines round-robin in fixed cycle
 // quanta and paces leaders so the gang's cursors stay inside the shared
 // window; an arm stalled on a long-latency event simply lags (still served
-// from the ring) while fast arms proceed.
+// from the ring) while fast arms proceed. An engine whose traces are
+// resident never gangs; planGangs says why.
 //
 // Gang execution is transparent: arms are registered in the engine's
 // single-flight table exactly like Simulate leaders, so concurrent
@@ -62,37 +65,39 @@ type gang struct {
 // gangPlan is the outcome of planning one sweep: the gangs to run, and a
 // per-job-index map to the registered call a waiter should block on.
 // Indexes absent from byIndex (duplicates, already-cached keys, singleton
-// groups) go through the plain Simulate path.
+// groups; every index of the zero plan) go through the plain Simulate path.
 type gangPlan struct {
 	byIndex map[int]*call[*Outcome]
 	gangs   []*gang
 }
 
-// planGangs groups a sweep's jobs by TraceKey and registers single-flight
-// entries for every gang arm — synchronously, under the engine lock, so a
-// concurrent Simulate for the same key becomes a waiter rather than a
-// duplicate runner. Keys already in flight (or cached) and duplicate keys
-// within the sweep are left to Simulate; groups with fewer than two new
-// keys fall back to the solo path and are counted as such.
+// planGangs decides how a sweep's jobs execute, from the engine's replay
+// regime and nothing a caller sets. Under bounded replay every solo arm
+// faults each chunk of its trace in from the store again, and a gang of n
+// arms faults it once (n× fewer chunk faults and more arms/s on the
+// store_stream benchmark). Over a resident trace a gang shares only the
+// record decode, and the interleave costs more than that saves
+// (config_sweep, store_warm), so a resident engine gets the zero plan
+// before a lock is taken or a key is hashed.
+//
+// Otherwise jobs are grouped by TraceKey and every gang arm is registered
+// in the single-flight table. Keys already in flight (or cached) and
+// duplicate keys within the sweep are left to Simulate; groups with fewer
+// than two new keys fall back to the solo path and are counted as such.
 //
 // When the worker pool is larger than the number of multi-arm groups, each
 // group is partitioned into up to workers/groups gangs (each at least two
 // arms) so gang execution still saturates the pool; with one worker each
 // group forms a single maximal-sharing gang.
-func (e *Engine) planGangs(jobs []SimJob) *gangPlan {
-	if e.gangOff || e.live || len(jobs) < 2 {
-		return nil
+func (e *Engine) planGangs(jobs []SimJob) gangPlan {
+	if !e.boundedReplay() || e.live || len(jobs) < 2 {
+		return gangPlan{}
 	}
-	type group struct {
-		pk   PrepareKey
-		arms []*gangMember
-	}
-	var order []TraceKey
-	groups := make(map[TraceKey]*group)
+	// Validation and key hashing touch no engine state, so they run before
+	// the lock every Simulate, trace touch and Stats call contends for.
+	var groups []*gang // in order of first appearance
+	byTrace := make(map[TraceKey]*gang)
 	seen := make(map[SimKey]bool)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for i, job := range jobs {
 		if job.Config.Check() != nil {
 			continue // impossible machine: Simulate refuses it cleanly
@@ -101,37 +106,39 @@ func (e *Engine) planGangs(jobs []SimJob) *gangPlan {
 		if seen[key] {
 			continue // in-sweep duplicate: waits via Simulate
 		}
-		if _, inflight := e.sims[key]; inflight {
-			continue // already cached or in flight: hits via Simulate
-		}
 		seen[key] = true
 		tk := key.TraceKey()
-		g, ok := groups[tk]
+		g, ok := byTrace[tk]
 		if !ok {
-			g = &group{pk: key.Prepare}
-			groups[tk] = g
-			order = append(order, tk)
+			g = &gang{pk: key.Prepare}
+			byTrace[tk] = g
+			groups = append(groups, g)
 		}
 		g.arms = append(g.arms, &gangMember{idx: i, key: key, cfgName: job.Config.Name})
 	}
 
+	// Look-up and registration share one critical section: that is what
+	// makes a concurrent Simulate for a gang arm's key a waiter rather than
+	// a second runner.
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	multi := 0
-	for _, tk := range order {
-		if len(groups[tk].arms) >= 2 {
+	for _, g := range groups {
+		fresh := g.arms[:0]
+		for _, m := range g.arms {
+			if _, inflight := e.sims[m.key]; !inflight {
+				fresh = append(fresh, m) // else cached or in flight: hits via Simulate
+			}
+		}
+		if g.arms = fresh; len(fresh) == 1 {
+			e.gangSolo.Add(1)
+		} else if len(fresh) >= 2 {
 			multi++
 		}
 	}
-	if multi == 0 {
-		for range order {
-			e.gangSolo.Add(1)
-		}
-		return nil
-	}
-	plan := &gangPlan{byIndex: make(map[int]*call[*Outcome])}
-	for _, tk := range order {
-		g := groups[tk]
+	plan := gangPlan{byIndex: make(map[int]*call[*Outcome])}
+	for _, g := range groups {
 		if len(g.arms) < 2 {
-			e.gangSolo.Add(1)
 			continue
 		}
 		for _, m := range g.arms {
