@@ -2,15 +2,16 @@ package emu
 
 import "minigraph/internal/isa"
 
-// FNV-1a parameters, shared with Memory.Checksum.
+// Digest parameters: where the empty stream starts, and the odd multiplier
+// of the per-word mix (2^64 divided by the golden ratio).
 const (
 	digestOffset uint64 = 14695981039346656037
-	digestPrime  uint64 = 1099511628211
+	digestMul    uint64 = 0x9e3779b97f4a7c15
 )
 
-// Digest is an order-sensitive FNV-1a fold over the architectural effects
-// of an instruction stream: every register write (dest register + value)
-// and every store (address + width + value), tagged and sequence-numbered.
+// Digest is an order-sensitive fold over the architectural effects of an
+// instruction stream: every register write (dest register + value) and
+// every store (address + width + value), tagged and sequence-numbered.
 // The functional emulator folds each record as it executes; the pipeline
 // folds the same records at retire. Equal digests prove the pipeline
 // retired exactly the architecturally correct effect stream, exactly once,
@@ -19,18 +20,19 @@ const (
 // The zero Digest is not valid; start from NewDigest.
 type Digest uint64
 
-// NewDigest returns the empty-stream digest (the FNV offset basis).
+// NewDigest returns the empty-stream digest.
 func NewDigest() Digest { return Digest(digestOffset) }
 
-// foldWord mixes one 64-bit word, low byte first.
+// foldWord mixes one 64-bit word into the state: xor it in, multiply by an
+// odd constant, fold the high half down onto the low. Each step is a
+// bijection of the state for a given word and of the word for a given
+// state, so two streams that differ in one word never collide, and the
+// multiply-then-fold makes the result depend on the order words arrive in.
+// One multiply per word: the fold runs on every retired record of every
+// arm.
 func (d Digest) foldWord(v uint64) Digest {
-	h := uint64(d)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= digestPrime
-		v >>= 8
-	}
-	return Digest(h)
+	h := (uint64(d) ^ v) * digestMul
+	return Digest(h ^ h>>32)
 }
 
 // Fold accumulates rec's architectural effects. Records with neither a

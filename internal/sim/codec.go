@@ -34,7 +34,13 @@ import (
 //	   the trace *manifest* (trace codec v3) with per-chunk payloads in
 //	   their own "trace-chunk" entries, so v5 monolithic trace blobs
 //	   re-read as misses instead of being re-encoded on read.
-const CodecVersion = 6
+//	7: emu.Digest folds a word in one multiply instead of FNV-1a's eight,
+//	   so every RetiredDigest value changed. The payload shape did not,
+//	   which is exactly why the version must: a v6 outcome would decode
+//	   cleanly and carry a digest no emulator of this tree reproduces. v6
+//	   outcomes re-read as misses (and, keys being versioned too, so do v6
+//	   trace manifests: one re-capture each).
+const CodecVersion = 7
 
 // envelope is the versioned wrapper around every encoded value. Payload
 // stays raw so encode→decode→encode is byte-stable for any payload the

@@ -150,13 +150,15 @@ func (t *Trace) SizeBytes() int64 {
 }
 
 // ResidentBytes returns the chunk payload bytes currently held in memory
-// by the Trace itself (spilled chunks and reader windows excluded).
+// by the Trace itself (spilled chunks and reader windows excluded). It
+// counts capacity, not length: a cache that budgets by this number must be
+// charged what the heap holds, and a buffer's unused tail is held too.
 func (t *Trace) ResidentBytes() int64 {
 	var b int64
 	for _, c := range t.chunks {
-		b += int64(len(c))
+		b += int64(cap(c))
 	}
-	return b + int64(len(t.cur))
+	return b + int64(cap(t.cur))
 }
 
 // Spilled reports whether any chunk's payload is non-resident (replay
@@ -322,7 +324,9 @@ func (t *Trace) appendRecord(rec *emu.Record) {
 // seal closes the open chunk: records its checksum in the manifest and
 // either spills it through sink (dropping the payload) or retains it. A
 // sink error keeps the chunk resident — spilling is an optimization, so
-// its failure can cost memory but never the capture.
+// its failure can cost memory but never the capture. A retained chunk is
+// held for the trace's lifetime, so a tail chunk that did not fill its
+// chunk-sized buffer moves to one of its own size.
 func (t *Trace) seal(sink ChunkSink) {
 	if len(t.cur) == 0 {
 		return
@@ -333,6 +337,11 @@ func (t *Trace) seal(sink ChunkSink) {
 	if sink != nil && sink.SealChunk(idx, int64(len(t.cur))/recordBytes, t.cur, crc) == nil {
 		t.chunks = append(t.chunks, nil)
 	} else {
+		if cap(t.cur) > len(t.cur) {
+			exact := make([]byte, len(t.cur))
+			copy(exact, t.cur)
+			t.cur = exact
+		}
 		t.chunks = append(t.chunks, t.cur)
 	}
 	t.cur = nil

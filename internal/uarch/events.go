@@ -90,6 +90,19 @@ func (w *eventWheel) take(now int64) []event {
 	return evs
 }
 
+// nextDue returns the first cycle after now at which take has work — a
+// non-empty slot of the current page, or the page boundary, where promote
+// runs — or limit, if that comes first. Between now and the result, take
+// would return nothing and may be left uncalled.
+func (w *eventWheel) nextDue(now, limit int64) int64 {
+	for c := now + 1; c < limit; c++ {
+		if c&nearMask == 0 || len(w.near[c&nearMask]) > 0 {
+			return c
+		}
+	}
+	return limit
+}
+
 // promote runs at each page boundary: overflow events that came within the
 // far wheel's span migrate inward, and the entered page's far slot is
 // redistributed into the near wheel.

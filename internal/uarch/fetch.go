@@ -142,21 +142,8 @@ func (p *Pipeline) dispatch() {
 			return
 		}
 		u := fe.u
-		if p.rob.full() {
-			p.stats.StallROB++
-			return
-		}
-		needIQ := u.rec.Op != isa.OpHalt
-		if needIQ && p.iqLen() >= p.cfg.IQSize {
-			p.stats.StallIQ++
-			return
-		}
-		if u.isMem() && p.lsq.full() {
-			p.stats.StallLSQ++
-			return
-		}
-		if u.rec.Dest != isa.RNone && p.ren.FreeCount() == 0 {
-			p.stats.StallRegs++
+		if stall := p.dispatchStall(u); stall != nil {
+			*stall++
 			return
 		}
 		p.frontend.popFront()
@@ -181,7 +168,7 @@ func (p *Pipeline) dispatch() {
 		}
 
 		p.rob.push(u)
-		if needIQ {
+		if u.rec.Op != isa.OpHalt {
 			u.inIQ = true
 			p.refreshWake(u)
 			p.candPush(u)
@@ -200,4 +187,21 @@ func (p *Pipeline) dispatch() {
 			}
 		}
 	}
+}
+
+// dispatchStall returns the counter of the resource u is stalled on — the
+// first, in dispatch's test order, that has no room for it — or nil if u
+// can dispatch now. The halt takes no scheduler entry.
+func (p *Pipeline) dispatchStall(u *uop) *int64 {
+	switch {
+	case p.rob.full():
+		return &p.stats.StallROB
+	case u.rec.Op != isa.OpHalt && p.iqLen() >= p.cfg.IQSize:
+		return &p.stats.StallIQ
+	case u.isMem() && p.lsq.full():
+		return &p.stats.StallLSQ
+	case u.rec.Dest != isa.RNone && p.ren.FreeCount() == 0:
+		return &p.stats.StallRegs
+	}
+	return nil
 }

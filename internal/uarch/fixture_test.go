@@ -182,6 +182,12 @@ func checkConservation(t *testing.T, arm string, r *uarch.Result) {
 	if entered := r.FetchedRecords - r.FetchedNops; entered < r.Retired {
 		t.Errorf("%s: retired %d records, only %d entered the pipe", arm, r.Retired, entered)
 	}
+	// Every retiring definition frees the register it displaced. A squash
+	// hands registers back through the undo log instead, uncounted, so the
+	// two only balance on a run that never squashed.
+	if r.Violations == 0 && r.PregAllocs != r.PregFrees {
+		t.Errorf("%s: %d physical registers allocated, %d freed, and no squash", arm, r.PregAllocs, r.PregFrees)
+	}
 	// The halt retires without ever entering the scheduler.
 	if r.Issued < r.Retired-1 {
 		t.Errorf("%s: retired %d records, issued %d", arm, r.Retired, r.Issued)

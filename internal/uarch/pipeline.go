@@ -271,6 +271,13 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 // many pipelines by granting each a cycle quantum in turn, and the chunk
 // boundaries are invisible to the simulated machine — state advances
 // exactly as one uninterrupted Run would. Call Finish after done.
+//
+// n counts simulated cycles, not host work: a cycle in which no stage
+// changed state is followed by a jump over the cycles that provably repeat
+// it (see fastForward), and the jumped cycles come out of the quantum like
+// stepped ones. Skipping is a host-speed device only — a change to it that
+// moves one simulated count is a bug, and testdata/results.json is there
+// to catch it.
 func (p *Pipeline) RunCycles(ctx context.Context, n int64) (bool, error) {
 	for ; n > 0; n-- {
 		if p.done() {
@@ -289,7 +296,9 @@ func (p *Pipeline) RunCycles(ctx context.Context, n int64) (bool, error) {
 		for _, ap := range p.aps {
 			ap.Tick(p.cycle)
 		}
-		p.processEvents()
+		retired, issued, fetched := p.stats.Retired, p.stats.Issued, p.stats.FetchedRecords
+		inPipe, pendingU := p.frontend.len(), p.pendingU
+		fired := p.processEvents()
 		p.retire()
 		p.issue()
 		p.dispatch()
@@ -297,9 +306,95 @@ func (p *Pipeline) RunCycles(ctx context.Context, n int64) (bool, error) {
 		if p.violPending {
 			p.squash(p.violSeq)
 			p.violPending = false
+			continue
+		}
+		// Nothing fetched and the pipe the same length: nothing dispatched.
+		if !fired && retired == p.stats.Retired && issued == p.stats.Issued &&
+			fetched == p.stats.FetchedRecords && inPipe == p.frontend.len() && pendingU == p.pendingU {
+			n -= p.fastForward(n - 1)
 		}
 	}
 	return p.done(), nil
+}
+
+// fastForward runs at the end of a cycle in which no stage changed state
+// and jumps the clock to one before the earliest cycle at which any stage
+// can: until then every cycle would find the machine exactly as this one
+// left it. It returns how many cycles it skipped, at most limit. What can
+// end the wait, stage by stage:
+//
+//   - events: the next non-empty slot of the wheel's current page, or the
+//     page boundary, where take promotes the far wheel (never crossed — and
+//     every 4096-cycle cancellation poll is a page boundary, so polls are
+//     always landed on);
+//   - retire: only a completion, which is an event;
+//   - issue: a candidate whose sources and replay hold are all satisfied by
+//     a known cycle wakes then. One waiting on a producer that has not
+//     issued bounds nothing (that issue ends the wait); one that is ready
+//     now lost this cycle to a port, a unit or a store set and must retry
+//     next cycle, so there is no jump. A pending scheduler-slot release
+//     (iqFreeRing) is due within three cycles and forbids the jump too;
+//   - dispatch: the pipe head's arrival. A head that has arrived is parked
+//     on a full ROB, scheduler, LSQ or register file, which only a retire,
+//     a completion or a squash un-parks;
+//   - fetch: the end of an I-cache fill or redirect bubble, unless a
+//     mispredicted branch is pending (its resolution is an event). Fetch
+//     with no stall, room and records would have fetched.
+//
+// The skipped cycles are replayed for exactly what stepping them would
+// have done: the reservation rings advance, and the stall counter the head
+// is parked on is credited once per cycle.
+func (p *Pipeline) fastForward(limit int64) int64 {
+	if limit <= 0 || p.done() {
+		return 0
+	}
+	for i := range p.iqFreeRing {
+		if len(p.iqFreeRing[i]) > 0 {
+			return 0
+		}
+	}
+	// next is the first cycle that has to be stepped.
+	next := min(p.cycle+1+limit, hardCycleLimit+1)
+	var parked *int64
+	if p.frontend.len() > 0 {
+		if fe := p.frontend.front(); fe.readyAt > p.cycle {
+			next = min(next, fe.readyAt)
+		} else if parked = p.dispatchStall(fe.u); parked == nil {
+			return 0
+		}
+	}
+	if resume := max(p.fetchStall, p.icacheFill); p.pendingBr == nil && resume > p.cycle {
+		next = min(next, resume)
+	}
+	for _, u := range p.iqCand {
+		ready := u.minIssue
+		for _, s := range u.srcs[:u.nsrcs] {
+			if s != rename.NoReg {
+				ready = max(ready, p.readyAt[s])
+			}
+		}
+		if ready <= p.cycle {
+			return 0
+		}
+		next = min(next, ready) // notReady is later than any cycle
+	}
+	// Last, because it walks the wheel slot by slot up to the bound so far.
+	next = p.wheel.nextDue(p.cycle, next)
+	skip := next - p.cycle - 1
+	if skip <= 0 {
+		return 0
+	}
+	for c := p.cycle + 1; c < next; c++ {
+		p.window.Tick(c)
+		for _, ap := range p.aps {
+			ap.Tick(c)
+		}
+	}
+	if parked != nil {
+		*parked += skip
+	}
+	p.cycle += skip
+	return skip
 }
 
 // Finish surfaces the stream's architectural fault (if the run hit one)
@@ -323,7 +418,8 @@ func (p *Pipeline) Finish() (*Result, error) {
 	p.stats.PrefetchIssued = p.dcache.PrefIssued
 	p.stats.PrefetchUseful = p.dcache.PrefUseful
 	p.stats.PrefetchLate = p.dcache.PrefLate
-	return &p.stats, nil
+	res := p.stats
+	return &res, nil
 }
 
 func (p *Pipeline) done() bool {
@@ -530,10 +626,12 @@ func (p *Pipeline) schedule(at int64, kind evKind, u *uop) {
 	p.wheel.add(p.cycle, event{at: at, kind: kind, u: u, epoch: u.epoch})
 }
 
-func (p *Pipeline) processEvents() {
+// processEvents fires the events due this cycle and reports whether there
+// were any.
+func (p *Pipeline) processEvents() bool {
 	evs := p.wheel.take(p.cycle)
 	if len(evs) == 0 {
-		return
+		return false
 	}
 	// Miss discoveries first: they may replay uops whose completion events
 	// fire this very cycle. No event accounting here — the second pass
@@ -562,6 +660,7 @@ func (p *Pipeline) processEvents() {
 			p.recycle(u)
 		}
 	}
+	return true
 }
 
 func (p *Pipeline) onComplete(u *uop) {
