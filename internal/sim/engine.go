@@ -75,7 +75,12 @@ type Engine struct {
 	// bounded: traceSizes/traceOrder track completed entries and evict the
 	// least recently touched beyond traceMaxBytes. Evicting only drops the
 	// map reference — in-flight replays hold the immutable trace directly,
-	// and a re-request recaptures (or reloads from the store).
+	// and a re-request recaptures (or reloads from the store). Nothing
+	// else outlives a replay: the memoized Outcome of a finished arm shares
+	// no memory with its pipeline or reader (uarch.Pipeline.Finish), so
+	// traceMaxBytes bounds the trace bytes the heap holds, cache slack and
+	// all (trace.ResidentBytes counts capacity) — plus the traces of the
+	// at most `workers` replays still running over an evicted entry.
 	traceMaxBytes int64
 	traceResident int64
 	traceSizes    map[TraceKey]int64

@@ -367,6 +367,9 @@ func (p *Pipeline) fastForward(limit int64) int64 {
 		next = min(next, resume)
 	}
 	for _, u := range p.iqCand {
+		// Recomputed, not u.wakeAt: that is only a lower bound (a miss
+		// discovery moves a source's ready time later and leaves it stale),
+		// and a stale one would read as "ready now" and forbid the jump.
 		ready := u.minIssue
 		for _, s := range u.srcs[:u.nsrcs] {
 			if s != rename.NoReg {
@@ -399,7 +402,10 @@ func (p *Pipeline) fastForward(limit int64) int64 {
 
 // Finish surfaces the stream's architectural fault (if the run hit one)
 // and seals the statistics. Call it exactly once, after RunCycles reports
-// done; Run does so itself.
+// done; Run does so itself. The Result is a copy that shares no allocation
+// with the Pipeline: callers keep Results for as long as they like (the
+// engine memoizes one per arm), and a pointer into the Pipeline would keep
+// the machine, its record source and the trace behind it alive with them.
 func (p *Pipeline) Finish() (*Result, error) {
 	if err := p.src.Err(); err != nil {
 		return nil, err
