@@ -40,7 +40,15 @@ import (
 //	   cleanly and carry a digest no emulator of this tree reproduces. v6
 //	   outcomes re-read as misses (and, keys being versioned too, so do v6
 //	   trace manifests: one re-capture each).
-const CodecVersion = 7
+//	8: trace codec v4 — the manifest under a TraceKey grew the per-pc
+//	   static table and a per-chunk NextPC, and the rows under its
+//	   trace-chunk keys shrank to their 28 dynamic bytes. Nothing in a key
+//	   or an outcome changed shape; the version moves so that no store
+//	   lookup under a v8 key can land on a v7 manifest or 43-byte chunk
+//	   (the trace codec would reject them anyway — this makes them
+//	   unreachable rather than rejected). v7 outcomes re-read as misses
+//	   too: one re-simulation each.
+const CodecVersion = 8
 
 // envelope is the versioned wrapper around every encoded value. Payload
 // stays raw so encode→decode→encode is byte-stable for any payload the

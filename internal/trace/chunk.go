@@ -9,6 +9,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+
+	"minigraph/internal/emu"
+	"minigraph/internal/isa"
 )
 
 // Chunked backing. A Trace's packed rows are not one flat buffer but a
@@ -30,7 +33,7 @@ import (
 //     the window merely re-faults old chunks, it never clamps.
 const (
 	// DefaultChunkRecords is the records-per-chunk default (~64Ki rows,
-	// ~2.7 MiB of packed rows per chunk).
+	// 1.75 MiB of packed rows per chunk).
 	DefaultChunkRecords = 1 << 16
 
 	// minChunkRecords floors the records-per-chunk override. Tiny chunks
@@ -84,23 +87,55 @@ type ChunkSource interface {
 }
 
 // ChunkInfo is one manifest entry: the row count and payload CRC of one
-// sealed chunk.
+// sealed chunk, and the NextPC of its last row — the one NextPC the rows
+// themselves cannot supply, since a row's successor is the next row. It
+// is full width because the trace's last record may leave the program
+// entirely (the step after it faults at fetch).
 type ChunkInfo struct {
-	Rows int64
-	CRC  uint32
+	Rows   int64
+	CRC    uint32
+	NextPC int64
 }
 
-// Manifest describes a chunked trace without its payload: total rows,
-// records per chunk, capture termination state, and the per-chunk row
-// counts and checksums. It is the unit the store persists under the
-// trace's key — chunk payloads live in their own entries — and what a
-// peer transfer fetches first to know what to stream.
+// Manifest describes a chunked trace without its rows: total rows,
+// records per chunk, capture termination state, the static table (one
+// StaticInst per static instruction, indexed by pc), and the per-chunk
+// row counts, checksums and next pcs. It is the unit the store persists
+// under the trace's key — chunk payloads live in their own entries — and
+// what a peer transfer fetches first to know what to stream; with the
+// static table in it, rows plus manifest are the whole trace.
 type Manifest struct {
 	ChunkRecords int64
 	Rows         int64
 	Halted       bool
 	ErrMsg       string
+	Static       []StaticInst
 	Chunks       []ChunkInfo
+}
+
+// checkStatic rejects a static table or a chunk chain no capture writes:
+// unknown flags, more than two sources, an unexecuted entry that is not
+// all zero, or a chunk other than the last whose NextPC — the pc of the
+// row that follows it — is not an executed entry. Only the last chunk can
+// point outside the program.
+func (m Manifest) checkStatic() error {
+	for pc, s := range m.Static {
+		switch {
+		case s.Flags&^staticKnownFlags != 0:
+			return fmt.Errorf("trace: static entry %d has unknown flags %#x", pc, s.Flags)
+		case s.Flags&staticExecuted == 0 && s != StaticInst{}:
+			return fmt.Errorf("trace: static entry %d is unexecuted but not empty", pc)
+		case s.NSrcs > 2:
+			return fmt.Errorf("trace: static entry %d has %d sources", pc, s.NSrcs)
+		}
+	}
+	for i := 0; i < len(m.Chunks)-1; i++ {
+		next := m.Chunks[i].NextPC
+		if next < 0 || next >= int64(len(m.Static)) || m.Static[next].Flags&staticExecuted == 0 {
+			return fmt.Errorf("trace: manifest chunk %d continues at pc %d, which the static table does not hold", i, next)
+		}
+	}
+	return nil
 }
 
 // manifestMagic tags a manifest encoding ("MGTM", little-endian).
@@ -113,10 +148,14 @@ const chunkMagic uint32 = 0x4354474d
 const chunkFlagFlate uint16 = 1 << 0
 
 // manifestHeaderBytes: magic(4) version(2) flags(2: bit0 halted)
-// errLen(4) rows(8) chunkRecords(8) chunkCount(4) crc(4), then errMsg,
-// then chunkCount × (rows u32 | crc u32). crc is the IEEE CRC-32 of
-// errMsg followed by the chunk table.
-const manifestHeaderBytes = 4 + 2 + 2 + 4 + 8 + 8 + 4 + 4
+// errLen(4) rows(8) chunkRecords(8) chunkCount(4) staticCount(4) crc(4),
+// then errMsg, then staticCount × staticInstBytes, then chunkCount ×
+// (rows u32 | crc u32 | nextPC i64). crc is the IEEE CRC-32 of everything
+// after the header: errMsg, the static table and the chunk table.
+const manifestHeaderBytes = 4 + 2 + 2 + 4 + 8 + 8 + 4 + 4 + 4
+
+// chunkInfoBytes is one chunk-table entry of an encoded manifest.
+const chunkInfoBytes = 4 + 4 + 8
 
 // chunkHeaderBytes: magic(4) version(2) flags(2) index(4) rows(4)
 // rawCRC(4) encLen(4), then encLen payload bytes (raw packed rows, or a
@@ -128,18 +167,20 @@ const chunkHeaderBytes = 4 + 2 + 2 + 4 + 4 + 4 + 4
 // EncodeManifest renders m in the versioned binary manifest encoding.
 // The encoding is canonical: equal manifests encode to equal bytes.
 func EncodeManifest(m Manifest) []byte {
-	table := make([]byte, 0, 8*len(m.Chunks))
-	for _, c := range m.Chunks {
-		var row [8]byte
-		binary.LittleEndian.PutUint32(row[0:], uint32(c.Rows))
-		binary.LittleEndian.PutUint32(row[4:], c.CRC)
-		table = append(table, row[:]...)
+	buf := make([]byte, manifestHeaderBytes, manifestHeaderBytes+len(m.ErrMsg)+
+		staticInstBytes*len(m.Static)+chunkInfoBytes*len(m.Chunks))
+	buf = append(buf, m.ErrMsg...)
+	for _, s := range m.Static {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.MGID))
+		buf = binary.LittleEndian.AppendUint16(buf, s.Flags)
+		buf = append(buf, s.Op, s.NSrcs, s.Srcs[0], s.Srcs[1], s.Dest, s.MemSize)
 	}
-	crc := crc32.ChecksumIEEE([]byte(m.ErrMsg))
-	crc = crc32.Update(crc, crc32.IEEETable, table)
-
-	buf := make([]byte, 0, manifestHeaderBytes+len(m.ErrMsg)+len(table))
-	var h [manifestHeaderBytes]byte
+	for _, c := range m.Chunks {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Rows))
+		buf = binary.LittleEndian.AppendUint32(buf, c.CRC)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.NextPC))
+	}
+	h := buf[:manifestHeaderBytes]
 	binary.LittleEndian.PutUint32(h[0:], manifestMagic)
 	binary.LittleEndian.PutUint16(h[4:], CodecVersion)
 	var fl uint16
@@ -151,18 +192,18 @@ func EncodeManifest(m Manifest) []byte {
 	binary.LittleEndian.PutUint64(h[12:], uint64(m.Rows))
 	binary.LittleEndian.PutUint64(h[20:], uint64(m.ChunkRecords))
 	binary.LittleEndian.PutUint32(h[28:], uint32(len(m.Chunks)))
-	binary.LittleEndian.PutUint32(h[32:], crc)
-	buf = append(buf, h[:]...)
-	buf = append(buf, m.ErrMsg...)
-	buf = append(buf, table...)
+	binary.LittleEndian.PutUint32(h[32:], uint32(len(m.Static)))
+	binary.LittleEndian.PutUint32(h[36:], crc32.ChecksumIEEE(buf[manifestHeaderBytes:]))
 	return buf
 }
 
 // DecodeManifest parses a binary manifest encoding. It rejects bad magic,
 // version mismatches, truncation, trailing garbage, table corruption, and
 // any internal inconsistency (chunk rows that do not sum to the total,
-// oversized chunks, a non-power-of-two chunk size) — a damaged or stale
-// manifest must read as a cache miss, never as a wrong chunk plan.
+// oversized chunks, a non-power-of-two chunk size, a static entry no
+// capture writes, a chunk that continues at a pc the static table does
+// not hold) — a damaged or stale manifest must read as a cache miss,
+// never as a wrong chunk plan.
 func DecodeManifest(data []byte) (Manifest, error) {
 	var m Manifest
 	if len(data) < manifestHeaderBytes {
@@ -182,6 +223,7 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	rows := int64(binary.LittleEndian.Uint64(data[12:]))
 	chunkRecords := int64(binary.LittleEndian.Uint64(data[20:]))
 	count := int64(binary.LittleEndian.Uint32(data[28:]))
+	statics := int64(binary.LittleEndian.Uint32(data[32:]))
 	if rows < 0 || chunkRecords < minChunkRecords || chunkRecords > 1<<30 ||
 		chunkRecords&(chunkRecords-1) != 0 {
 		return m, fmt.Errorf("trace: implausible manifest geometry (rows=%d chunkRecords=%d)", rows, chunkRecords)
@@ -189,39 +231,47 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	if count != (rows+chunkRecords-1)/chunkRecords {
 		return m, fmt.Errorf("trace: manifest chunk count %d does not cover %d rows", count, rows)
 	}
-	want := manifestHeaderBytes + errLen + 8*count
-	if errLen > int64(len(data)) || int64(len(data)) != want {
+	want := manifestHeaderBytes + errLen + staticInstBytes*statics + chunkInfoBytes*count
+	if int64(len(data)) != want {
 		return m, fmt.Errorf("trace: manifest is %d bytes, want %d", len(data), want)
+	}
+	body := data[manifestHeaderBytes:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[36:]) {
+		return m, fmt.Errorf("trace: manifest table checksum mismatch")
 	}
 	m.Halted = fl&1 != 0
 	m.Rows = rows
 	m.ChunkRecords = chunkRecords
-	off := int64(manifestHeaderBytes)
-	m.ErrMsg = string(data[off : off+errLen])
-	off += errLen
-	table := data[off:]
-	crc := crc32.ChecksumIEEE([]byte(m.ErrMsg))
-	crc = crc32.Update(crc, crc32.IEEETable, table)
-	if crc != binary.LittleEndian.Uint32(data[32:]) {
-		return m, fmt.Errorf("trace: manifest table checksum mismatch")
+	m.ErrMsg = string(body[:errLen])
+	body = body[errLen:]
+	m.Static = make([]StaticInst, statics)
+	for i := range m.Static {
+		e := body[staticInstBytes*i:]
+		m.Static[i] = StaticInst{
+			MGID:  int32(binary.LittleEndian.Uint32(e[0:])),
+			Flags: binary.LittleEndian.Uint16(e[4:]),
+			Op:    e[6], NSrcs: e[7], Srcs: [2]uint8{e[8], e[9]}, Dest: e[10], MemSize: e[11],
+		}
 	}
+	table := body[staticInstBytes*statics:]
 	m.Chunks = make([]ChunkInfo, count)
 	var sum int64
 	for i := range m.Chunks {
-		r := int64(binary.LittleEndian.Uint32(table[8*i:]))
+		e := table[chunkInfoBytes*i:]
+		r := int64(binary.LittleEndian.Uint32(e[0:]))
 		if r <= 0 || r > chunkRecords {
 			return m, fmt.Errorf("trace: manifest chunk %d has %d rows (chunk size %d)", i, r, chunkRecords)
 		}
 		if int64(i) < count-1 && r != chunkRecords {
 			return m, fmt.Errorf("trace: manifest chunk %d is short (%d rows) but not last", i, r)
 		}
-		m.Chunks[i] = ChunkInfo{Rows: r, CRC: binary.LittleEndian.Uint32(table[8*i+4:])}
+		m.Chunks[i] = ChunkInfo{Rows: r, CRC: binary.LittleEndian.Uint32(e[4:]), NextPC: int64(binary.LittleEndian.Uint64(e[8:]))}
 		sum += r
 	}
 	if sum != rows {
 		return m, fmt.Errorf("trace: manifest chunk rows sum to %d, want %d", sum, rows)
 	}
-	return m, nil
+	return m, m.checkStatic()
 }
 
 // EncodeChunk renders one sealed chunk's raw rows as a self-describing,
@@ -341,23 +391,92 @@ type WindowStats struct {
 	PeakBytes int64
 }
 
-// chunkWindow is a bounded per-reader cache of non-resident chunk
+// chunkWindow is one reader's (or one gang's) view of a trace bound to a
+// program: the row decoder, over a bounded cache of non-resident chunk
 // payloads. Chunks the Trace itself retains are served directly and cost
 // the window nothing; only spilled chunks are faulted in (CRC-verified
-// against the manifest) and LRU-evicted beyond max. A window belongs to
-// one reader (or one gang) and is not safe for concurrent use — sharing
-// happens at the immutable Trace, not here.
+// against the manifest) and LRU-evicted beyond max. A window is not safe
+// for concurrent use — sharing happens at the immutable Trace, not here.
 type chunkWindow struct {
-	t     *Trace
+	t      *Trace
+	prog   *isa.Program
+	misfit error // t's static table does not fit prog: nothing is served
+
 	max   int // max faulted chunks held resident (<= 0: unbounded)
 	cache map[int64][]byte
 	order []int64 // least recently touched first
 	bytes int64
 	stats WindowStats
+
+	// The chunk under the last decoded record — rows [base, end) and the
+	// NextPC of the last of them — so the per-record path is one
+	// bounds-checked slice and no lookup, as it was when the trace was a
+	// single flat buffer.
+	cur       []byte
+	base, end int64
+	next      isa.PC
 }
 
-func newChunkWindow(t *Trace, maxChunks int) *chunkWindow {
-	return &chunkWindow{t: t, max: maxChunks}
+func newChunkWindow(t *Trace, prog *isa.Program, maxChunks int) *chunkWindow {
+	return &chunkWindow{t: t, prog: prog, misfit: t.fits(prog), max: maxChunks}
+}
+
+// open is what every cursor over the window starts from: how many
+// records a cursor limited to limit (<= 0: no limit) may serve, and the
+// error it reports once they are served. The live stream only hits the
+// fault that truncated the capture when asked to generate past it, so a
+// caller whose limit stops at or before the truncation point never
+// observes the error.
+func (w *chunkWindow) open(limit int64) (serve int64, err error) {
+	if w.misfit != nil {
+		return 0, w.misfit
+	}
+	if limit > 0 && limit <= w.t.n {
+		return limit, nil
+	}
+	return w.t.n, w.t.Err()
+}
+
+// fill decodes the record at seq into dst, faulting in its chunk if
+// necessary. Every field is written, so dst may be reused across calls
+// without clearing. Inst is resolved through the bound program — the same
+// lookup the live emulator performs — so a Trace can be bound to any
+// structurally identical copy of the program it was captured from. A row
+// whose pc (or whose successor's) the static table does not hold is
+// damage the chunk CRC did not see; it reads as ErrChunkUnavailable, not
+// as a record.
+func (w *chunkWindow) fill(dst *emu.Record, seq int64) error {
+	if seq < w.base || seq >= w.end {
+		ci := seq >> w.t.chunkShift
+		data, err := w.rows(ci)
+		if err != nil {
+			return err
+		}
+		w.cur, w.base, w.next = data, ci<<w.t.chunkShift, w.t.nexts[ci]
+		w.end = w.base + int64(len(data))/recordBytes
+	}
+	rows := w.cur[(seq-w.base)*recordBytes:]
+	word := binary.LittleEndian.Uint32(rows)
+	pc, next := isa.PC(word&^takenBit), w.next
+	if len(rows) > recordBytes {
+		next = isa.PC(binary.LittleEndian.Uint32(rows[recordBytes:]) &^ takenBit)
+		if !w.t.executed(next) {
+			return fmt.Errorf("%w: record %d is followed by pc %d, which the static table does not hold", ErrChunkUnavailable, seq, next)
+		}
+	}
+	if !w.t.executed(pc) {
+		return fmt.Errorf("%w: record %d names pc %d, which the static table does not hold", ErrChunkUnavailable, seq, pc)
+	}
+	rows = rows[:recordBytes:recordBytes]
+	*dst = w.t.static[pc]
+	dst.Seq = seq
+	dst.Inst = &w.prog.Insts[pc]
+	dst.EA = isa.Addr(binary.LittleEndian.Uint64(rows[4:]))
+	dst.Taken = word&takenBit != 0
+	dst.NextPC = next
+	dst.DestVal = binary.LittleEndian.Uint64(rows[12:])
+	dst.StoreVal = binary.LittleEndian.Uint64(rows[20:])
+	return nil
 }
 
 // rows returns chunk ci's raw packed rows, faulting through the trace's
@@ -384,7 +503,7 @@ func (w *chunkWindow) rows(ci int64) ([]byte, error) {
 	// provision real memory against.
 	for w.max > 0 && len(w.cache) >= w.max {
 		victim := w.order[0]
-		w.order = w.order[1:]
+		w.order = w.order[:copy(w.order, w.order[1:])]
 		w.bytes -= int64(len(w.cache[victim]))
 		delete(w.cache, victim)
 		w.stats.Evictions++
@@ -399,11 +518,12 @@ func (w *chunkWindow) rows(ci int64) ([]byte, error) {
 	return data, nil
 }
 
-// touch marks ci most recently used.
+// touch marks ci most recently used, in place.
 func (w *chunkWindow) touch(ci int64) {
 	for i, k := range w.order {
 		if k == ci {
-			w.order = append(append(w.order[:i:i], w.order[i+1:]...), ci)
+			copy(w.order[i:], w.order[i+1:])
+			w.order[len(w.order)-1] = ci
 			return
 		}
 	}

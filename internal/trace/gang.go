@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"minigraph/internal/emu"
 	"minigraph/internal/isa"
@@ -34,8 +33,6 @@ const DefaultGangWindow = 4096
 // goroutines, open independent Readers (or one GangReader per gang) over
 // the same immutable Trace.
 type GangReader struct {
-	t      *Trace
-	prog   *isa.Program
 	win    *chunkWindow
 	window int64
 	mask   int64
@@ -73,9 +70,7 @@ func NewGangReaderWindowed(t *Trace, prog *isa.Program, window, windowChunks int
 		size <<= 1
 	}
 	return &GangReader{
-		t:      t,
-		prog:   prog,
-		win:    newChunkWindow(t, windowChunks),
+		win:    newChunkWindow(t, prog, windowChunks),
 		window: size,
 		mask:   size - 1,
 		ring:   make([]emu.Record, size),
@@ -85,17 +80,6 @@ func NewGangReaderWindowed(t *Trace, prog *isa.Program, window, windowChunks int
 // WindowStats reports the gang's shared chunk-window activity (faults,
 // evictions, peak resident bytes).
 func (g *GangReader) WindowStats() WindowStats { return g.win.stats }
-
-// fill decodes the record at seq into dst, faulting in its chunk if
-// necessary.
-func (g *GangReader) fill(dst *emu.Record, seq int64) error {
-	data, err := g.win.rows(seq >> g.t.chunkShift)
-	if err != nil {
-		return err
-	}
-	fillRow(dst, data[(seq&(g.t.ChunkRecords()-1))*recordBytes:], seq, g.prog)
-	return nil
-}
 
 // Window returns the shared ring depth in records.
 func (g *GangReader) Window() int64 { return g.window }
@@ -119,18 +103,8 @@ func (g *GangReader) SoloFills() int64 { return g.soloFills }
 // and the architectural fault that truncated the capture surfaces only if
 // the limit would have forced generation past it.
 func (g *GangReader) Cursor(limit int64) *GangCursor {
-	req := limit
-	if req <= 0 {
-		req = math.MaxInt64
-	}
-	serve := g.t.Len()
-	if req < serve {
-		serve = req
-	}
-	c := &GangCursor{g: g, serve: serve}
-	if g.t.errMsg != "" && req > g.t.Len() {
-		c.err = g.t.Err()
-	}
+	c := &GangCursor{g: g}
+	c.serve, c.err = g.win.open(limit)
 	return c
 }
 
@@ -163,13 +137,13 @@ func (c *GangCursor) NextInto(dst *emu.Record) bool {
 		g.sharedServes++
 	case i == g.frontier:
 		slot := &g.ring[i&g.mask]
-		if err := g.fill(slot, i); err != nil {
+		if err := g.win.fill(slot, i); err != nil {
 			return c.cutoff(err)
 		}
 		g.frontier++
 		*dst = *slot
 	default:
-		if err := g.fill(dst, i); err != nil {
+		if err := g.win.fill(dst, i); err != nil {
 			return c.cutoff(err)
 		}
 		g.soloFills++

@@ -207,3 +207,40 @@ func TestGangPipelineMatchesSoloPipeline(t *testing.T) {
 		t.Error("interleaved gang never hit the shared ring")
 	}
 }
+
+// TestGangSpilledReplayAllocatesPerChunk: the engine gangs only under
+// bounded replay, so a gang's decode frontier always runs over spilled
+// chunks — and must pay for a chunk when it crosses into it, not for
+// every record in it. (It once looked its chunk up in the window per
+// record, and the window's LRU touch reallocated its order list each
+// time: one heap allocation a record.)
+func TestGangSpilledReplayAllocatesPerChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	prog, mgt, _ := rewritten(t, "gzip")
+	captured, err := trace.CaptureWith(context.Background(), prog, mgt, 100_000, trace.CaptureOptions{ChunkRecords: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := spilled(t, captured)
+	var faults int64
+	allocs := testing.AllocsPerRun(3, func() {
+		g := trace.NewGangReaderWindowed(tr, prog, 0, 2)
+		a, b := g.Cursor(0), g.Cursor(0)
+		var rec emu.Record
+		for a.NextInto(&rec) && b.NextInto(&rec) {
+		}
+		if a.Err() != nil || b.Err() != nil || !a.Exhausted() || !b.Exhausted() {
+			t.Fatalf("gang did not drain: %v, %v", a.Err(), b.Err())
+		}
+		faults = g.WindowStats().Faults
+	})
+	if faults != tr.NumChunks() {
+		t.Errorf("two cursors in lockstep faulted %d chunks of %d", faults, tr.NumChunks())
+	}
+	if max := float64(4 * tr.NumChunks()); allocs > max {
+		t.Errorf("draining %d spilled records through a gang allocated %.0f times, want at most %.0f (a handful per chunk)",
+			tr.Len(), allocs, max)
+	}
+}

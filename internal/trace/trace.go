@@ -3,14 +3,24 @@
 // execution-driven but timing-independent of *how* records are delivered:
 // internal/emu can generate them live, step by step, or a Reader can replay
 // them from an immutable Trace captured earlier. A Trace is a compact
-// packed-record encoding of the full record stream — one functional
-// emulation serves every machine configuration swept over the same binary,
-// which is where multi-arm experiment sweeps spend most of their time.
+// encoding of the full record stream — one functional emulation serves
+// every machine configuration swept over the same binary, which is where
+// multi-arm experiment sweeps spend most of their time.
 //
-// The record bytes are held as fixed-size chunks (DefaultChunkRecords rows
-// per chunk; see chunk.go), which are the unit of capture spill, CRC
-// framing, store persistence, peer transfer and reader residency — a trace
-// much larger than RAM captures and replays within a bounded chunk window.
+// A trace stores only what the program text does not. Each record is a
+// fixed-width dynamic row (which pc executed, whether it was taken, and
+// the three values it produced: effective address, destination value,
+// store value); everything that is a function of the pc — opcode,
+// operand registers, access size, the load/store/control flags, the
+// mini-graph id — lives once per static instruction in the trace's static
+// table, filled the first time a pc executes and carried in the Manifest,
+// so a trace adopted from a store or a peer replays without the
+// mini-graph table that shaped it.
+//
+// The rows are held as fixed-size chunks (DefaultChunkRecords rows per
+// chunk; see chunk.go), which are the unit of capture spill, CRC framing,
+// store persistence, peer transfer and reader residency — a trace much
+// larger than RAM captures and replays within a bounded chunk window.
 //
 // Invariant (the golden rule for any TraceSource implementation): replaying
 // a trace through the pipeline must produce byte-identical results to the
@@ -18,7 +28,7 @@
 // its mini-graph table, so a capture under one machine configuration is
 // valid for every configuration that shares the rewritten binary. Chunking
 // is storage layout, never semantics: chunk size and window bounds cannot
-// change a single replayed record.
+// change a single replayed record, and neither can the row format.
 //
 // Readers are cheap cursors over shared immutable chunks: concurrent
 // simulations replay one Trace with no locking and no per-record
@@ -42,39 +52,117 @@ import (
 	"minigraph/internal/isa"
 )
 
-// Flag bits packed per record. The low two bits hold the source-register
-// count (0..2).
-const (
-	flagNSrcsMask uint16 = 0x3
-	flagLoad      uint16 = 1 << 2
-	flagStore     uint16 = 1 << 3
-	flagCtrl      uint16 = 1 << 4
-	flagCond      uint16 = 1 << 5
-	flagCall      uint16 = 1 << 6
-	flagRet       uint16 = 1 << 7
-	flagIndirect  uint16 = 1 << 8
-	flagTaken     uint16 = 1 << 9
-)
-
-// recordBytes is the packed per-record storage: one 43-byte little-endian
-// row
+// recordBytes is the packed per-record storage: one 28-byte little-endian
+// dynamic row
 //
-//	pc u32 | nextPC u32 | mgid i32 | ea u64 | flags u16 |
-//	op u8 | src0 u8 | src1 u8 | dest u8 | memSize u8 |
-//	destVal u64 | storeVal u64
+//	pcWord u32 | ea u64 | destVal u64 | storeVal u64
 //
-// Rows are packed back to back within a chunk, so capture writes and
-// replay reads touch one short contiguous span per record instead of ten
-// parallel arrays. Derived Record fields (Seq = index, FallPC = PC+1,
-// Inst = prog.At(PC)) are reconstructed at replay rather than stored. The
-// architectural value fields ride along so replayed runs fold the same
-// retired-state digest as live ones (codec v2; rows were 27 bytes before
-// they grew the two u64 value fields).
-const recordBytes = 4 + 4 + 4 + 8 + 2 + 5 + 8 + 8
+// where pcWord is the record's pc with Taken in bit 31 (a stored pc is
+// always inside the program, so the bit is free, and Taken is a stored
+// bit because it is not derivable: a conditional branch to its own
+// fall-through is taken or not with the same NextPC). Rows are
+// fixed-width and packed back to back within a chunk, so seq → byte
+// offset is a multiply and Rewind is O(1).
+//
+// Nothing else is stored per record. The static fields come from the
+// static table entry of the row's pc (see StaticInst). NextPC is where the
+// stream went next: the pc of the following row, or — for the last row of
+// a chunk — the chunk's NextPC in the manifest, which is also the one place
+// a NextPC outside the program can live (only a trace's last record can
+// have one: the step after it faults at fetch). Seq is the row index,
+// FallPC is pc+1 and Inst is the bound program's instruction at pc.
+const recordBytes = 4 + 8 + 8 + 8
 
 // RecordBytes is the packed row size in bytes, exported so sizing logic
 // (cache budgets, window caps) outside the package can reason in bytes.
 const RecordBytes = recordBytes
+
+// takenBit is bit 31 of a row's pcWord.
+const takenBit uint32 = 1 << 31
+
+// StaticInst is one static-table entry: everything about a record that is
+// a function of its pc alone, under the program and mini-graph table the
+// trace was captured with. The table is indexed by pc and has one entry
+// per static instruction; an entry without the executed flag belongs to a pc
+// the trace never reached and is all zero.
+type StaticInst struct {
+	MGID    int32 // mini-graph table index for handles, else -1
+	Flags   uint16
+	Op      uint8
+	NSrcs   uint8
+	Srcs    [2]uint8
+	Dest    uint8
+	MemSize uint8
+}
+
+// staticInstBytes is a StaticInst on the wire (manifest static table):
+// mgid i32 | flags u16 | op u8 | nsrcs u8 | src0 u8 | src1 u8 | dest u8 |
+// memSize u8.
+const staticInstBytes = 4 + 2 + 6
+
+// StaticInst.Flags bits.
+const (
+	staticLoad uint16 = 1 << iota
+	staticStore
+	staticCtrl
+	staticCond
+	staticCall
+	staticRet
+	staticIndirect
+	staticExecuted // the trace executed this pc; the entry is meaningful
+
+	staticKnownFlags = staticExecuted<<1 - 1
+)
+
+// staticOf extracts the static half of rec (a live record or a template).
+func staticOf(rec *emu.Record) StaticInst {
+	bit := func(on bool, b uint16) uint16 {
+		if on {
+			return b
+		}
+		return 0
+	}
+	return StaticInst{
+		MGID: int32(rec.MGID),
+		Flags: staticExecuted | bit(rec.IsLoad, staticLoad) | bit(rec.IsStore, staticStore) |
+			bit(rec.IsCtrl, staticCtrl) | bit(rec.CondBranch, staticCond) | bit(rec.IsCall, staticCall) |
+			bit(rec.IsRet, staticRet) | bit(rec.Indirect, staticIndirect),
+		Op:      uint8(rec.Op),
+		NSrcs:   uint8(rec.NSrcs),
+		Srcs:    [2]uint8{uint8(rec.Srcs[0]), uint8(rec.Srcs[1])},
+		Dest:    uint8(rec.Dest),
+		MemSize: uint8(rec.MemSize),
+	}
+}
+
+// unexecuted marks a template no row may name: a valid template's PC is
+// its own index in the table.
+const unexecuted isa.PC = -1
+
+// template expands s into the ready-made record every row at pc decodes
+// from: the static fields set, the dynamic ones zero.
+func (s StaticInst) template(pc isa.PC) emu.Record {
+	if s.Flags&staticExecuted == 0 {
+		return emu.Record{PC: unexecuted}
+	}
+	return emu.Record{
+		PC:         pc,
+		Op:         isa.Opcode(s.Op),
+		Srcs:       [2]isa.Reg{isa.Reg(s.Srcs[0]), isa.Reg(s.Srcs[1])},
+		NSrcs:      int(s.NSrcs),
+		Dest:       isa.Reg(s.Dest),
+		MemSize:    int(s.MemSize),
+		IsLoad:     s.Flags&staticLoad != 0,
+		IsStore:    s.Flags&staticStore != 0,
+		IsCtrl:     s.Flags&staticCtrl != 0,
+		CondBranch: s.Flags&staticCond != 0,
+		IsCall:     s.Flags&staticCall != 0,
+		IsRet:      s.Flags&staticRet != 0,
+		Indirect:   s.Flags&staticIndirect != 0,
+		FallPC:     pc + 1,
+		MGID:       int(s.MGID),
+	}
+}
 
 // Trace is an immutable dynamic instruction stream in packed-record form,
 // held as fixed-size chunks. A Trace is safe for concurrent Readers once
@@ -86,16 +174,27 @@ type Trace struct {
 	chunkShift   uint  // log2(chunkRecords)
 	n            int64 // total rows
 
+	// static is the static table as ready-made record templates, indexed
+	// by pc: decoding a row is one copy of its pc's template plus the
+	// dynamic fields. A pc the trace never executed holds the unexecuted
+	// marker. The table is small (one entry per static instruction) and is
+	// not counted by SizeBytes or ResidentBytes.
+	static []emu.Record
+
 	// chunks holds each sealed chunk's packed rows; a nil entry is a
-	// spilled chunk whose payload lives behind source. crcs is the
-	// manifest: the IEEE CRC-32 of each chunk's raw rows, computed at
-	// seal time and re-checked on every fault-in.
+	// spilled chunk whose payload lives behind source. crcs and nexts are
+	// the manifest: the IEEE CRC-32 of each chunk's raw rows, computed at
+	// seal time and re-checked on every fault-in, and the NextPC of each
+	// chunk's last row.
 	chunks [][]byte
 	crcs   []uint32
+	nexts  []isa.PC
 	source ChunkSource
 
-	// cur is the open (unsealed) chunk during capture; nil once built.
-	cur []byte
+	// cur is the open (unsealed) chunk during capture, nil once built;
+	// next is the NextPC of the last record appended to it.
+	cur  []byte
+	next isa.PC
 
 	// errMsg records the architectural fault that truncated the capture
 	// ("" = the program halted or the capture limit was reached). A Reader
@@ -201,18 +300,24 @@ func (t *Trace) Materialize() error {
 // wrong records.
 func (t *Trace) BindSource(src ChunkSource) { t.source = src }
 
-// Manifest returns the trace's chunk manifest: geometry, termination
-// state, and per-chunk row counts and checksums.
+// Manifest returns the trace's manifest: geometry, termination state, the
+// static table, and per-chunk row counts, checksums and next pcs.
 func (t *Trace) Manifest() Manifest {
 	m := Manifest{
 		ChunkRecords: t.ChunkRecords(),
 		Rows:         t.n,
 		Halted:       t.halted,
 		ErrMsg:       t.errMsg,
+		Static:       make([]StaticInst, len(t.static)),
 		Chunks:       make([]ChunkInfo, len(t.chunks)),
 	}
+	for pc := range t.static {
+		if tm := &t.static[pc]; tm.PC == isa.PC(pc) {
+			m.Static[pc] = staticOf(tm)
+		}
+	}
 	for i := range t.chunks {
-		m.Chunks[i] = ChunkInfo{Rows: t.chunkRows(int64(i)), CRC: t.crcs[i]}
+		m.Chunks[i] = ChunkInfo{Rows: t.chunkRows(int64(i)), CRC: t.crcs[i], NextPC: int64(t.nexts[i])}
 	}
 	return m
 }
@@ -232,23 +337,63 @@ func FromManifest(m Manifest, src ChunkSource) (*Trace, error) {
 	if int64(len(m.Chunks)) != (m.Rows+cr-1)/cr {
 		return nil, fmt.Errorf("trace: manifest has %d chunks for %d rows", len(m.Chunks), m.Rows)
 	}
+	if err := m.checkStatic(); err != nil {
+		return nil, err
+	}
 	t := &Trace{
 		chunkRecords: cr,
 		chunkShift:   uint(bits.TrailingZeros64(uint64(cr))),
 		n:            m.Rows,
+		static:       make([]emu.Record, len(m.Static)),
 		chunks:       make([][]byte, len(m.Chunks)),
 		crcs:         make([]uint32, len(m.Chunks)),
+		nexts:        make([]isa.PC, len(m.Chunks)),
 		source:       src,
 		errMsg:       m.ErrMsg,
 		halted:       m.Halted,
+	}
+	for pc, s := range m.Static {
+		t.static[pc] = s.template(isa.PC(pc))
 	}
 	for i, c := range m.Chunks {
 		if c.Rows != t.chunkRows(int64(i)) {
 			return nil, fmt.Errorf("trace: manifest chunk %d claims %d rows, geometry says %d", i, c.Rows, t.chunkRows(int64(i)))
 		}
-		t.crcs[i] = c.CRC
+		t.crcs[i], t.nexts[i] = c.CRC, isa.PC(c.NextPC)
 	}
 	return t, nil
+}
+
+// executed reports whether pc has a static-table entry the trace filled —
+// the damage check every stored pc passes before it indexes the table.
+func (t *Trace) executed(pc isa.PC) bool {
+	return uint64(pc) < uint64(len(t.static)) && t.static[pc].PC == pc
+}
+
+// fits checks the static table against prog, the program a reader is
+// about to bind: same length, and at every executed pc the opcode and
+// operand registers (and, for a handle, the mini-graph id) the trace
+// recorded. A trace that does not fit reads as ErrChunkUnavailable — it
+// is some other binary's trace, so for this one it is a miss.
+func (t *Trace) fits(prog *isa.Program) error {
+	if len(t.static) != prog.Len() {
+		return fmt.Errorf("%w: static table has %d entries, the program %d instructions",
+			ErrChunkUnavailable, len(t.static), prog.Len())
+	}
+	for pc := range t.static {
+		tm := &t.static[pc]
+		if tm.PC != isa.PC(pc) {
+			continue
+		}
+		in := &prog.Insts[pc]
+		srcs, n := in.SrcRegs()
+		if tm.Op != in.Op || tm.NSrcs != n || tm.Srcs != srcs ||
+			(in.Op.Info().Fmt == isa.FmtMG && tm.MGID != in.MGID) {
+			return fmt.Errorf("%w: static entry %d (%v) is not the program's instruction (%v)",
+				ErrChunkUnavailable, pc, tm.Op, in.Op)
+		}
+	}
+	return nil
 }
 
 // ChunkPayload returns chunk ci's raw packed rows: the resident payload,
@@ -275,49 +420,25 @@ func (t *Trace) ChunkPayload(ci int64) ([]byte, error) {
 	return data, nil
 }
 
-// appendRecord packs one record into the open chunk. Seq and FallPC are
-// derived at replay and not stored; Srcs beyond NSrcs are zero by
-// construction.
+// appendRecord packs one record's dynamic row into the open chunk and, the
+// first time its pc executes, files its static half in the static table.
 func (t *Trace) appendRecord(rec *emu.Record) {
-	f := uint16(rec.NSrcs) & flagNSrcsMask
-	if rec.IsLoad {
-		f |= flagLoad
+	if tm := &t.static[rec.PC]; tm.PC != rec.PC {
+		// Through the wire form, so the template a capture replays from is
+		// the one an adopter of its manifest rebuilds.
+		*tm = staticOf(rec).template(rec.PC)
 	}
-	if rec.IsStore {
-		f |= flagStore
-	}
-	if rec.IsCtrl {
-		f |= flagCtrl
-	}
-	if rec.CondBranch {
-		f |= flagCond
-	}
-	if rec.IsCall {
-		f |= flagCall
-	}
-	if rec.IsRet {
-		f |= flagRet
-	}
-	if rec.Indirect {
-		f |= flagIndirect
-	}
+	w := uint32(rec.PC)
 	if rec.Taken {
-		f |= flagTaken
+		w |= takenBit
 	}
 	var row [recordBytes]byte
-	binary.LittleEndian.PutUint32(row[0:], uint32(int32(rec.PC)))
-	binary.LittleEndian.PutUint32(row[4:], uint32(int32(rec.NextPC)))
-	binary.LittleEndian.PutUint32(row[8:], uint32(int32(rec.MGID)))
-	binary.LittleEndian.PutUint64(row[12:], uint64(rec.EA))
-	binary.LittleEndian.PutUint16(row[20:], f)
-	row[22] = uint8(rec.Op)
-	row[23] = uint8(rec.Srcs[0])
-	row[24] = uint8(rec.Srcs[1])
-	row[25] = uint8(rec.Dest)
-	row[26] = uint8(rec.MemSize)
-	binary.LittleEndian.PutUint64(row[27:], rec.DestVal)
-	binary.LittleEndian.PutUint64(row[35:], rec.StoreVal)
+	binary.LittleEndian.PutUint32(row[0:], w)
+	binary.LittleEndian.PutUint64(row[4:], uint64(rec.EA))
+	binary.LittleEndian.PutUint64(row[12:], rec.DestVal)
+	binary.LittleEndian.PutUint64(row[20:], rec.StoreVal)
 	t.cur = append(t.cur, row[:]...)
+	t.next = rec.NextPC
 	t.n++
 }
 
@@ -334,6 +455,7 @@ func (t *Trace) seal(sink ChunkSink) {
 	idx := int64(len(t.chunks))
 	crc := crc32.ChecksumIEEE(t.cur)
 	t.crcs = append(t.crcs, crc)
+	t.nexts = append(t.nexts, t.next)
 	if sink != nil && sink.SealChunk(idx, int64(len(t.cur))/recordBytes, t.cur, crc) == nil {
 		t.chunks = append(t.chunks, nil)
 	} else {
@@ -345,40 +467,6 @@ func (t *Trace) seal(sink ChunkSink) {
 		t.chunks = append(t.chunks, t.cur)
 	}
 	t.cur = nil
-}
-
-// fillRow reconstructs the record at sequence seq from its packed row
-// into dst. Every field is written, so dst may be reused across calls
-// without clearing. Inst is resolved through prog — the same lookup the
-// live emulator performs — so a Trace can be bound to any structurally
-// identical copy of the program it was captured from.
-func fillRow(dst *emu.Record, row []byte, seq int64, prog *isa.Program) {
-	row = row[:recordBytes:recordBytes]
-	pc := isa.PC(int32(binary.LittleEndian.Uint32(row[0:])))
-	f := binary.LittleEndian.Uint16(row[20:])
-	dst.Seq = seq
-	dst.PC = pc
-	dst.Op = isa.Opcode(row[22])
-	dst.Inst = prog.At(pc)
-	dst.Srcs[0] = isa.Reg(row[23])
-	dst.Srcs[1] = isa.Reg(row[24])
-	dst.NSrcs = int(f & flagNSrcsMask)
-	dst.Dest = isa.Reg(row[25])
-	dst.EA = isa.Addr(binary.LittleEndian.Uint64(row[12:]))
-	dst.MemSize = int(row[26])
-	dst.IsLoad = f&flagLoad != 0
-	dst.IsStore = f&flagStore != 0
-	dst.IsCtrl = f&flagCtrl != 0
-	dst.CondBranch = f&flagCond != 0
-	dst.IsCall = f&flagCall != 0
-	dst.IsRet = f&flagRet != 0
-	dst.Indirect = f&flagIndirect != 0
-	dst.Taken = f&flagTaken != 0
-	dst.NextPC = isa.PC(int32(binary.LittleEndian.Uint32(row[4:])))
-	dst.FallPC = pc + 1
-	dst.MGID = int(int32(binary.LittleEndian.Uint32(row[8:])))
-	dst.DestVal = binary.LittleEndian.Uint64(row[27:])
-	dst.StoreVal = binary.LittleEndian.Uint64(row[35:])
 }
 
 // captureCheckInterval is how many records elapse between context checks
@@ -425,6 +513,10 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 	t := &Trace{
 		chunkRecords: cr,
 		chunkShift:   uint(bits.TrailingZeros64(uint64(cr))),
+		static:       make([]emu.Record, prog.Len()),
+	}
+	for pc := range t.static {
+		t.static[pc].PC = unexecuted
 	}
 	chunkBytes := cr * recordBytes
 
@@ -502,29 +594,21 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 // ErrChunkUnavailable after the stream cuts off, mirroring how the live
 // stream surfaces an architectural fault.
 type Reader struct {
-	t       *Trace
-	prog    *isa.Program
 	win     *chunkWindow
 	serve   int64 // records available to this reader (limit-clamped)
 	cursor  int64
 	err     error
 	faultAt int64 // serve value before an I/O cutoff (for Err precedence)
 
-	// rows/rowsBase/rowsEnd cache the chunk under the cursor so the
-	// per-record path is one bounds-checked slice, as it was when the
-	// trace was a single flat buffer.
-	rows     []byte
-	rowsBase int64
-	rowsEnd  int64
-
 	scratch emu.Record
 }
 
 // NewReader opens a cursor over t bound to prog (the program t was
-// captured from, or a structurally identical copy). limit bounds served
-// records like Config.MaxRecords bounds the live stream (<= 0: no limit).
-// The chunk window is unbounded: every chunk faulted in stays resident
-// for the reader's lifetime.
+// captured from, or a structurally identical copy; a program t's static
+// table does not fit serves no records and reports ErrChunkUnavailable).
+// limit bounds served records like Config.MaxRecords bounds the live
+// stream (<= 0: no limit). The chunk window is unbounded: every chunk
+// faulted in stays resident for the reader's lifetime.
 func NewReader(t *Trace, prog *isa.Program, limit int64) *Reader {
 	return NewReaderWindowed(t, prog, limit, 0)
 }
@@ -535,45 +619,14 @@ func NewReader(t *Trace, prog *isa.Program, limit int64) *Reader {
 // trace is. Chunks the Trace itself retains are served directly and do
 // not count against the window.
 func NewReaderWindowed(t *Trace, prog *isa.Program, limit int64, windowChunks int) *Reader {
-	req := limit
-	if req <= 0 {
-		req = math.MaxInt64
-	}
-	serve := t.Len()
-	if req < serve {
-		serve = req
-	}
-	r := &Reader{t: t, prog: prog, serve: serve, win: newChunkWindow(t, windowChunks)}
-	if t.errMsg != "" && req > t.Len() {
-		// The live stream only hits the fault when asked to generate past
-		// it; a caller whose limit stops at or before the truncation point
-		// never observes the error.
-		r.err = t.Err()
-	}
+	r := &Reader{win: newChunkWindow(t, prog, windowChunks)}
+	r.serve, r.err = r.win.open(limit)
 	return r
 }
 
 // WindowStats reports the reader's chunk-window activity (faults,
 // evictions, peak resident bytes).
 func (r *Reader) WindowStats() WindowStats { return r.win.stats }
-
-// loadChunk points the row cache at the chunk containing seq, faulting it
-// in if necessary. On a source failure the stream cuts off at the cursor
-// and the failure surfaces through Err.
-func (r *Reader) loadChunk(seq int64) bool {
-	ci := seq >> r.t.chunkShift
-	data, err := r.win.rows(ci)
-	if err != nil {
-		r.err = err
-		r.faultAt = r.serve
-		r.serve = r.cursor
-		return false
-	}
-	r.rows = data
-	r.rowsBase = ci << r.t.chunkShift
-	r.rowsEnd = r.rowsBase + int64(len(data))/recordBytes
-	return true
-}
 
 // Next returns the record at the cursor, advancing it. ok=false means the
 // stream is exhausted (halt, limit, or fault — check Err). The returned
@@ -592,12 +645,14 @@ func (r *Reader) NextInto(dst *emu.Record) bool {
 	if r.cursor >= r.serve {
 		return false
 	}
-	if r.cursor < r.rowsBase || r.cursor >= r.rowsEnd {
-		if !r.loadChunk(r.cursor) {
-			return false
-		}
+	if err := r.win.fill(dst, r.cursor); err != nil {
+		// The stream cuts off at the cursor and the failure surfaces
+		// through Err.
+		r.err = err
+		r.faultAt = r.serve
+		r.serve = r.cursor
+		return false
 	}
-	fillRow(dst, r.rows[(r.cursor-r.rowsBase)*recordBytes:], r.cursor, r.prog)
 	r.cursor++
 	return true
 }

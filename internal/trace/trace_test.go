@@ -3,8 +3,12 @@ package trace_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -210,8 +214,9 @@ func TestCaptureLimitSemantics(t *testing.T) {
 	}
 }
 
-// faultSrc jumps to a PC far outside the program: the live stream and a
-// captured trace must surface the identical architectural fault.
+// faultSrc jumps to a PC outside the program: the live stream and a
+// captured trace must surface the identical architectural fault — and the
+// identical last record, whose NextPC is the out-of-program target.
 const faultSrc = `
         .text
 main:   li    r9, 12345
@@ -220,47 +225,71 @@ main:   li    r9, 12345
 `
 
 func TestCaptureFaultParity(t *testing.T) {
-	prog := asm.MustAssemble("fault", faultSrc)
+	// 12345 is past the end (the jump itself faults: "control transfer");
+	// a negative target is recorded and the *next* fetch faults, so the
+	// jump is the trace's last record and carries the target as NextPC —
+	// at full width: -1099511627771 does not fit the 32 bits a row once
+	// gave NextPC.
+	for _, target := range []int64{12345, -3, -1099511627771} {
+		prog := asm.MustAssemble("fault", strings.Replace(faultSrc, "12345", fmt.Sprint(target), 1))
 
-	s := emu.NewStream(emu.NewMachine(prog, nil), 16, 0)
-	var streamRecs int
-	for {
-		if _, ok := s.Next(); !ok {
-			break
+		s := emu.NewStream(emu.NewMachine(prog, nil), 16, 0)
+		var live []emu.Record
+		for {
+			rec, ok := s.Next()
+			if !ok {
+				break
+			}
+			live = append(live, *rec)
 		}
-		streamRecs++
-	}
-	if s.Err() == nil {
-		t.Fatal("live stream did not fault")
-	}
-
-	tr, err := trace.Capture(context.Background(), prog, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != int64(streamRecs) {
-		t.Fatalf("trace len %d, stream served %d", tr.Len(), streamRecs)
-	}
-	r := trace.NewReader(tr, prog, 0)
-	var replayRecs int
-	for {
-		if _, ok := r.Next(); !ok {
-			break
+		if s.Err() == nil {
+			t.Fatalf("target %d: live stream did not fault", target)
 		}
-		replayRecs++
-	}
-	if replayRecs != streamRecs {
-		t.Fatalf("replay served %d records, stream %d", replayRecs, streamRecs)
-	}
-	if r.Err() == nil || r.Err().Error() != s.Err().Error() {
-		t.Fatalf("fault mismatch: stream %q replay %q", s.Err(), r.Err())
-	}
+		if target < 0 && live[len(live)-1].NextPC != isa.PC(target) {
+			t.Fatalf("target %d: live stream's last record goes to %d", target, live[len(live)-1].NextPC)
+		}
 
-	// A reader bounded before the fault never sees it, exactly like a live
-	// stream bounded before the fault.
-	bounded := trace.NewReader(tr, prog, tr.Len())
-	if bounded.Err() != nil {
-		t.Fatalf("bounded reader err %v, want nil", bounded.Err())
+		tr, err := trace.Capture(context.Background(), prog, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != int64(len(live)) {
+			t.Fatalf("target %d: trace len %d, stream served %d", target, tr.Len(), len(live))
+		}
+		w := encodeWire(t, tr)
+		adopted, err := w.adopt()
+		if err != nil {
+			t.Fatalf("target %d: %v", target, err)
+		}
+		for name, from := range map[string]*trace.Trace{"captured": tr, "adopted": adopted} {
+			r := trace.NewReader(from, prog, 0)
+			var replayed []emu.Record
+			for {
+				rec, ok := r.Next()
+				if !ok {
+					break
+				}
+				replayed = append(replayed, *rec)
+			}
+			if len(replayed) != len(live) {
+				t.Fatalf("target %d, %s: replay served %d records, stream %d", target, name, len(replayed), len(live))
+			}
+			for i := range live {
+				if live[i] != replayed[i] {
+					t.Errorf("target %d, %s: record %d\nstream: %+v\nreplay: %+v", target, name, i, live[i], replayed[i])
+				}
+			}
+			if r.Err() == nil || r.Err().Error() != s.Err().Error() {
+				t.Fatalf("target %d, %s: fault mismatch: stream %q replay %q", target, name, s.Err(), r.Err())
+			}
+		}
+
+		// A reader bounded before the fault never sees it, exactly like a live
+		// stream bounded before the fault.
+		bounded := trace.NewReader(tr, prog, tr.Len())
+		if bounded.Err() != nil {
+			t.Fatalf("target %d: bounded reader err %v, want nil", target, bounded.Err())
+		}
 	}
 }
 
@@ -395,6 +424,17 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			w.manifest = append([]byte{}, w.manifest...)
 			w.manifest[len(w.manifest)-1] ^= 1
 		}},
+		{name: "manifest static table bit", bytes: func(w *wire) {
+			w.manifest = append([]byte{}, w.manifest...)
+			w.manifest[len(w.manifest)-16*len(w.frames)-7] ^= 1 // the last static entry's opcode
+		}},
+		{name: "manifest static flag unknown", manifest: func(m *trace.Manifest) { m.Static[0].Flags |= 1 << 15 }},
+		{name: "manifest static sources", manifest: func(m *trace.Manifest) { m.Static[0].NSrcs = 3 }},
+		{name: "manifest static unexecuted entry not empty", manifest: func(m *trace.Manifest) {
+			m.Static[0].Flags, m.Static[0].Op = 0, uint8(isa.OpAddq)
+		}},
+		{name: "manifest chunk continues outside the table", manifest: func(m *trace.Manifest) { m.Chunks[0].NextPC = int64(len(m.Static)) }},
+		{name: "manifest chunk continues at a negative pc", manifest: func(m *trace.Manifest) { m.Chunks[1].NextPC = -3 }},
 		{name: "manifest row count", manifest: func(m *trace.Manifest) { m.Rows++ }},
 		{name: "manifest chunk count", manifest: func(m *trace.Manifest) { m.Chunks = m.Chunks[:len(m.Chunks)-1] }},
 		{name: "manifest geometry", manifest: func(m *trace.Manifest) { m.ChunkRecords = 48 }},
@@ -408,6 +448,9 @@ func TestDecodeRejectsDamage(t *testing.T) {
 				t.Errorf("%s: FromManifest accepted the damaged manifest", c.name)
 			}
 			w.manifest = trace.EncodeManifest(m)
+			if _, err := trace.DecodeManifest(w.manifest); err == nil {
+				t.Errorf("%s: DecodeManifest accepted the damaged manifest", c.name)
+			}
 		}
 		if c.bytes != nil {
 			c.bytes(&w)
@@ -418,6 +461,68 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		}
 		if errors.Is(err, trace.ErrChunkUnavailable) != c.unavailable {
 			t.Errorf("%s: ErrChunkUnavailable=%v, want %v (err: %v)", c.name, !c.unavailable, c.unavailable, err)
+		}
+	}
+}
+
+// TestRowOutsideStaticTableIsAMiss: a row is trusted no further than its
+// chunk's CRC, and a CRC only says the bytes are the ones the manifest's
+// author checksummed. A row (or its successor, which supplies its NextPC)
+// naming a pc past the static table, or one the trace never executed,
+// cuts the stream there with ErrChunkUnavailable — through a solo reader
+// and a gang cursor alike — and never decodes into a record.
+func TestRowOutsideStaticTableIsAMiss(t *testing.T) {
+	prog := asm.MustAssemble("skip", `
+        .text
+main:   li    r1, 1
+        bne   r1, done
+        addq  r1, r1, r1
+done:   halt
+`)
+	tr, err := trace.Capture(context.Background(), prog, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 3 {
+		t.Fatalf("captured %d records, want 3 (the addq is skipped)", tr.Len())
+	}
+	good, err := tr.ChunkPayload(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		row    int
+		pc     uint32
+		served int64 // records before the cut
+	}{
+		// A bad pc already spoils the record before it, whose NextPC it is.
+		{"past the table", 1, uint32(prog.Len()), 0},
+		{"far past the table", 2, 1<<31 - 1, 1},
+		{"unexecuted", 2, 2, 1},
+		{"first row, taken bit set", 0, uint32(prog.Len()) | 1<<31, 0},
+	} {
+		raw := append([]byte{}, good...)
+		binary.LittleEndian.PutUint32(raw[c.row*trace.RecordBytes:], c.pc)
+		m := tr.Manifest()
+		m.Chunks[0].CRC = crc32.ChecksumIEEE(raw)
+		w := wire{manifest: trace.EncodeManifest(m), frames: [][]byte{trace.EncodeChunk(0, raw, false)}}
+		adopted, err := w.adopt()
+		if err != nil {
+			t.Fatalf("%s: a chunk its manifest vouches for was not adopted: %v", c.name, err)
+		}
+		var rec emu.Record
+		rd := trace.NewReader(adopted, prog, 0)
+		for rd.NextInto(&rec) {
+		}
+		if rd.Cursor() != c.served || !errors.Is(rd.Err(), trace.ErrChunkUnavailable) {
+			t.Errorf("%s: solo reader served %d records (want %d) and reported %v", c.name, rd.Cursor(), c.served, rd.Err())
+		}
+		cur := trace.NewGangReader(adopted, prog, 0).Cursor(0)
+		for cur.NextInto(&rec) {
+		}
+		if cur.Cursor() != c.served || !errors.Is(cur.Err(), trace.ErrChunkUnavailable) {
+			t.Errorf("%s: gang cursor served %d records (want %d) and reported %v", c.name, cur.Cursor(), c.served, cur.Err())
 		}
 	}
 }

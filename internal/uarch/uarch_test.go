@@ -196,11 +196,10 @@ loop:   ldq  r2, buf(r1)
 	}
 }
 
-func TestStoreSetViolationAndLearning(t *testing.T) {
-	// A store whose address forms slowly, then an immediate load of the
-	// same address: the load speculates ahead, violates, and store sets
-	// learn to synchronise the pair.
-	src := `
+// violSrc is a store whose address forms slowly, then an immediate load of
+// the same address: the load speculates ahead, violates, and store sets
+// learn to synchronise the pair.
+const violSrc = `
         .data
 slot:   .space 64
 ptr:    .word 0
@@ -219,7 +218,9 @@ loop:   mull r1, 1, r2
         bne  r9, loop
         halt
 `
-	p := asm.MustAssemble("viol", src)
+
+func TestStoreSetViolationAndLearning(t *testing.T) {
+	p := asm.MustAssemble("viol", violSrc)
 	res := run(t, uarch.Baseline(), p, nil)
 	if res.Violations == 0 {
 		t.Error("expected at least one memory-ordering violation")
