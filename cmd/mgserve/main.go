@@ -85,7 +85,7 @@ func main() {
 	addr := flag.String("addr", ":8347", "listen address")
 	cacheDir := flag.String("cache-dir", "", "persistent result store directory (empty = in-memory only)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "store size bound in bytes (0 = 1GiB default, negative = unbounded)")
-	scrub := flag.Bool("scrub", false, "verify every store entry's checksum at startup, deleting corrupt entries, orphan trace chunks, and manifests referencing missing chunks (requires -cache-dir); the report appears in /statsz")
+	scrub := flag.Bool("scrub", false, "verify every store entry and trace segment at startup, deleting the corrupt ones (requires -cache-dir); the report appears in /statsz")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
 	maxSweep := flag.Int("max-sweep-jobs", serve.DefaultMaxSweepJobs, "max arms per sweep request")
 	workers := flag.String("workers", "", "comma-separated worker base URLs; enables coordinator mode")
@@ -138,10 +138,10 @@ func main() {
 		if st == nil {
 			usageExit("-scrub requires -cache-dir")
 		}
-		rep := sim.ScrubStore(st)
+		rep := st.Scrub()
 		scrubReport = &rep
-		fmt.Fprintf(os.Stderr, "mgserve: scrub: %d entries scanned, %d corrupt deleted, %d orphan chunks deleted, %d manifests invalidated (%d bytes reclaimed), %d errors\n",
-			rep.Scanned, rep.Corrupt, rep.OrphanChunks, rep.ManifestsInvalidated, rep.BytesReclaimed, rep.Errors)
+		fmt.Fprintf(os.Stderr, "mgserve: scrub: %d entries and segments scanned, %d corrupt deleted (%d bytes reclaimed), %d errors\n",
+			rep.Scanned, rep.Corrupt, rep.BytesReclaimed, rep.Errors)
 	}
 
 	var workerURLs []string

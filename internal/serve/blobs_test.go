@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"minigraph/internal/sim"
+	"minigraph/internal/store"
 	"minigraph/internal/trace"
 )
 
@@ -27,26 +28,59 @@ func blobTestJob(t *testing.T) sim.SimJob {
 	return job
 }
 
-// TestBlobChunkEndpoints exercises the two forms of GET /v1/blobs/{key}
-// against a worker whose resident trace spans several chunks: the manifest
-// decodes and covers the trace, each chunk frame decodes and matches the
-// manifest's CRC, the fetched pieces materialize into a trace with the
-// same manifest, and a request naming neither form, or a malformed or
-// out-of-range chunk index, is rejected with the right status.
-func TestBlobChunkEndpoints(t *testing.T) {
+// eachBlobSource runs f against the two kinds of engine a blob request can
+// land on: one holding job's trace in memory ("resident"), and one that
+// holds nothing but a store into which another process published the trace
+// ("segment") — every manifest and chunk that one serves is a ranged read
+// of the trace's segment file, and it must never have to capture.
+func eachBlobSource(t *testing.T, job sim.SimJob, f func(t *testing.T, src *sim.Engine)) {
 	ctx := context.Background()
-	eng := sim.New(2).WithTraceChunkRecords(256)
+	t.Run("resident", func(t *testing.T) {
+		src := sim.New(2).WithTraceChunkRecords(256)
+		if _, err := src.Simulate(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		f(t, src)
+	})
+	t.Run("segment", func(t *testing.T) {
+		dir := t.TempDir()
+		engine := func() *sim.Engine {
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim.New(2).WithStore(st).WithTraceChunkRecords(256).WithTraceChunkWindow(2)
+		}
+		if _, err := engine().Simulate(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		src := engine()
+		f(t, src)
+		if st := src.Stats(); st.TraceCaptures != 0 || src.Store().Stats().Hits == 0 {
+			t.Errorf("blobs were not served from the stored segment: %+v, store %+v", st, src.Store().Stats())
+		}
+	})
+}
+
+// TestBlobChunkEndpoints exercises the two forms of GET /v1/blobs/{key}
+// against a worker whose trace spans several chunks, resident and behind
+// the store: the manifest decodes and covers the trace, each chunk frame
+// decodes and matches the manifest's CRC, the fetched pieces materialize
+// into a trace with the same manifest, and a request naming neither form,
+// or a malformed or out-of-range chunk index, is rejected with the right
+// status — and costs a stored trace nothing.
+func TestBlobChunkEndpoints(t *testing.T) {
+	job := blobTestJob(t)
+	eachBlobSource(t, job, func(t *testing.T, eng *sim.Engine) { testBlobChunkEndpoints(t, job, eng) })
+}
+
+func testBlobChunkEndpoints(t *testing.T, job sim.SimJob, eng *sim.Engine) {
 	srv := mustNew(t, Options{Engine: eng})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
 	})
-
-	job := blobTestJob(t)
-	if _, err := eng.Simulate(ctx, job); err != nil {
-		t.Fatal(err)
-	}
 	tk := job.Key().TraceKey()
 	kb, err := sim.EncodeTraceKey(tk)
 	if err != nil {
@@ -104,8 +138,16 @@ func TestBlobChunkEndpoints(t *testing.T) {
 			t.Errorf("GET %q: %d %s, want 400 with a JSON error", q, resp.StatusCode, body)
 		}
 	}
-	if resp, _ := getBody(t, base+"?chunk=999"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET ?chunk=999: %d, want 404", resp.StatusCode)
+	// One past the last chunk is where a stored trace keeps its manifest;
+	// neither that nor an index far past the end may be served, or cost the
+	// store the segment.
+	for _, q := range []string{"?chunk=" + strconv.Itoa(len(m.Chunks)), "?chunk=999"} {
+		if resp, _ := getBody(t, base+q); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", q, resp.StatusCode)
+		}
+	}
+	if resp, _ := getBody(t, base+"?chunk=0"); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET ?chunk=0 after the 404s: %d", resp.StatusCode)
 	}
 }
 
@@ -164,12 +206,12 @@ func (p *blobPeer) askedChunks() []int64 {
 // CRC, and hand over a trace whose manifest and every chunk payload are
 // byte-identical to the source worker's.
 func TestBlobFetchResumesAcrossPeers(t *testing.T) {
-	ctx := context.Background()
-	src := sim.New(2).WithTraceChunkRecords(256)
 	job := blobTestJob(t)
-	if _, err := src.Simulate(ctx, job); err != nil {
-		t.Fatal(err)
-	}
+	eachBlobSource(t, job, func(t *testing.T, src *sim.Engine) { testBlobFetchResumesAcrossPeers(t, job, src) })
+}
+
+func testBlobFetchResumesAcrossPeers(t *testing.T, job sim.SimJob, src *sim.Engine) {
+	ctx := context.Background()
 	tk := job.Key().TraceKey()
 	manifest, ok := src.TraceManifest(tk)
 	if !ok {
@@ -253,12 +295,12 @@ func TestBlobFetchResumesAcrossPeers(t *testing.T) {
 // fetch must fail loudly (the engine counts a peer reject) instead of
 // silently reporting "no peer had it".
 func TestBlobFetchAllPeersDamaged(t *testing.T) {
-	ctx := context.Background()
-	src := sim.New(2).WithTraceChunkRecords(256)
 	job := blobTestJob(t)
-	if _, err := src.Simulate(ctx, job); err != nil {
-		t.Fatal(err)
-	}
+	eachBlobSource(t, job, func(t *testing.T, src *sim.Engine) { testBlobFetchAllPeersDamaged(t, job, src) })
+}
+
+func testBlobFetchAllPeersDamaged(t *testing.T, job sim.SimJob, src *sim.Engine) {
+	ctx := context.Background()
 	tk := job.Key().TraceKey()
 	manifest, _ := src.TraceManifest(tk)
 	corruptAll := func(w http.ResponseWriter, frame []byte) {

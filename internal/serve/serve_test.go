@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -396,13 +398,67 @@ func TestStatszReportsStore(t *testing.T) {
 	if stats.Engine.SimRuns != 1 || stats.PipelineSims != 1 {
 		t.Errorf("engine stats %+v", stats)
 	}
-	// Three puts: the simulation outcome, the captured trace's single
-	// chunk entry, and the manifest naming it.
+	// Three puts: the simulation outcome, and the two records of the
+	// captured trace's segment — its single chunk and the manifest.
 	if stats.Store == nil || stats.Store.Puts != 3 {
 		t.Errorf("store stats %+v", stats.Store)
 	}
 	if stats.Workers != 2 || len(stats.Experiments) == 0 {
 		t.Errorf("stats %+v", stats)
+	}
+}
+
+// TestStatszScrubObject pins the /statsz "scrub" object to the four fields
+// a scrub still reports — a trace is one segment, checked and deleted as a
+// unit, so there are no orphan-chunk or invalidated-manifest counts — and
+// runs the startup sequence mgserve -scrub does over a store holding one
+// good entry and one damaged segment.
+func TestStatszScrubObject(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := newTestServer(t, st)
+	_, want := postJSON(t, ts.URL+"/v1/simulate", fastSpec("warm", true))
+	segs, _ := filepath.Glob(filepath.Join(st.Dir(), "*", "*"+store.SegExt))
+	if len(segs) != 1 {
+		t.Fatalf("want one trace segment on disk, found %v", segs)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 1
+	if err := os.WriteFile(segs[0], data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	rep := st.Scrub()
+	srv := mustNew(t, Options{Engine: sim.New(2).WithStore(st), Scrub: &rep})
+	ts2 := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts2.Close()
+		srv.Close()
+	})
+	_, body := getBody(t, ts2.URL+"/statsz")
+	var stats struct {
+		Scrub map[string]int64 `json:"scrub"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	reclaimed := stats.Scrub["bytes_reclaimed"]
+	delete(stats.Scrub, "bytes_reclaimed")
+	if fmt.Sprint(stats.Scrub) != "map[corrupt:1 errors:0 scanned:2]" || reclaimed != int64(len(data)) {
+		t.Errorf("scrub object %v with %d bytes reclaimed, want 2 scanned, 1 corrupt, %d bytes", stats.Scrub, reclaimed, len(data))
+	}
+	// The outcome entry survived the scrub, so the same job is a store hit.
+	if _, got := postJSON(t, ts2.URL+"/v1/simulate", fastSpec("warm", true)); !bytes.Equal(got, want) {
+		t.Errorf("response after the scrub differs:\n%s\n%s", got, want)
 	}
 }
 

@@ -387,9 +387,10 @@ func (e *Engine) memoTrace(key TraceKey) (*trace.Trace, bool) {
 	return nil, false
 }
 
-// storedManifest is the one lookup of key's manifest entry in the attached
-// store: the bytes as stored and the manifest they decode to. A missing,
-// damaged or stale entry is a miss.
+// storedManifest is the one lookup of key's manifest in the attached
+// store — the last record of the trace's segment, under the trace key: the
+// bytes as stored and the manifest they decode to. A missing, damaged or
+// stale record is a miss.
 func (e *Engine) storedManifest(key TraceKey) ([]byte, trace.Manifest, bool) {
 	if e.store == nil {
 		return nil, trace.Manifest{}, false
@@ -398,7 +399,7 @@ func (e *Engine) storedManifest(key TraceKey) ([]byte, trace.Manifest, bool) {
 	if err != nil {
 		return nil, trace.Manifest{}, false
 	}
-	data, ok := e.store.Get(kb)
+	data, ok := e.store.GetRecord(kb, -1, kb)
 	if !ok {
 		return nil, trace.Manifest{}, false
 	}
@@ -406,18 +407,23 @@ func (e *Engine) storedManifest(key TraceKey) ([]byte, trace.Manifest, bool) {
 	return data, m, err == nil
 }
 
-// storedChunk is the one lookup of a chunk entry of key's trace in the
-// attached store: the frame as stored and the raw rows it decodes to
-// (frame-verified; the caller still checks them against its manifest).
+// storedChunk is the one lookup of a chunk of key's trace in the attached
+// store — record index of the trace's segment, under the chunk's key: the
+// frame as stored and the raw rows it decodes to (frame-verified; the
+// caller still checks them against its manifest).
 func (e *Engine) storedChunk(key TraceKey, index int64) (frame, raw []byte, err error) {
-	if e.store == nil {
-		return nil, nil, errors.New("sim: no store attached")
+	if e.store == nil || index < 0 { // GetRecord reads a negative index as the last record
+		return nil, nil, fmt.Errorf("sim: trace chunk %d not in store", index)
+	}
+	seg, err := EncodeTraceKey(key)
+	if err != nil {
+		return nil, nil, err
 	}
 	kb, err := EncodeTraceChunkKey(key, index)
 	if err != nil {
 		return nil, nil, err
 	}
-	frame, ok := e.store.Get(kb)
+	frame, ok := e.store.GetRecord(seg, int(index), kb)
 	if !ok {
 		return nil, nil, fmt.Errorf("sim: trace chunk %d not in store", index)
 	}
@@ -426,7 +432,7 @@ func (e *Engine) storedChunk(key TraceKey, index int64) (frame, raw []byte, err 
 		return nil, nil, err
 	}
 	if idx != index {
-		return nil, nil, fmt.Errorf("sim: trace chunk entry %d carries index %d", index, idx)
+		return nil, nil, fmt.Errorf("sim: trace chunk record %d carries index %d", index, idx)
 	}
 	return frame, raw, nil
 }
@@ -457,12 +463,14 @@ func (e *Engine) TraceChunk(key TraceKey, index int64) ([]byte, bool) {
 }
 
 // storeChunkIO moves one trace's chunks between a Trace and the engine's
-// store: it is the ChunkSink captures spill sealed chunks through and the
-// ChunkSource replays fault them back in from. Safe for concurrent use
-// (the store is; the struct is immutable).
+// store: it is the ChunkSink a capture spills sealed chunks through, into
+// the segment w is staging, and the ChunkSource replays fault them back in
+// from once that segment is published. Reads are safe for concurrent use
+// (the store is); a capture is the only writer.
 type storeChunkIO struct {
 	e  *Engine
 	tk TraceKey
+	w  *store.SegmentWriter // nil when only reading
 }
 
 func (s *storeChunkIO) SealChunk(index, rows int64, data []byte, crc uint32) error {
@@ -470,16 +478,21 @@ func (s *storeChunkIO) SealChunk(index, rows int64, data []byte, crc uint32) err
 	if err != nil {
 		return err
 	}
-	if err := s.e.store.Put(kb, trace.EncodeChunk(index, data, s.e.traceCompress)); err != nil {
-		return err
-	}
-	s.e.storePuts.Add(1)
-	return nil
+	return s.e.appendRecord(s.w, kb, trace.EncodeChunk(index, data, s.e.traceCompress))
 }
 
 func (s *storeChunkIO) FetchChunk(index int64) ([]byte, error) {
 	_, raw, err := s.e.storedChunk(s.tk, index)
 	return raw, err
+}
+
+// appendRecord adds one record to the segment w is staging.
+func (e *Engine) appendRecord(w *store.SegmentWriter, key, value []byte) error {
+	err := w.Append(key, value)
+	if err == nil {
+		e.storePuts.Add(1)
+	}
+	return err
 }
 
 // WithLiveStream switches the engine to live, step-by-step functional
@@ -724,10 +737,10 @@ func (e *Engine) sourceTrace(ctx context.Context, key SimKey, pr *Prepared, prog
 	return e.captureTier(ctx, key, pr, prog, templates)
 }
 
-// storeTier loads tk's trace from the attached store: the manifest entry
-// under the trace key, chunk payloads behind chunk entries. A trace whose
-// chunks do not all verify loses its manifest, so it reads as a clean miss
-// everywhere (the chunks it named become scrub fodder).
+// storeTier loads tk's trace from the attached store: the manifest and the
+// chunk payloads are records of the trace's one segment. A trace whose
+// chunks do not all verify loses the segment, so it reads as a clean miss
+// everywhere.
 func (e *Engine) storeTier(tk TraceKey) *trace.Trace {
 	_, m, ok := e.storedManifest(tk)
 	if !ok {
@@ -735,11 +748,11 @@ func (e *Engine) storeTier(tk TraceKey) *trace.Trace {
 	}
 	tr, err := trace.FromManifest(m, &storeChunkIO{e: e, tk: tk})
 	if err == nil {
-		tr, err = e.adopt(tk, tr, tierStore)
+		tr, err = e.adopt(tk, tr, tierStore, nil)
 	}
 	if err != nil {
 		if kb, kerr := EncodeTraceKey(tk); kerr == nil {
-			e.store.Delete(kb)
+			e.store.DeleteSegment(kb)
 		}
 		return nil
 	}
@@ -756,7 +769,7 @@ func (e *Engine) peerTier(ctx context.Context, tk TraceKey) *trace.Trace {
 	}
 	tr, err := e.traceFetch(ctx, tk)
 	if err == nil && tr != nil {
-		tr, err = e.adopt(tk, tr, tierPeer)
+		tr, err = e.adopt(tk, tr, tierPeer, nil)
 	}
 	if err != nil {
 		e.tracePeerRejects.Add(1)
@@ -769,24 +782,38 @@ func (e *Engine) peerTier(ctx context.Context, tk TraceKey) *trace.Trace {
 }
 
 // captureTier emulates key's binary. With a store and a bounded window,
-// sealed chunks spill to the store as capture proceeds — the capture
-// itself never holds more than one open chunk — and adopt lands the
-// manifest after every chunk is durable.
+// sealed chunks spill as capture proceeds into the segment the trace will
+// be published as — the capture itself never holds more than one open
+// chunk — and adopt publishes it once the manifest is in. A trace the
+// profile says the store's budget cannot hold is refused that segment
+// before it is opened, and is captured resident.
 func (e *Engine) captureTier(ctx context.Context, key SimKey, pr *Prepared, prog *isa.Program, templates []*core.Template) (*trace.Trace, error) {
 	tk := key.TraceKey()
-	io := &storeChunkIO{e: e, tk: tk}
+	var w *store.SegmentWriter
 	var sink trace.ChunkSink
 	if e.boundedReplay() {
-		sink = io
+		kb, err := EncodeTraceKey(tk)
+		if err != nil {
+			return nil, err
+		}
+		rows := pr.Prof.DynInsts
+		if limit := key.Config.MaxRecords; limit > 0 && limit < rows {
+			rows = limit
+		}
+		w = e.store.BeginSegment(kb, rows*trace.RecordBytes)
+		defer w.Abort() // a no-op once adopt has published it
+		sink = &storeChunkIO{e: e, tk: tk, w: w}
 	}
 	tr, err := e.capture(ctx, key, pr, prog, templates, sink)
+	if err == nil && w != nil && w.Err() != nil && tr.Spilled() {
+		// The segment died holding chunks the capture had let go of; only
+		// capturing again, resident this time, brings them back.
+		tr, err = e.capture(ctx, key, pr, prog, templates, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if tr.Spilled() {
-		tr.BindSource(io)
-	}
-	return e.adopt(tk, tr, tierCapture)
+	return e.adopt(tk, tr, tierCapture, w)
 }
 
 // capture runs the functional emulation of key's binary into a fresh
@@ -809,16 +836,17 @@ type tier int
 const (
 	tierStore   tier = iota // untrusted, already durable
 	tierPeer                // untrusted, in memory only
-	tierCapture             // produced here; spilled chunks already durable
+	tierCapture             // produced here; spilled chunks staged in a segment
 )
 
 // adopt is the one step every tier's trace passes through on its way into
 // the engine: verify what crossed a trust boundary chunk by chunk against
-// its manifest, make what is not yet durable durable, and hold the result
-// the way replay wants it — resident with an unbounded chunk window,
+// its manifest, make what is not yet durable durable (w is the segment a
+// bounded capture spilled into, nil for every other trace), and hold the
+// result the way replay wants it — resident with an unbounded chunk window,
 // spilled behind the store with a bounded one. An error means a chunk
 // failed verification; no part of such a trace is ever replayed.
-func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier) (*trace.Trace, error) {
+func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier, w *store.SegmentWriter) (*trace.Trace, error) {
 	bounded := e.boundedReplay()
 	switch {
 	case from == tierCapture:
@@ -838,7 +866,7 @@ func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier) (*trace.Trace, e
 			return nil, err
 		}
 	}
-	if from == tierStore || e.store == nil || !e.persistTrace(tk, tr) || !bounded {
+	if from == tierStore || e.store == nil || !e.persistTrace(tk, tr, w) || !bounded {
 		return tr, nil
 	}
 	// Durable in chunked form: hold the spilled equivalent, so residency
@@ -846,32 +874,30 @@ func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier) (*trace.Trace, e
 	return trace.FromManifest(tr.Manifest(), &storeChunkIO{e: e, tk: tk})
 }
 
-// persistTrace writes tr's resident chunks and then its manifest to the
-// store — in that order, so a crash between the two leaves orphan chunks
-// (scrub fodder) rather than a manifest naming missing chunks. Chunks
-// already spilled are already durable and are skipped. Returns false if
-// any write failed, in which case the manifest is not written and the
-// store reads as a clean miss.
-func (e *Engine) persistTrace(tk TraceKey, tr *trace.Trace) bool {
+// persistTrace publishes tr as one store segment: its chunks in index
+// order, then its manifest under the trace key, then the rename that makes
+// all of it visible at once — so a crash at any point before that leaves a
+// staging file and no trace, never part of one. A bounded capture has
+// spilled the chunks into w already; any other trace is resident and is
+// written whole here. Returns false if anything failed or the store's
+// budget refused the trace, in which case the store reads as a clean miss.
+func (e *Engine) persistTrace(tk TraceKey, tr *trace.Trace, w *store.SegmentWriter) bool {
 	keyBytes, err := EncodeTraceKey(tk)
 	if err != nil {
 		return false
 	}
-	io := &storeChunkIO{e: e, tk: tk}
-	for ci := int64(0); ci < tr.NumChunks(); ci++ {
-		if !tr.ChunkResident(ci) {
-			continue
-		}
-		raw, err := tr.ChunkPayload(ci)
-		if err != nil || io.SealChunk(ci, int64(len(raw))/trace.RecordBytes, raw, tr.ChunkCRC(ci)) != nil {
-			return false
+	if w == nil {
+		w = e.store.BeginSegment(keyBytes, tr.SizeBytes())
+		defer w.Abort()
+		sink := &storeChunkIO{e: e, tk: tk, w: w}
+		for ci := int64(0); ci < tr.NumChunks(); ci++ {
+			raw, err := tr.ChunkPayload(ci)
+			if err != nil || sink.SealChunk(ci, int64(len(raw))/trace.RecordBytes, raw, tr.ChunkCRC(ci)) != nil {
+				return false
+			}
 		}
 	}
-	if e.store.Put(keyBytes, trace.EncodeManifest(tr.Manifest())) != nil {
-		return false
-	}
-	e.storePuts.Add(1)
-	return true
+	return e.appendRecord(w, keyBytes, trace.EncodeManifest(tr.Manifest())) == nil && w.Publish() == nil
 }
 
 // loadOutcome is the store read-before of one arm: the arm's store key

@@ -9,6 +9,7 @@ import (
 
 	"minigraph/internal/core"
 	"minigraph/internal/store"
+	"minigraph/internal/trace"
 	"minigraph/internal/uarch"
 	"minigraph/internal/workload"
 )
@@ -60,8 +61,8 @@ func TestEngineStoreColdProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := warm.Stats()
-	// Each job writes through its outcome plus its captured trace in
-	// chunked form — one chunk entry (these captures fit in a single
+	// Each job writes through its outcome plus its captured trace as a
+	// segment of two records — one chunk (these captures fit in a single
 	// chunk) and the manifest naming it; the four jobs are four distinct
 	// trace identities here.
 	if ws.StoreHits != 0 || ws.StoreMisses != int64(len(jobs)) || ws.StorePuts != 3*int64(len(jobs)) {
@@ -72,6 +73,9 @@ func TestEngineStoreColdProcess(t *testing.T) {
 	}
 	if ws.TraceCaptures != int64(len(jobs)) || ws.TraceStoreHits != 0 {
 		t.Fatalf("warm run trace counters: %+v", ws)
+	}
+	if n := warm.Store().Len(); n != 2*len(jobs) {
+		t.Fatalf("warm run left %d store files, want an entry and a segment a job", n)
 	}
 
 	// Cold process: fresh engine, fresh store handle, same directory.
@@ -117,18 +121,18 @@ func TestEngineStoreCorruptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncate every stored entry (recency sidecars are not entries). Each
-	// job persisted an outcome, one trace chunk, and the trace manifest.
+	// Truncate every stored file (recency sidecars are not entries). Each
+	// job persisted an outcome entry and a trace segment.
 	var damaged int
 	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || filepath.Ext(p) != store.EntryExt {
+		if ext := filepath.Ext(p); err != nil || info.IsDir() || ext != store.EntryExt && ext != store.SegExt {
 			return err
 		}
 		damaged++
 		return os.Truncate(p, info.Size()/2)
 	})
-	if err != nil || damaged != 3*len(jobs) {
-		t.Fatalf("damaged %d files (%v), want %d", damaged, err, 3*len(jobs))
+	if err != nil || damaged != 2*len(jobs) {
+		t.Fatalf("damaged %d files (%v), want %d", damaged, err, 2*len(jobs))
 	}
 
 	cold := New(2).WithStore(openStore(t, dir))
@@ -191,51 +195,83 @@ func TestEngineStoreKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// TestOversizedTraceRefusedByStore: with a store budget smaller than a
-// captured trace's chunk, the chunk's write-through is refused (counted in
-// RejectedPuts) while the much smaller outcome entries still persist —
-// the giant chunk must not evict the whole store. A cold engine then
-// answers from the persisted outcomes without recapturing.
+// TestOversizedTraceRefusedByStore: a trace larger than the store's budget
+// is refused as the unit it is stored as — one RejectedPuts, however many
+// chunks it has and however small each is — rather than admitted chunk by
+// chunk until it has evicted the whole store, its own head included. The
+// much smaller outcome entries still persist, nothing is evicted, no
+// staging file is left, and a cold engine answers from the outcomes without
+// recapturing. 3000 records are ~84 KB of rows in twelve ~7 KB chunks.
 func TestOversizedTraceRefusedByStore(t *testing.T) {
-	dir := t.TempDir()
-	// 3000 records are one ~126KB chunk; 24KB holds outcomes but never it.
-	st, err := store.Open(dir, store.Options{MaxBytes: 24 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	pk := PrepareKey{Bench: "sha", Input: workload.InputTrain}
 	base := uarch.Baseline()
 	base.MaxRecords = 3000
 	job := Baseline(pk, base)
-
-	warm := New(2).WithStore(st)
-	out, err := warm.Simulate(ctx, job)
+	ref, err := New(2).Simulate(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := st.Stats()
-	if ss.RejectedPuts == 0 {
-		t.Fatalf("trace chunk slipped under the %d-byte budget: %+v", 24<<10, ss)
-	}
-	if ss.Evictions != 0 {
-		t.Errorf("oversized chunk evicted store entries: %+v", ss)
-	}
-	if ss.Entries == 0 {
-		t.Error("outcome entry was not persisted")
-	}
 
-	// Cold process: outcome answered from disk, no pipeline run.
-	cold := New(2).WithStore(openStore(t, dir))
-	out2, err := cold.Simulate(ctx, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es := cold.Stats()
-	if es.StoreHits != 1 || es.PipelineSims() != 0 {
-		t.Errorf("cold engine stats %+v", es)
-	}
-	if out.Result.Cycles != out2.Result.Cycles {
-		t.Errorf("cold outcome diverged: %d vs %d cycles", out.Result.Cycles, out2.Result.Cycles)
+	for _, tc := range []struct {
+		name     string
+		max      int64
+		window   int
+		captures int64
+	}{
+		// Resident: the whole trace is offered at once, at its exact size.
+		{"resident", 24 << 10, 0, 1},
+		// Spilling: the profile says up front that it cannot fit.
+		{"spilling", 24 << 10, testChunkWindow, 1},
+		// Spilling into a budget the rows alone fit but rows plus envelopes
+		// and manifest do not: only the appends find out, after the capture
+		// has let go of the chunks the dead segment held — so it captures
+		// again, resident.
+		{"spilling, found out late", 3000*trace.RecordBytes + 2<<10, testChunkWindow, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir, store.Options{MaxBytes: tc.max})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := New(2).WithStore(st).WithTraceChunkRecords(testChunkRecords).WithTraceChunkWindow(tc.window)
+			out, err := warm.Simulate(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Result.Cycles != ref.Result.Cycles {
+				t.Errorf("outcome diverged: %d vs %d cycles", out.Result.Cycles, ref.Result.Cycles)
+			}
+			ss := st.Stats()
+			if ss.RejectedPuts != 1 || ss.Evictions != 0 {
+				t.Errorf("want the trace refused once and nothing evicted: %+v", ss)
+			}
+			if ss.Entries != 1 {
+				t.Errorf("want the outcome entry alone in the store: %+v", ss)
+			}
+			if ws := warm.Stats(); ws.TraceCaptures != tc.captures || ws.StorePuts == 0 {
+				t.Errorf("warm engine stats %+v, want %d captures", ws, tc.captures)
+			}
+			filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+				if err == nil && !info.IsDir() && filepath.Ext(p) != store.EntryExt && filepath.Ext(p) != ".seq" {
+					t.Errorf("refused trace left %s behind", filepath.Base(p))
+				}
+				return nil
+			})
+
+			// Cold process: outcome answered from disk, no pipeline run.
+			cold := New(2).WithStore(openStore(t, dir))
+			out2, err := cold.Simulate(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if es := cold.Stats(); es.StoreHits != 1 || es.PipelineSims() != 0 {
+				t.Errorf("cold engine stats %+v", es)
+			}
+			if out.Result.Cycles != out2.Result.Cycles {
+				t.Errorf("cold outcome diverged: %d vs %d cycles", out.Result.Cycles, out2.Result.Cycles)
+			}
+		})
 	}
 }

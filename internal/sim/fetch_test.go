@@ -133,8 +133,8 @@ func TestTraceFetcherAdoptsPeerBlob(t *testing.T) {
 		t.Errorf("sourceless fetcher perturbed counters: %+v", st)
 	}
 
-	// Store + bounded window: the adopted trace is written through as
-	// manifest + every chunk and held spilled, so a transfer never breaks
+	// Store + bounded window: the adopted trace is written through as one
+	// segment, every chunk then the manifest, and held spilled, so a transfer never breaks
 	// the residency bound...
 	dir := t.TempDir()
 	fetched.Store(0)
@@ -154,16 +154,20 @@ func TestTraceFetcherAdoptsPeerBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := disk.Get(kb); !ok || !bytes.Equal(data, trace.EncodeManifest(m)) {
+	if data, ok := disk.GetRecord(kb, -1, kb); !ok || !bytes.Equal(data, trace.EncodeManifest(m)) {
 		t.Error("store does not hold the adopted trace's manifest")
 	}
 	for i := range chunks {
-		if kb, err = EncodeTraceChunkKey(tk, int64(i)); err != nil {
+		ck, err := EncodeTraceChunkKey(tk, int64(i))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := disk.Get(kb); !ok {
+		if _, ok := disk.GetRecord(kb, i, ck); !ok {
 			t.Errorf("store does not hold adopted chunk %d", i)
 		}
+	}
+	if disk.Len() != 2 {
+		t.Errorf("an adopted trace and one outcome are %d store files, want 2", disk.Len())
 	}
 
 	// ...and a cold engine on that store replays a new arm over the same

@@ -16,7 +16,7 @@ func TestEnvelopeEveryBitAndPrefix(t *testing.T) {
 	if err := s.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
-	path := s.pathFor(hashKey(key))
+	path := s.pathFor(hashKey(key) + EntryExt)
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

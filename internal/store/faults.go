@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -65,15 +64,9 @@ func (c FaultCounters) Total() int64 {
 type FaultInjector struct {
 	cfg FaultConfig
 
-	mu  sync.Mutex
+	mu  sync.Mutex // guards rng and n
 	rng *rand.Rand
-
-	tornWrites atomic.Int64
-	bitFlips   atomic.Int64
-	truncates  atomic.Int64
-	writeErrs  atomic.Int64
-	readErrs   atomic.Int64
-	delays     atomic.Int64
+	n   FaultCounters
 }
 
 // NewFaultInjector builds an injector from cfg, seeded by cfg.Seed.
@@ -83,22 +76,24 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 
 // Counters snapshots the per-class fault counts.
 func (f *FaultInjector) Counters() FaultCounters {
-	return FaultCounters{
-		TornWrites: f.tornWrites.Load(),
-		BitFlips:   f.bitFlips.Load(),
-		Truncates:  f.truncates.Load(),
-		WriteErrs:  f.writeErrs.Load(),
-		ReadErrs:   f.readErrs.Load(),
-		Delays:     f.delays.Load(),
-	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.n
 }
 
-// roll draws a uniform [0,1) variate under the injector's lock.
-func (f *FaultInjector) roll() float64 {
+// fire reports whether a fault of probability p strikes now, counting it
+// in n (a field of f.n) if so.
+func (f *FaultInjector) fire(p float64, n *int64) bool {
+	if p <= 0 {
+		return false
+	}
 	f.mu.Lock()
-	v := f.rng.Float64()
-	f.mu.Unlock()
-	return v
+	defer f.mu.Unlock()
+	if f.rng.Float64() >= p {
+		return false
+	}
+	*n++
+	return true
 }
 
 // intn draws a uniform [0,n) variate under the injector's lock.
@@ -110,51 +105,43 @@ func (f *FaultInjector) intn(n int) int {
 }
 
 func (f *FaultInjector) delay() {
-	if f.cfg.DelayP > 0 && f.roll() < f.cfg.DelayP {
-		f.delays.Add(1)
+	if f.fire(f.cfg.DelayP, &f.n.Delays) {
 		time.Sleep(f.cfg.Delay)
 	}
 }
 
-func (f *FaultInjector) failWrite() bool {
-	if f.cfg.WriteErr > 0 && f.roll() < f.cfg.WriteErr {
-		f.writeErrs.Add(1)
-		return true
+// read is the fault prologue of every read, safe on a nil injector: maybe a
+// delay, then maybe a transient failure (true), after which the caller
+// misses but leaves what it was reading on disk and indexed.
+func (f *FaultInjector) read() (failed bool) {
+	if f == nil {
+		return false
 	}
-	return false
+	f.delay()
+	return f.fire(f.cfg.ReadErr, &f.n.ReadErrs)
 }
 
-func (f *FaultInjector) failRead() bool {
-	if f.cfg.ReadErr > 0 && f.roll() < f.cfg.ReadErr {
-		f.readErrs.Add(1)
-		return true
+// write is the fault prologue of every write, safe on a nil injector: maybe
+// a delay, then either an injected error (nothing must be written) or the
+// bytes to write in data's place — data itself, or a fresh slice holding
+// at most one corruption of it (the caller's buffer is never aliased) that
+// the envelope's checksum or length equation must catch on the next read.
+func (f *FaultInjector) write(data []byte) ([]byte, error) {
+	if f == nil || len(data) == 0 {
+		return data, nil
 	}
-	return false
-}
-
-// corrupt applies at most one corruption class to the bytes about to be
-// published, returning a fresh slice when it fires (the caller's buffer is
-// never aliased).
-func (f *FaultInjector) corrupt(data []byte) []byte {
-	if len(data) == 0 {
-		return data
-	}
+	f.delay()
 	switch {
-	case f.cfg.TornWrite > 0 && f.roll() < f.cfg.TornWrite:
-		f.tornWrites.Add(1)
+	case f.fire(f.cfg.WriteErr, &f.n.WriteErrs):
+		return nil, errInjectedWrite
+	case f.fire(f.cfg.TornWrite, &f.n.TornWrites), f.fire(f.cfg.Truncate, &f.n.Truncates):
 		// Keep a strict prefix: at least one byte short, possibly empty.
-		n := f.intn(len(data))
-		return append([]byte(nil), data[:n]...)
-	case f.cfg.BitFlip > 0 && f.roll() < f.cfg.BitFlip:
-		f.bitFlips.Add(1)
+		return append([]byte(nil), data[:f.intn(len(data))]...), nil
+	case f.fire(f.cfg.BitFlip, &f.n.BitFlips):
 		out := append([]byte(nil), data...)
 		bit := f.intn(len(out) * 8)
 		out[bit/8] ^= 1 << (bit % 8)
-		return out
-	case f.cfg.Truncate > 0 && f.roll() < f.cfg.Truncate:
-		f.truncates.Add(1)
-		n := f.intn(len(data))
-		return append([]byte(nil), data[:n]...)
+		return out, nil
 	}
-	return data
+	return data, nil
 }

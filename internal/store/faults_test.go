@@ -34,7 +34,7 @@ func TestFaultTornWrite(t *testing.T) {
 	if got, ok := s.Get(key); ok {
 		t.Fatalf("Get returned %q from a torn write; want miss", got)
 	}
-	if _, err := os.Stat(s.pathFor(hashKey(key))); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.pathFor(hashKey(key) + EntryExt)); !os.IsNotExist(err) {
 		t.Error("damaged entry file should be deleted on read")
 	}
 	if c := fi.Counters(); c.TornWrites == 0 {

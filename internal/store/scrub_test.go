@@ -33,7 +33,7 @@ func TestScrub(t *testing.T) {
 		if err := s.Put(key, bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
 			t.Fatal(err)
 		}
-		path := s.pathFor(hashKey(key))
+		path := s.pathFor(hashKey(key) + EntryExt)
 		if i < 4 {
 			healthy = append(healthy, path)
 		} else {
@@ -127,88 +127,5 @@ func TestScrubEmpty(t *testing.T) {
 	s := mustOpen(t, nil)
 	if rep := s.Scrub(); rep != (ScrubReport{}) {
 		t.Errorf("empty scrub = %+v, want zero report", rep)
-	}
-}
-
-// TestScrubWithChunkSets drives the cross-entry pass through a toy
-// classifier (keys "m:<group>" are manifests whose value's first byte is
-// the chunk count; keys "c:<group>:<i>" are chunks) and checks every
-// orphan class: a manifest missing a chunk is invalidated and its
-// surviving chunks deleted with it, a chunk with no manifest at all is an
-// orphan, a chunk beyond its manifest's count is an orphan, and complete
-// groups plus unrelated entries survive untouched.
-func TestScrubWithChunkSets(t *testing.T) {
-	s := mustOpen(t, nil)
-	put := func(key, val string) {
-		t.Helper()
-		if err := s.Put([]byte(key), []byte(val)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Group a: complete (2 chunks) plus a stray chunk past the count.
-	put("m:a", "\x02manifest")
-	put("c:a:0", "rows0")
-	put("c:a:1", "rows1")
-	put("c:a:5", "stray")
-	// Group b: manifest names 2 chunks but chunk 1 is gone (evicted or
-	// deleted after the manifest landed).
-	put("m:b", "\x02manifest")
-	put("c:b:0", "rows0")
-	// Group c: chunks whose manifest never landed.
-	put("c:c:0", "rows0")
-	// An entry the classifier condemns outright.
-	put("m:bad", "no count byte means not a manifest")
-	// A bystander entry that takes no part in chunk sets.
-	put("outcome", "unrelated")
-
-	classify := func(key, value []byte) (EntryClass, bool) {
-		k := string(key)
-		switch {
-		case k == "m:bad":
-			return EntryClass{}, false
-		case len(k) > 2 && k[:2] == "m:":
-			return EntryClass{Kind: EntryManifest, Group: k[2:], Chunks: int64(value[0])}, true
-		case len(k) > 2 && k[:2] == "c:":
-			var group string
-			var idx int64
-			if _, err := fmt.Sscanf(k, "c:%1s:%d", &group, &idx); err != nil {
-				t.Fatalf("bad test key %q: %v", k, err)
-			}
-			return EntryClass{Kind: EntryChunk, Group: group, Chunk: idx}, true
-		}
-		return EntryClass{Kind: EntryOther}, true
-	}
-
-	rep := s.ScrubWith(ScrubOptions{Classify: classify})
-	if rep.Scanned != 9 {
-		t.Errorf("Scanned = %d, want 9", rep.Scanned)
-	}
-	if rep.Corrupt != 1 {
-		t.Errorf("Corrupt = %d, want 1 (the condemned pseudo-manifest)", rep.Corrupt)
-	}
-	if rep.ManifestsInvalidated != 1 {
-		t.Errorf("ManifestsInvalidated = %d, want 1 (group b)", rep.ManifestsInvalidated)
-	}
-	// Orphans: c:a:5 (past the count), c:b:0 (manifest invalidated with
-	// it), c:c:0 (no manifest).
-	if rep.OrphanChunks != 3 {
-		t.Errorf("OrphanChunks = %d, want 3", rep.OrphanChunks)
-	}
-
-	for _, key := range []string{"m:a", "c:a:0", "c:a:1", "outcome"} {
-		if _, ok := s.Get([]byte(key)); !ok {
-			t.Errorf("survivor %q was deleted", key)
-		}
-	}
-	for _, key := range []string{"c:a:5", "m:b", "c:b:0", "c:c:0", "m:bad"} {
-		if _, ok := s.Get([]byte(key)); ok {
-			t.Errorf("debris %q survived the scrub", key)
-		}
-	}
-
-	// The pass converges: a second scrub finds a clean store.
-	rep2 := s.ScrubWith(ScrubOptions{Classify: classify})
-	if rep2.Scanned != 4 || rep2.Corrupt+rep2.OrphanChunks+rep2.ManifestsInvalidated != 0 {
-		t.Errorf("second scrub = %+v, want 4 scanned and nothing deleted", rep2)
 	}
 }

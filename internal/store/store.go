@@ -23,6 +23,8 @@
 //     the sequence disambiguates same-process bursts, and the key breaks
 //     any remaining tie so every process reconstructs the same eviction
 //     order. Sidecars are 12 bytes and are not charged to the budget.
+//   - Values only ever written together, read in order and evicted together
+//     (the chunks of one trace) share one segment file: see segment.go.
 package store
 
 import (
@@ -50,23 +52,23 @@ import (
 //
 // Version history:
 //
-//	1: {version, key, value}.
-//	2: entries carry a sha256 checksum of the value, so silent media
-//	   corruption inside the payload is detected on read instead of being
-//	   handed to the caller (the JSON structure alone only catches damage
-//	   that breaks parsing or the recorded key).
-//	3: binary envelope (see encodeEntry) in place of JSON with a base64
-//	   value and hex checksum: same checks, a third fewer bytes on disk, and
-//	   a read returns the value as a sub-slice of the file's bytes. Entry
-//	   files are named <hash>.ent; recency sidecars are fixed 12-byte
-//	   records written in place.
+//	1: JSON {version, key, value}.
+//	2: adds a sha256 of the value, so damage inside the payload is a miss.
+//	3: binary envelope (see encodeEntry) in place of JSON; entry files are
+//	   <hash>.ent, recency sidecars fixed 12-byte records written in place.
+//	4: values written together share one segment file, <hash>.seg (see
+//	   segment.go), where v3 spent an entry file and a sidecar on each.
 //
 // Each version lives under its own v<N>/ directory; directories of other
 // versions are never read, written or deleted.
-const formatVersion = 3
+const formatVersion = 4
 
-// EntryExt is the filename extension of entry files.
-const EntryExt = ".ent"
+// EntryExt and SegExt are the filename extensions of entry and segment
+// files. The store indexes, budgets and evicts both alike, by file name.
+const (
+	EntryExt = ".ent"
+	SegExt   = ".seg"
+)
 
 // DefaultMaxBytes is the byte budget applied when Options.MaxBytes is zero
 // (1 GiB — roughly a million simulation outcomes).
@@ -74,8 +76,8 @@ const DefaultMaxBytes int64 = 1 << 30
 
 // Options configure a store.
 type Options struct {
-	// MaxBytes bounds the total size of entry files; least-recently-used
-	// entries are evicted beyond it (0 = DefaultMaxBytes, negative =
+	// MaxBytes bounds the total size of entry and segment files; the least
+	// recently used are evicted beyond it (0 = DefaultMaxBytes, negative =
 	// unbounded).
 	MaxBytes int64
 	// Faults, when non-nil, injects disk faults into Put and Get (tests
@@ -88,9 +90,9 @@ type Stats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Puts   int64 `json:"puts"`
-	// RejectedPuts counts puts refused because a single entry exceeded the
-	// byte budget; the entry is never written and later reads of its key
-	// miss, but the rest of the store stays intact.
+	// RejectedPuts counts puts refused because a single entry or segment
+	// exceeded the byte budget; it is never written and later reads of its
+	// key miss, but the rest of the store stays intact.
 	RejectedPuts int64 `json:"rejected_puts"`
 	Evictions    int64 `json:"evictions"`
 	Entries      int   `json:"entries"`
@@ -112,14 +114,17 @@ const (
 
 // encodeEntry builds the envelope for key and value.
 func encodeEntry(key, value []byte) []byte {
-	data := make([]byte, entryHeader, entryHeader+len(key)+len(value))
-	copy(data, entryMagic)
-	binary.LittleEndian.PutUint32(data[4:], formatVersion)
-	binary.LittleEndian.PutUint32(data[8:], uint32(len(key)))
-	binary.LittleEndian.PutUint64(data[12:], uint64(len(value)))
+	return appendEntry(make([]byte, 0, entryHeader+len(key)+len(value)), key, value)
+}
+
+// appendEntry appends the envelope for key and value to dst.
+func appendEntry(dst, key, value []byte) []byte {
+	dst = append(dst, entryMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, formatVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(value)))
 	sum := sha256.Sum256(value)
-	copy(data[20:], sum[:])
-	return append(append(data, key...), value...)
+	return append(append(append(dst, sum[:]...), key...), value...)
 }
 
 // parseEntry verifies an envelope end to end and returns the recorded key
@@ -144,25 +149,27 @@ func parseEntry(data []byte) (key, value []byte, ok bool) {
 	return key, value, true
 }
 
-// entryHash returns the hex key hash an entry file's name encodes, or false
-// for any other file (staging files, sidecars, strays).
-func entryHash(name string) (string, bool) {
-	hash, isEntry := strings.CutSuffix(name, EntryExt)
-	if !isEntry || len(hash) != sha256.Size*2 {
+// storedName reports whether name is an entry's or a segment's file name —
+// a hex key hash plus EntryExt or SegExt — and returns the hash. Anything
+// else (staging files, sidecars, strays) is neither.
+func storedName(name string) (hash string, ok bool) {
+	hash, ok = strings.CutSuffix(name, EntryExt)
+	if !ok {
+		hash, ok = strings.CutSuffix(name, SegExt)
+	}
+	if !ok || len(hash) != sha256.Size*2 {
 		return "", false
 	}
-	if _, err := hex.DecodeString(hash); err != nil {
-		return "", false
-	}
-	return hash, true
+	_, err := hex.DecodeString(hash)
+	return hash, err == nil
 }
 
-// indexed is the in-memory bookkeeping for one on-disk entry. elem is the
-// entry's node in the recency list, so touching and evicting are O(1).
+// indexed is the in-memory bookkeeping for one on-disk entry or segment.
+// elem is its node in the recency list, so touching and evicting are O(1).
 type indexed struct {
-	hash string
-	path string
+	name string // file name: key hash + extension
 	size int64
+	recs []span // a segment's record index once loaded; nil for an entry
 	elem *list.Element
 }
 
@@ -175,7 +182,7 @@ type Store struct {
 	faults *FaultInjector // nil outside fault-injection tests
 
 	mu    sync.Mutex
-	index map[string]*indexed // hex hash -> entry
+	index map[string]*indexed // file name -> entry or segment
 	lru   *list.List          // of *indexed; front = most recently used
 	bytes int64
 
@@ -192,29 +199,27 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes the
-// entries already present. Unparseable filenames are ignored; unparseable
-// entries are deleted lazily when read.
+// entries and segments already present. Unparseable filenames are ignored;
+// unparseable files are deleted lazily when read.
 func Open(dir string, opts Options) (*Store, error) {
-	max := opts.MaxBytes
-	if max == 0 {
-		max = DefaultMaxBytes
+	limit := opts.MaxBytes
+	if limit == 0 {
+		limit = DefaultMaxBytes
 	}
 	root := filepath.Join(dir, fmt.Sprintf("v%d", formatVersion))
 	if err := os.MkdirAll(root, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: root, max: max, faults: opts.Faults, index: make(map[string]*indexed), lru: list.New()}
+	s := &Store{dir: root, max: limit, faults: opts.Faults, index: make(map[string]*indexed), lru: list.New()}
 
-	// Index existing entries oldest-first so the recency list reflects
+	// Index existing files oldest-first so the recency list reflects
 	// on-disk modification times. Staging files orphaned by a crashed
-	// writer are swept once they are old enough that no live Put can
-	// still own them.
+	// writer are swept once they are old enough that no live Put or segment
+	// writer can still own them (every append freshens a staging file).
 	type found struct {
-		hash string
-		path string
-		size int64
-		mod  time.Time
-		seq  int64
+		indexed
+		mod time.Time
+		seq int64
 	}
 	var entries []found
 	var sidecars []string
@@ -236,12 +241,10 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 			return nil
 		}
-		hash, ok := entryHash(name)
-		if !ok {
-			return nil
+		if _, ok := storedName(name); ok {
+			entries = append(entries, found{indexed{name: name, size: info.Size()},
+				info.ModTime(), readSeq(path)})
 		}
-		entries = append(entries, found{hash: hash, path: path, size: info.Size(),
-			mod: info.ModTime(), seq: readSeq(path)})
 		return nil
 	})
 	if err != nil {
@@ -259,17 +262,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		if a.seq != b.seq {
 			return a.seq < b.seq
 		}
-		return a.hash < b.hash
+		return a.name < b.name
 	})
 	maxSeq := int64(0)
-	for _, f := range entries {
-		e := &indexed{hash: f.hash, path: f.path, size: f.size}
+	for i := range entries {
+		e := &entries[i].indexed
 		e.elem = s.lru.PushFront(e)
-		s.index[f.hash] = e
-		s.bytes += f.size
-		if f.seq > maxSeq {
-			maxSeq = f.seq
-		}
+		s.index[e.name] = e
+		s.bytes += e.size
+		maxSeq = max(maxSeq, entries[i].seq)
 	}
 	s.seq.Store(maxSeq)
 	// Sweep sidecars orphaned by a crashed eviction (entry gone, sidecar
@@ -318,8 +319,8 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-func (s *Store) pathFor(hash string) string {
-	return filepath.Join(s.dir, hash[:2], hash+EntryExt)
+func (s *Store) pathFor(name string) string {
+	return filepath.Join(s.dir, name[:2], name)
 }
 
 func hashKey(key []byte) string {
@@ -379,99 +380,173 @@ func removeEntry(path string) {
 
 // Get returns the value stored under key, or (nil, false). Damaged or
 // mismatched entries are deleted and reported as misses.
-func (s *Store) Get(key []byte) ([]byte, bool) {
-	hash := hashKey(key)
-	if s.faults != nil {
-		s.faults.delay()
-		if s.faults.failRead() {
-			// Transient read failure: the entry stays on disk and indexed
-			// (same semantics as a real transient ReadFile error below).
-			s.misses.Add(1)
-			return nil, false
-		}
-	}
+func (s *Store) Get(key []byte) ([]byte, bool) { return s.counted(s.get(key)) }
 
-	s.mu.Lock()
-	e, ok := s.index[hash]
-	var path string
+// counted tallies one read as a hit or a miss.
+func (s *Store) counted(val []byte, ok bool) ([]byte, bool) {
 	if ok {
-		path = e.path
+		s.hits.Add(1)
 	} else {
-		// The file may have been written by another process after Open.
-		path = s.pathFor(hash)
+		s.misses.Add(1)
 	}
-	s.mu.Unlock()
+	return val, ok
+}
 
-	data, err := os.ReadFile(path)
+func (s *Store) get(key []byte) ([]byte, bool) {
+	name := hashKey(key) + EntryExt
+	if s.faults.read() {
+		// Transient read failure: the entry stays on disk and indexed
+		// (same semantics as a real transient ReadFile error below).
+		return nil, false
+	}
+	// The file may have been written by another process after Open, so an
+	// entry this store has not indexed is still looked for.
+	data, err := os.ReadFile(s.pathFor(name))
 	if err != nil {
 		if os.IsNotExist(err) {
-			// The file is gone (evicted by another process): forget it.
-			// Transient read failures keep the index entry — the bytes
-			// are still on disk and must stay budgeted.
-			s.drop(hash, false)
+			// Gone (evicted by another process): forget it. A transient
+			// failure keeps the index entry — the bytes are still on disk
+			// and must stay budgeted.
+			s.drop(name, false)
 		}
-		s.misses.Add(1)
 		return nil, false
 	}
-	val, ok := decodeEntry(data, key)
-	if !ok {
-		s.drop(hash, true)
-		s.misses.Add(1)
+	k, val, ok := parseEntry(data)
+	if !ok || !bytes.Equal(k, key) {
+		s.drop(name, true)
 		return nil, false
 	}
+	s.admit(name, int64(len(data)), nil)
+	return val, true
+}
 
+// admit makes the file just written to (or read from) name's path the most
+// recently used thing in the store, in memory and on disk: it indexes a
+// file this store did not know (another process wrote it), re-sizes one it
+// did, and evicts whatever the change pushes past the byte budget.
+func (s *Store) admit(name string, size int64, recs []span) {
 	s.mu.Lock()
-	var victims []string
-	if e, ok := s.index[hash]; ok {
+	e, ok := s.index[name]
+	if ok {
 		s.lru.MoveToFront(e.elem)
 	} else {
-		// Found on disk but not indexed (another process wrote it): adopt
-		// it, evicting if the adoption pushes past the byte budget.
-		e := &indexed{hash: hash, path: path, size: int64(len(data))}
+		e = &indexed{name: name}
 		e.elem = s.lru.PushFront(e)
-		s.index[hash] = e
-		s.bytes += int64(len(data))
-		victims = s.evictLocked()
+		s.index[name] = e
 	}
+	s.bytes += size - e.size
+	e.size, e.recs = size, recs
+	victims := s.evictLocked()
 	s.mu.Unlock()
 	for _, v := range victims {
 		removeEntry(v)
 	}
-	s.touch(path)
-
-	s.hits.Add(1)
-	return val, true
+	s.touch(s.pathFor(name))
 }
 
-// decodeEntry parses an on-disk envelope and verifies it holds key with an
-// intact payload.
-func decodeEntry(data []byte, key []byte) ([]byte, bool) {
-	k, value, ok := parseEntry(data)
-	return value, ok && bytes.Equal(k, key)
-}
-
-// drop forgets (and optionally deletes) the entry for hash.
-func (s *Store) drop(hash string, remove bool) {
+// drop forgets (and optionally deletes) the entry or segment file name.
+func (s *Store) drop(name string, remove bool) {
 	s.mu.Lock()
-	e, ok := s.index[hash]
-	if ok {
-		delete(s.index, hash)
+	if e, ok := s.index[name]; ok {
+		delete(s.index, name)
 		s.lru.Remove(e.elem)
 		s.bytes -= e.size
 	}
 	s.mu.Unlock()
 	if remove {
-		path := s.pathFor(hash)
-		if ok {
-			path = e.path
-		}
-		removeEntry(path)
+		removeEntry(s.pathFor(name))
 	}
 }
 
 // Delete removes the entry stored under key (a no-op if absent).
 func (s *Store) Delete(key []byte) {
-	s.drop(hashKey(key), true)
+	s.drop(hashKey(key)+EntryExt, true)
+}
+
+// DeleteSegment removes the segment published under key (a no-op if absent).
+func (s *Store) DeleteSegment(key []byte) {
+	s.drop(hashKey(key)+SegExt, true)
+}
+
+// staged is a file on its way into the store: written under a temporary
+// name beside its final path, visible to no reader until publish renames it
+// there. The first failure is sticky and removes the file, so what a reader
+// can see is always a whole entry or a whole segment.
+type staged struct {
+	s    *Store
+	name string
+	f    *os.File
+	off  int64 // bytes the writer meant to write so far
+	err  error
+}
+
+func (s *Store) stage(name string) staged {
+	shard := filepath.Dir(s.pathFor(name))
+	f, err := os.CreateTemp(shard, "."+name+".tmp-")
+	if errors.Is(err, fs.ErrNotExist) {
+		// First file of its shard: only now pay for the directory.
+		if err = os.MkdirAll(shard, 0o777); err == nil {
+			f, err = os.CreateTemp(shard, "."+name+".tmp-")
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("store: %w", err)
+	}
+	return staged{s: s, name: name, f: f, err: err}
+}
+
+func (w *staged) fail(err error) error {
+	if w.err == nil {
+		w.err = err
+		if w.f != nil {
+			w.f.Close()
+			os.Remove(w.f.Name())
+		}
+	}
+	return w.err
+}
+
+// write puts data at the end of the file, through the fault injector's
+// write classes. The offset advances by what was meant to be written: a
+// torn or truncated record of a segment leaves a hole its checksum exposes
+// on read, not a shifted tail.
+func (w *staged) write(data []byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	out, err := w.s.faults.write(data)
+	if err == nil {
+		_, err = w.f.WriteAt(out, w.off)
+	}
+	if err != nil {
+		return w.fail(fmt.Errorf("store: write %s: %w", w.name[:8], err))
+	}
+	w.off += int64(len(data))
+	return nil
+}
+
+// publish renames the file into place as the store's most recently used,
+// atomically replacing any previous one of its name.
+func (w *staged) publish(recs []span) error {
+	if w.err != nil {
+		return w.err
+	}
+	if err := w.f.Close(); err != nil {
+		return w.fail(fmt.Errorf("store: close: %w", err))
+	}
+	if err := os.Rename(w.f.Name(), w.s.pathFor(w.name)); err != nil {
+		return w.fail(fmt.Errorf("store: publish: %w", err))
+	}
+	w.f = nil // nothing left for a later fail to remove
+	w.s.admit(w.name, w.off, recs)
+	w.s.puts.Add(int64(max(len(recs), 1))) // one a record; an entry is one
+	return nil
+}
+
+// refuse counts a write of size bytes the byte budget cannot hold.
+func (s *Store) refuse(size int64) error {
+	s.rejected.Add(1)
+	return fmt.Errorf("store: %d bytes exceed the %d-byte budget", size, s.max)
 }
 
 // Put stores value under key, atomically replacing any previous entry, and
@@ -480,72 +555,19 @@ func (s *Store) Delete(key []byte) {
 // (counted in Stats.RejectedPuts): admitting it would evict every other
 // entry only to leave a store that still cannot hold the working set.
 func (s *Store) Put(key, value []byte) error {
-	hash := hashKey(key)
+	name := hashKey(key) + EntryExt
 	data := encodeEntry(key, value)
-	if s.faults != nil {
-		s.faults.delay()
-		if s.faults.failWrite() {
-			return fmt.Errorf("store: write %s: %w", hash[:8], errInjectedWrite)
-		}
-		// Corrupt the bytes about to hit disk — the envelope checksum (or,
-		// for a truncation, the length equation) must catch this on the next
-		// Get.
-		data = s.faults.corrupt(data)
-	}
 	if s.max >= 0 && int64(len(data)) > s.max {
-		s.rejected.Add(1)
 		// Keep the documented semantics — after a refused put, reads of
 		// the key miss. Leaving an older value visible would hand callers
 		// that mutate a key in place (the async-job records) a stale state
 		// forever.
-		s.drop(hash, true)
-		return fmt.Errorf("store: %d-byte entry exceeds the %d-byte budget", len(data), s.max)
+		s.drop(name, true)
+		return s.refuse(int64(len(data)))
 	}
-
-	path := s.pathFor(hash)
-	shard := filepath.Dir(path)
-	tmp, err := os.CreateTemp(shard, "."+hash+".tmp-")
-	if errors.Is(err, fs.ErrNotExist) {
-		// First entry of its shard: only now pay for the directory.
-		if err = os.MkdirAll(shard, 0o777); err == nil {
-			tmp, err = os.CreateTemp(shard, "."+hash+".tmp-")
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: publish: %w", err)
-	}
-
-	s.mu.Lock()
-	if old, ok := s.index[hash]; ok {
-		s.bytes -= old.size
-		s.lru.Remove(old.elem)
-	}
-	e := &indexed{hash: hash, path: path, size: int64(len(data))}
-	e.elem = s.lru.PushFront(e)
-	s.index[hash] = e
-	s.bytes += int64(len(data))
-	victims := s.evictLocked()
-	s.mu.Unlock()
-
-	for _, v := range victims {
-		removeEntry(v)
-	}
-	s.touch(path)
-	s.puts.Add(1)
-	return nil
+	w := s.stage(name)
+	w.write(data) // a failure is sticky: publish reports it
+	return w.publish(nil)
 }
 
 // evictLocked trims the recency list to the byte budget from the LRU end
@@ -559,9 +581,9 @@ func (s *Store) evictLocked() []string {
 	for s.bytes > s.max && s.lru.Len() > 1 {
 		oldest := s.lru.Back().Value.(*indexed)
 		s.lru.Remove(oldest.elem)
-		delete(s.index, oldest.hash)
+		delete(s.index, oldest.name)
 		s.bytes -= oldest.size
-		victims = append(victims, oldest.path)
+		victims = append(victims, s.pathFor(oldest.name))
 		s.evictions.Add(1)
 	}
 	return victims

@@ -332,7 +332,7 @@ func tieMtimes(t *testing.T, s *Store, keys [][]byte) {
 	t.Helper()
 	tie := time.Now().Add(-time.Hour).Truncate(time.Second)
 	for _, k := range keys {
-		if err := os.Chtimes(s.pathFor(hashKey(k)), tie, tie); err != nil {
+		if err := os.Chtimes(s.pathFor(hashKey(k)+EntryExt), tie, tie); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -401,7 +401,7 @@ func TestEvictionTieBreakByKeyWithoutSidecars(t *testing.T) {
 				// Damage the sequence sidecars and tie every mtime: nothing
 				// but the key is left to order on.
 				for _, k := range keys {
-					path := s.pathFor(hashKey(k))
+					path := s.pathFor(hashKey(k) + EntryExt)
 					if readSeq(path) == 0 {
 						t.Fatalf("%s: no sequence persisted by Put", k)
 					}
@@ -471,7 +471,7 @@ func TestSidecarConcurrentHandles(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	got := readSeq(a.pathFor(hashKey(key)))
+	got := readSeq(a.pathFor(hashKey(key) + EntryExt))
 	fromA := got > aBase && got <= a.seq.Load()
 	fromB := got > bBase && got <= b.seq.Load()
 	if got != 0 && !fromA && !fromB {
@@ -496,7 +496,7 @@ func TestOpenResumesSequence(t *testing.T) {
 	if err := s2.Put([]byte("next"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readSeq(s2.pathFor(hashKey([]byte("next")))); got != 5 {
+	if got := readSeq(s2.pathFor(hashKey([]byte("next")) + EntryExt)); got != 5 {
 		t.Errorf("first write after reopen persisted sequence %d, want 5", got)
 	}
 }

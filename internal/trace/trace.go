@@ -271,10 +271,6 @@ func (t *Trace) Spilled() bool {
 	return false
 }
 
-// ChunkResident reports whether chunk ci's payload is held in memory by
-// the Trace itself.
-func (t *Trace) ChunkResident(ci int64) bool { return t.chunks[ci] != nil }
-
 // Materialize faults every spilled chunk in through the bound source and
 // retains it, leaving the trace fully resident (and fully CRC-verified).
 // Replay then needs no source at all — how a store load or a peer
