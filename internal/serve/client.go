@@ -134,7 +134,7 @@ func (c *Client) Simulate(ctx context.Context, js JobSpec) (*JobResult, error) {
 }
 
 // Outcome runs one job synchronously and returns the full canonical
-// outcome (result + selection). This is the worker-to-worker form the
+// outcome (result + extraction). This is the worker-to-worker form the
 // coordinator shards with; its round-trip is byte-exact, so reports
 // merged from Outcome calls match single-process execution.
 func (c *Client) Outcome(ctx context.Context, js JobSpec) (*sim.Outcome, error) {

@@ -532,7 +532,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleOutcome is the worker-facing form of /v1/simulate: it returns the
-// full canonical sim.Outcome encoding (result + selection), which is what
+// full canonical sim.Outcome encoding (result + extraction), which is what
 // the coordinator needs to rebuild a merged Report byte-identical to
 // single-process execution. Always served by the local engine — a
 // coordinator is not a worker.

@@ -11,9 +11,11 @@ import (
 
 // CodecVersion is the on-the-wire version of the canonical key and outcome
 // encodings. Any change to the shape of PrepareKey, SimKey, uarch.Result,
-// core.Selection or the envelope below must bump it: persisted entries
-// written under an older version then read back as misses instead of
-// decoding into garbage.
+// core.Template, the outcome payload or the envelope below must bump it:
+// persisted entries written under an older version then read back as
+// misses instead of decoding into garbage. The one exception is a change
+// every old encoding already fails under strict decoding (see the note
+// after 8).
 //
 // Version history:
 //
@@ -48,26 +50,50 @@ import (
 //	   (the trace codec would reject them anyway — this makes them
 //	   unreachable rather than rejected). v7 outcomes re-read as misses
 //	   too: one re-simulation each.
+//
+// The outcome payload changed shape under 8 without a bump: its
+// "selection" (the whole core.Selection, whose selected instances were up
+// to nine tenths of a mini-graph outcome's bytes and which no reader of
+// an outcome looks at) became "extraction" (the templates and the
+// coverage counts). The field's new name is the version here. An outcome written
+// with "selection" fails the strict decode as an unknown field, so it
+// reads as a miss, is re-simulated once and is overwritten under the same
+// key; a baseline outcome carries neither field, so its bytes did not
+// change and it stays a hit. Moving the constant instead would have moved
+// every key, and with them every stored trace and the coordinator's
+// rendezvous placement, for no gain.
 const CodecVersion = 8
 
-// envelope is the versioned wrapper around every encoded value. Payload
-// stays raw so encode→decode→encode is byte-stable for any payload the
-// current version accepts.
-type envelope struct {
-	V       int             `json:"v"`
-	Payload json.RawMessage `json:"p"`
-}
+// sealPrefix opens the versioned envelope {"v":CodecVersion,"p":payload}
+// that wraps every encoded value.
+var sealPrefix = fmt.Sprintf(`{"v":%d,"p":`, CodecVersion)
 
+// seal writes the envelope around payload's JSON encoding directly. The
+// bytes are exactly what marshalling a {V, P json.RawMessage} struct gave,
+// without compacting and re-scanning the payload a second time; keys are
+// content addresses, so codec_test pins the two byte for byte.
 func seal(payload any) ([]byte, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(envelope{V: CodecVersion, Payload: raw})
+	buf := make([]byte, 0, len(sealPrefix)+len(raw)+1)
+	buf = append(buf, sealPrefix...)
+	buf = append(buf, raw...)
+	return append(buf, '}'), nil
 }
 
+// open decodes an envelope and its payload in one strict pass: unknown
+// fields anywhere, trailing data and any version but CodecVersion are
+// errors. An absent payload leaves payload zero; the decoders check the
+// fields they need (an outcome's result, a trace key's kind). A null "p"
+// is an error: it would let a later duplicate "p" decode into a map,
+// where unknown fields are not checked.
 func open(data []byte, payload any) error {
-	var env envelope
+	env := struct {
+		V int `json:"v"`
+		P any `json:"p"`
+	}{P: payload}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&env); err != nil {
@@ -79,13 +105,8 @@ func open(data []byte, payload any) error {
 	if env.V != CodecVersion {
 		return fmt.Errorf("sim: codec version %d, want %d", env.V, CodecVersion)
 	}
-	pdec := json.NewDecoder(bytes.NewReader(env.Payload))
-	pdec.DisallowUnknownFields()
-	if err := pdec.Decode(payload); err != nil {
-		return fmt.Errorf("sim: payload: %w", err)
-	}
-	if pdec.More() {
-		return fmt.Errorf("sim: trailing data after payload")
+	if env.P != payload {
+		return fmt.Errorf("sim: payload is not an object")
 	}
 	return nil
 }
@@ -185,21 +206,43 @@ func DecodeTraceChunkKey(data []byte) (TraceKey, int64, error) {
 
 // outcomePayload is the persisted form of an Outcome.
 type outcomePayload struct {
-	Result    *uarch.Result   `json:"result"`
-	Selection *core.Selection `json:"selection,omitempty"`
+	Result     *uarch.Result `json:"result"`
+	Extraction *extraction   `json:"extraction,omitempty"`
+}
+
+// extraction is the part of a core.Selection that readers of an outcome
+// use: the MGT templates and the coverage counts. The selected instances
+// stay with the engine that extracted them.
+type extraction struct {
+	Templates      []*core.Template
+	CoveredInsts   int64
+	TotalInsts     int64
+	CandidateCount int
 }
 
 // EncodeOutcome renders a simulation outcome in the versioned JSON
-// encoding used by the persistent result store.
+// encoding used by the persistent result store and the worker wire.
+// Selection.Instances is not encoded.
 func EncodeOutcome(out *Outcome) ([]byte, error) {
 	if out == nil || out.Result == nil {
 		return nil, fmt.Errorf("sim: cannot encode empty outcome")
 	}
-	return seal(outcomePayload{Result: out.Result, Selection: out.Selection})
+	p := outcomePayload{Result: out.Result}
+	if s := out.Selection; s != nil {
+		p.Extraction = &extraction{
+			Templates:      s.Templates,
+			CoveredInsts:   s.CoveredInsts,
+			TotalInsts:     s.TotalInsts,
+			CandidateCount: s.CandidateCount,
+		}
+	}
+	return seal(p)
 }
 
 // DecodeOutcome parses an encoded outcome. A decoded outcome always has a
-// non-nil Result; Selection is nil for baseline jobs.
+// non-nil Result; Selection is nil for baseline jobs and otherwise has
+// Templates and the coverage counts but no Instances. It rejects what no
+// encoder writes: a null template and a negative count.
 func DecodeOutcome(data []byte) (*Outcome, error) {
 	var p outcomePayload
 	if err := open(data, &p); err != nil {
@@ -208,5 +251,22 @@ func DecodeOutcome(data []byte) (*Outcome, error) {
 	if p.Result == nil {
 		return nil, fmt.Errorf("sim: outcome missing result")
 	}
-	return &Outcome{Result: p.Result, Selection: p.Selection}, nil
+	out := &Outcome{Result: p.Result}
+	if x := p.Extraction; x != nil {
+		if x.CoveredInsts < 0 || x.TotalInsts < 0 || x.CandidateCount < 0 {
+			return nil, fmt.Errorf("sim: outcome extraction has a negative count")
+		}
+		for i, t := range x.Templates {
+			if t == nil {
+				return nil, fmt.Errorf("sim: outcome template %d is null", i)
+			}
+		}
+		out.Selection = &core.Selection{
+			Templates:      x.Templates,
+			CoveredInsts:   x.CoveredInsts,
+			TotalInsts:     x.TotalInsts,
+			CandidateCount: x.CandidateCount,
+		}
+	}
+	return out, nil
 }

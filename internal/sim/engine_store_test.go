@@ -157,6 +157,63 @@ func TestEngineStoreCorruptionRecovers(t *testing.T) {
 	}
 }
 
+// TestLegacySelectionEntryIsRewritten: a mini-graph outcome stored with
+// its whole selection under "selection", as outcomes once were, is a miss
+// for a cold engine. The engine re-simulates the arm and overwrites the
+// entry under the same key, and the next cold engine gets a hit.
+func TestLegacySelectionEntryIsRewritten(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	job := storeJobs()[1]
+	fresh, err := New(1).Simulate(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Selection == nil || len(fresh.Selection.Instances) == 0 {
+		t.Fatalf("job %+v selected no instances", job)
+	}
+	keyBytes, err := EncodeSimKey(job.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := twoStepSeal(t, legacyOutcomePayload{Result: fresh.Result, Selection: fresh.Selection})
+	if err := openStore(t, dir).Put(keyBytes, legacy); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := New(1).WithStore(openStore(t, dir))
+	out, err := cold.Simulate(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One put for the outcome, two for the trace segment (chunk, manifest).
+	if cs := cold.Stats(); cs.StoreHits != 0 || cs.StoreMisses != 1 || cs.PipelineSims() != 1 || cs.StorePuts != 3 {
+		t.Fatalf("legacy entry was not a miss re-simulated and rewritten: %+v", cs)
+	}
+	want, err := EncodeOutcome(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := EncodeOutcome(out); !bytes.Equal(got, want) {
+		t.Errorf("re-simulated outcome differs from the fresh one")
+	}
+	if data, ok := openStore(t, dir).Get(keyBytes); !ok || !bytes.Equal(data, want) {
+		t.Errorf("entry under the key was not overwritten with the new shape: %s", data)
+	}
+
+	second := New(1).WithStore(openStore(t, dir))
+	out, err = second.Simulate(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss := second.Stats(); ss.StoreHits != 1 || ss.PipelineSims() != 0 {
+		t.Fatalf("rewritten entry not served: %+v", ss)
+	}
+	if got, _ := EncodeOutcome(out); !bytes.Equal(got, want) {
+		t.Errorf("stored outcome differs from the fresh one")
+	}
+}
+
 // TestEngineStoreKeyCanonicalization: cosmetically different jobs (renamed
 // config) share one store entry, and the store key is the canonical
 // encoding of the job key.

@@ -136,6 +136,10 @@ func Baseline(b PrepareKey, cfg uarch.Config) SimJob {
 }
 
 // Outcome is one simulation's result. Selection is nil for baseline jobs.
+// An outcome the engine computed carries the whole selection. One decoded
+// from the store or a worker (DecodeOutcome) carries the templates and the
+// coverage counts only: its Selection.Instances is nil. Every reader of an
+// outcome uses Coverage() and Templates, never the instances.
 type Outcome struct {
 	Result    *uarch.Result
 	Selection *core.Selection

@@ -15,6 +15,7 @@ type TAGE struct {
 	cfg     Config
 	nTables int
 	histLen []int // per table, ascending
+	idxBits int   // ceil(log2(TageEntries)), at least 1
 
 	base   []uint8 // 2-bit bimodal fallback
 	tables [][]tageEntry
@@ -66,6 +67,10 @@ func NewTAGE(cfg Config) *TAGE {
 			l = t.histLen[i-1] + 1
 		}
 		t.histLen[i] = l
+	}
+	t.idxBits = 1
+	for 1<<t.idxBits < cfg.TageEntries {
+		t.idxBits++
 	}
 	t.base = make([]uint8, 4*cfg.TageEntries)
 	for i := range t.base {
@@ -127,12 +132,8 @@ func fold(h uint64, bits, out int) uint32 {
 }
 
 func (t *TAGE) index(pc isa.PC, hist uint64, ti int) int {
-	bits := 1
-	for 1<<bits < t.cfg.TageEntries {
-		bits++
-	}
-	h := fold(hist, t.histLen[ti], bits)
-	return int((uint32(pc) ^ uint32(uint64(pc)>>bits) ^ h ^ uint32(ti)) & uint32(t.cfg.TageEntries-1))
+	h := fold(hist, t.histLen[ti], t.idxBits)
+	return int((uint32(pc) ^ uint32(uint64(pc)>>t.idxBits) ^ h ^ uint32(ti)) & uint32(t.cfg.TageEntries-1))
 }
 
 func (t *TAGE) tagOf(pc isa.PC, hist uint64, ti int) uint16 {
