@@ -217,9 +217,7 @@ func (s *Server) fetchTrace(ctx context.Context, key sim.TraceKey) (*trace.Trace
 // frame (trace chunk codec); a request naming neither is a 400.
 // 404 when this worker holds no valid copy of what was asked — per chunk,
 // so a peer missing (or holding a damaged copy of) one chunk still serves
-// the rest and the asker fills the hole elsewhere. Chaos injection
-// applies per request: with chunk streaming, a dropped connection or
-// corrupted payload costs the asker one chunk retry, not the transfer.
+// the rest and the asker fills the hole elsewhere.
 func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	raw, err := base64.RawURLEncoding.DecodeString(r.PathValue("traceKey"))
 	if err != nil {
@@ -251,14 +249,6 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("trace blob not resident on this worker"))
 		return
-	}
-	if s.chaos != nil {
-		s.chaos.blobDelay()
-		if s.chaos.dropBlob() {
-			panic(http.ErrAbortHandler) // peer dies mid-transfer
-		}
-		// A corrupted payload must be caught by the frame CRC on arrival.
-		data = s.chaos.corruptBlob(data)
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(len(data)))

@@ -116,9 +116,6 @@ type Options struct {
 	JobQueue   int
 	JobRunners int
 
-	// Chaos, when non-nil, injects seeded faults into the blob-serving
-	// path (tests only; see Chaos). Counters appear in /statsz.
-	Chaos *Chaos
 	// Scrub, when non-nil, is the report of a store scrub pass run at
 	// startup (mgserve -scrub); /statsz exposes it.
 	Scrub *store.ScrubReport
@@ -134,7 +131,6 @@ type Server struct {
 	coord    *Coordinator // nil in single-process mode
 	adm      *admission
 	jobs     *JobManager
-	chaos    *Chaos             // nil outside chaos tests
 	scrub    *store.ScrubReport // nil unless a startup scrub ran
 }
 
@@ -160,7 +156,6 @@ func New(o Options) (*Server, error) {
 		started:  time.Now(),
 		mux:      http.NewServeMux(),
 		adm:      newAdmission(o.RateLimit, o.RateBurst, o.MaxInflightSweeps),
-		chaos:    o.Chaos,
 		scrub:    o.Scrub,
 	}
 	if len(o.Workers) > 0 || o.Coordinator {
@@ -694,10 +689,7 @@ type statsResponse struct {
 	Members   []MemberStatus `json:"members,omitempty"`
 	Admission AdmissionStats `json:"admission"`
 	Jobs      JobsStats      `json:"jobs"`
-	// Chaos counts injected serve-layer faults (present only when a chaos
-	// injector is attached); Scrub is the startup scrub pass's report
-	// (present only when one ran).
-	Chaos *ChaosCounters     `json:"chaos,omitempty"`
+	// Scrub is the startup scrub pass's report (present only when one ran).
 	Scrub *store.ScrubReport `json:"scrub,omitempty"`
 
 	UptimeSeconds float64  `json:"uptime_seconds"`
@@ -724,10 +716,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if st := s.eng.Store(); st != nil {
 		ss := st.Stats()
 		resp.Store = &ss
-	}
-	if s.chaos != nil {
-		cc := s.chaos.Counters()
-		resp.Chaos = &cc
 	}
 	resp.Scrub = s.scrub
 	writeJSON(w, resp)

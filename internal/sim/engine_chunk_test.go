@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"minigraph/internal/store"
+	"minigraph/internal/store/storetest"
 	"minigraph/internal/trace"
 )
 
@@ -287,13 +288,13 @@ func TestChunkWriteFaultsReportInvariant(t *testing.T) {
 		}
 	}
 
-	fi := store.NewFaultInjector(store.FaultConfig{
+	fi := storetest.New(storetest.Config{
 		TornWrite: 0.3, BitFlip: 0.3, Truncate: 0.2,
 		WriteErr: 0.2, ReadErr: 0.2, Seed: 7,
 	})
 	dir := t.TempDir()
 	for run := 0; run < 3; run++ {
-		st, err := store.Open(dir, store.Options{MaxBytes: -1, Faults: fi})
+		st, err := store.Open(dir, store.Options{MaxBytes: -1, FS: fi})
 		if err != nil {
 			t.Fatal(err)
 		}

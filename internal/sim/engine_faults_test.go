@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"minigraph/internal/store"
+	"minigraph/internal/store/storetest"
 )
 
 // TestEngineStoreFaultsReportInvariant is the recovery invariant for disk
@@ -34,13 +35,13 @@ func TestEngineStoreFaultsReportInvariant(t *testing.T) {
 
 	// Heavy fault mix, repeated runs over one shared directory so later
 	// runs read earlier runs' (possibly damaged) entries.
-	fi := store.NewFaultInjector(store.FaultConfig{
+	fi := storetest.New(storetest.Config{
 		TornWrite: 0.3, BitFlip: 0.3, Truncate: 0.2,
 		WriteErr: 0.2, ReadErr: 0.2, Seed: 42,
 	})
 	dir := t.TempDir()
 	for run := 0; run < 3; run++ {
-		st, err := store.Open(dir, store.Options{MaxBytes: -1, Faults: fi})
+		st, err := store.Open(dir, store.Options{MaxBytes: -1, FS: fi})
 		if err != nil {
 			t.Fatal(err)
 		}

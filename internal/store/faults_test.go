@@ -1,4 +1,4 @@
-package store
+package store_test
 
 import (
 	"bytes"
@@ -8,12 +8,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"minigraph/internal/store"
+	"minigraph/internal/store/storetest"
 )
 
-// mustOpen opens a store in a fresh temp dir with the given fault injector.
-func mustOpen(t *testing.T, faults *FaultInjector) *Store {
+// openFS opens a store on dir through fsys (nil = the OS).
+func openFS(t *testing.T, dir string, fsys store.FS) *store.Store {
 	t.Helper()
-	s, err := Open(t.TempDir(), Options{Faults: faults})
+	s, err := store.Open(dir, store.Options{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +27,8 @@ func mustOpen(t *testing.T, faults *FaultInjector) *Store {
 // must miss (never return garbage), delete the damaged file, and a clean
 // re-Put must recover fully.
 func TestFaultTornWrite(t *testing.T) {
-	fi := NewFaultInjector(FaultConfig{TornWrite: 1, Seed: 1})
-	s := mustOpen(t, fi)
+	fi := storetest.New(storetest.Config{TornWrite: 1, Seed: 1})
+	s := openFS(t, t.TempDir(), fi)
 	key, val := []byte("k1"), []byte("payload-1")
 
 	if err := s.Put(key, val); err != nil {
@@ -34,7 +37,7 @@ func TestFaultTornWrite(t *testing.T) {
 	if got, ok := s.Get(key); ok {
 		t.Fatalf("Get returned %q from a torn write; want miss", got)
 	}
-	if _, err := os.Stat(s.pathFor(hashKey(key) + EntryExt)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.EntryPath(key)); !os.IsNotExist(err) {
 		t.Error("damaged entry file should be deleted on read")
 	}
 	if c := fi.Counters(); c.TornWrites == 0 {
@@ -42,10 +45,7 @@ func TestFaultTornWrite(t *testing.T) {
 	}
 
 	// Recovery: a clean store handle on the same dir round-trips.
-	clean, err := Open(filepath.Dir(s.Dir()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := openFS(t, filepath.Dir(s.Dir()), nil)
 	if err := clean.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func TestFaultTornWrite(t *testing.T) {
 // case the read must miss rather than return a value that fails
 // verification.
 func TestFaultBitFlip(t *testing.T) {
-	fi := NewFaultInjector(FaultConfig{BitFlip: 1, Seed: 2})
-	s := mustOpen(t, fi)
+	fi := storetest.New(storetest.Config{BitFlip: 1, Seed: 2})
+	s := openFS(t, t.TempDir(), fi)
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
 		val := []byte(fmt.Sprintf("value-%d-%s", i, strings.Repeat("x", 100)))
@@ -78,8 +78,8 @@ func TestFaultBitFlip(t *testing.T) {
 
 // TestFaultTruncate forces tail truncation of every published entry.
 func TestFaultTruncate(t *testing.T) {
-	fi := NewFaultInjector(FaultConfig{Truncate: 1, Seed: 3})
-	s := mustOpen(t, fi)
+	fi := storetest.New(storetest.Config{Truncate: 1, Seed: 3})
+	s := openFS(t, t.TempDir(), fi)
 	key, val := []byte("k"), []byte(strings.Repeat("v", 500))
 	if err := s.Put(key, val); err != nil {
 		t.Fatal(err)
@@ -95,13 +95,13 @@ func TestFaultTruncate(t *testing.T) {
 // TestFaultWriteErr makes every Put fail with an injected, identifiable
 // error; nothing lands on disk and the store stays consistent.
 func TestFaultWriteErr(t *testing.T) {
-	fi := NewFaultInjector(FaultConfig{WriteErr: 1, Seed: 4})
-	s := mustOpen(t, fi)
+	fi := storetest.New(storetest.Config{WriteErr: 1, Seed: 4})
+	s := openFS(t, t.TempDir(), fi)
 	err := s.Put([]byte("k"), []byte("v"))
 	if err == nil {
 		t.Fatal("Put should fail under WriteErr=1")
 	}
-	if !IsInjected(err) {
+	if !storetest.IsInjected(err) {
 		t.Errorf("error %v should satisfy IsInjected", err)
 	}
 	if s.Len() != 0 {
@@ -115,21 +115,15 @@ func TestFaultWriteErr(t *testing.T) {
 // TestFaultReadErrKeepsEntry: a transient read error is a miss, but the
 // entry survives on disk and is served once the fault clears.
 func TestFaultReadErrKeepsEntry(t *testing.T) {
-	fi := NewFaultInjector(FaultConfig{ReadErr: 1, Seed: 5})
+	fi := storetest.New(storetest.Config{ReadErr: 1, Seed: 5})
 	dir := t.TempDir()
-	clean, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := openFS(t, dir, nil)
 	key, val := []byte("k"), []byte("v")
 	if err := clean.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
 
-	faulty, err := Open(dir, Options{Faults: fi})
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulty := openFS(t, dir, fi)
 	if _, ok := faulty.Get(key); ok {
 		t.Fatal("Get should miss under ReadErr=1")
 	}
@@ -147,8 +141,8 @@ func TestFaultReadErrKeepsEntry(t *testing.T) {
 
 // TestFaultDelay injects latency without affecting results.
 func TestFaultDelay(t *testing.T) {
-	fi := NewFaultInjector(FaultConfig{DelayP: 1, Delay: time.Millisecond, Seed: 6})
-	s := mustOpen(t, fi)
+	fi := storetest.New(storetest.Config{DelayP: 1, Delay: time.Millisecond, Seed: 6})
+	s := openFS(t, t.TempDir(), fi)
 	key, val := []byte("k"), []byte("v")
 	start := time.Now()
 	if err := s.Put(key, val); err != nil {
@@ -170,17 +164,17 @@ func TestFaultDelay(t *testing.T) {
 // (correct value, miss, injected error) — never a wrong value — and that
 // the store's accounting survives.
 func TestFaultMixedWorkload(t *testing.T) {
-	fi := NewFaultInjector(FaultConfig{
+	fi := storetest.New(storetest.Config{
 		TornWrite: 0.1, BitFlip: 0.1, Truncate: 0.1,
 		WriteErr: 0.1, ReadErr: 0.1, Seed: 7,
 	})
-	s := mustOpen(t, fi)
+	s := openFS(t, t.TempDir(), fi)
 	want := make(map[string][]byte)
 	for i := 0; i < 300; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i%40))
 		val := []byte(fmt.Sprintf("val-%d-%d", i%40, i))
 		if err := s.Put(key, val); err != nil {
-			if !IsInjected(err) {
+			if !storetest.IsInjected(err) {
 				t.Fatalf("unexpected real error: %v", err)
 			}
 			continue
@@ -199,13 +193,104 @@ func TestFaultMixedWorkload(t *testing.T) {
 	}
 	// The store must still be internally consistent: reopening indexes
 	// exactly the surviving healthy entries.
-	s2, err := Open(filepath.Dir(s.Dir()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := openFS(t, filepath.Dir(s.Dir()), nil)
 	for k, v := range want {
 		if got, ok := s2.Get([]byte(k)); ok && !strings.HasPrefix(string(got), "val-") {
 			t.Fatalf("reopened Get %q = %q; want a stored value (last was %q)", k, got, v)
 		}
 	}
+}
+
+// TestFaultSegment drives each fault class through the segment paths: the
+// write classes hit Append and Publish, the read class hits GetRecord.
+func TestFaultSegment(t *testing.T) {
+	recs := store.SegmentRecords("t", 6, 400)
+	for _, tc := range []struct {
+		name  string
+		cfg   storetest.Config
+		fired func(storetest.Counters) int64
+	}{
+		{"torn", storetest.Config{TornWrite: 1, Seed: 1}, func(c storetest.Counters) int64 { return c.TornWrites }},
+		{"flip", storetest.Config{BitFlip: 1, Seed: 2}, func(c storetest.Counters) int64 { return c.BitFlips }},
+		{"truncate", storetest.Config{Truncate: 1, Seed: 3}, func(c storetest.Counters) int64 { return c.Truncates }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fi := storetest.New(tc.cfg)
+			s := openFS(t, t.TempDir(), fi)
+			store.PublishSegment(t, s, "t", recs) // damaged writes still succeed at the API
+			if n := tc.fired(fi.Counters()); n != int64(len(recs))+1 {
+				t.Errorf("%d faults fired, want one a record and one for the index", n)
+			}
+			if hits := store.ReadSegment(t, s, "t", recs); hits != 0 {
+				t.Errorf("%d records of a segment damaged throughout hit", hits)
+			}
+			if _, err := os.Stat(s.SegmentPath("t")); !os.IsNotExist(err) {
+				t.Error("damaged segment should be deleted on read")
+			}
+		})
+	}
+
+	t.Run("write error", func(t *testing.T) {
+		fi := storetest.New(storetest.Config{WriteErr: 1, Seed: 4})
+		s := openFS(t, t.TempDir(), fi)
+		w := s.BeginSegment([]byte("t"), 0)
+		err := w.Append(recs[0].KV())
+		if !storetest.IsInjected(err) {
+			t.Fatalf("Append under WriteErr=1: %v", err)
+		}
+		if err2 := w.Append(recs[1].KV()); err2 != err || w.Publish() != err {
+			t.Error("the first failure should be every later call's error")
+		}
+		if len(store.StagingFiles(t, s)) != 0 || s.Len() != 0 {
+			t.Error("a failed segment left something behind")
+		}
+		if c := fi.Counters(); c.WriteErrs != 1 {
+			t.Errorf("WriteErrs = %d, want 1: a dead writer writes nothing", c.WriteErrs)
+		}
+	})
+
+	t.Run("read error", func(t *testing.T) {
+		dir := t.TempDir()
+		store.PublishSegment(t, openFS(t, dir, nil), "t", recs)
+		fi := storetest.New(storetest.Config{ReadErr: 1, Seed: 5})
+		s := openFS(t, dir, fi)
+		if hits := store.ReadSegment(t, s, "t", recs); hits != 0 {
+			t.Errorf("%d hits under ReadErr=1", hits)
+		}
+		if s.Len() != 1 {
+			t.Error("a transient read error dropped the segment")
+		}
+		if hits := store.ReadSegment(t, openFS(t, dir, nil), "t", recs); hits != len(recs) {
+			t.Errorf("the segment did not survive read errors: %d of %d", hits, len(recs))
+		}
+	})
+
+	// Every class at once, many segments, two handles: whatever happens, a
+	// hit is the record's own bytes (ReadSegment fails the test otherwise).
+	t.Run("mixed", func(t *testing.T) {
+		fi := storetest.New(storetest.Config{TornWrite: 0.05, BitFlip: 0.05, Truncate: 0.05,
+			WriteErr: 0.05, ReadErr: 0.1, Seed: 6})
+		dir := t.TempDir()
+		s := openFS(t, dir, fi)
+		clean := openFS(t, dir, nil)
+		hits := 0
+		for i := 0; i < 60; i++ {
+			seg := fmt.Sprintf("seg-%d", i%20)
+			rs := store.SegmentRecords(seg, 6, 400)
+			w := s.BeginSegment([]byte(seg), 0)
+			for _, r := range rs {
+				w.Append(r.KV())
+			}
+			if err := w.Publish(); err != nil && !storetest.IsInjected(err) {
+				t.Fatalf("publish: %v", err)
+			}
+			hits += store.ReadSegment(t, s, seg, rs) + store.ReadSegment(t, clean, seg, rs)
+		}
+		if hits == 0 || fi.Counters().Total() == 0 {
+			t.Fatalf("%d hits, %+v: the mix must both serve and fault", hits, fi.Counters())
+		}
+		if len(store.StagingFiles(t, s)) != 0 {
+			t.Error("failed segments left staging files behind")
+		}
+	})
 }

@@ -1,8 +1,7 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
+	"io/fs"
 	"strings"
 )
 
@@ -33,7 +32,7 @@ type ScrubReport struct {
 // the atomic rename left visible.
 func (s *Store) Scrub() ScrubReport {
 	var rep ScrubReport
-	_ = filepath.Walk(s.dir, func(path string, info os.FileInfo, err error) error {
+	_ = s.fsys.Walk(s.dir, func(path string, info fs.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return nil
 		}
@@ -42,7 +41,7 @@ func (s *Store) Scrub() ScrubReport {
 			return nil // staging file, sidecar or stray
 		}
 		rep.Scanned++
-		healthy, err := scrubFile(path, hash)
+		healthy, err := s.scrubFile(path, hash)
 		switch {
 		case err != nil:
 			rep.Errors++
@@ -60,13 +59,13 @@ func (s *Store) Scrub() ScrubReport {
 
 // scrubFile verifies the entry or segment at path against the key hash its
 // filename claims.
-func scrubFile(path, hash string) (healthy bool, err error) {
+func (s *Store) scrubFile(path, hash string) (healthy bool, err error) {
 	if strings.HasSuffix(path, EntryExt) {
-		data, err := os.ReadFile(path)
+		data, err := s.fsys.ReadFile(path)
 		key, _, ok := parseEntry(data)
 		return ok && hashKey(key) == hash, err
 	}
-	f, err := os.Open(path)
+	f, err := s.fsys.Open(path)
 	if err != nil {
 		return false, err
 	}
@@ -75,7 +74,10 @@ func scrubFile(path, hash string) (healthy bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	recs, _ := loadIndex(f, info.Size())
+	recs, ok, err := loadIndex(f, info.Size())
+	if !ok {
+		return false, err
+	}
 	var last []byte
 	for _, r := range recs {
 		key, _, ok, err := readRecord(f, r)
@@ -84,5 +86,5 @@ func scrubFile(path, hash string) (healthy bool, err error) {
 		}
 		last = key
 	}
-	return recs != nil && hashKey(last) == hash, nil
+	return hashKey(last) == hash, nil
 }

@@ -26,7 +26,7 @@ func corruptFile(t *testing.T, path string) {
 // flip, truncation, unparseable junk, and a wrong-key entry — among healthy
 // entries, and checks the pass deletes exactly the damaged ones.
 func TestScrub(t *testing.T) {
-	s := mustOpen(t, nil)
+	s := open(t, t.TempDir(), 0)
 	var healthy, damaged []string
 	for i := 0; i < 8; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
@@ -124,7 +124,7 @@ func mustRead(t *testing.T, path string) []byte {
 
 // TestScrubEmpty runs Scrub over a store with no entries.
 func TestScrubEmpty(t *testing.T) {
-	s := mustOpen(t, nil)
+	s := open(t, t.TempDir(), 0)
 	if rep := s.Scrub(); rep != (ScrubReport{}) {
 		t.Errorf("empty scrub = %+v, want zero report", rep)
 	}

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"os"
+	"io/fs"
 )
 
 // A segment is one file holding the values of one group — written together,
@@ -50,39 +50,43 @@ func appendIndex(dst []byte, recs []span) []byte {
 }
 
 // loadIndex reads and verifies the index of a segment of size bytes. It
-// allocates no more than the file holds, whatever the count claims.
-func loadIndex(f io.ReaderAt, size int64) ([]span, bool) {
+// allocates no more than the file holds, whatever the count claims. As with
+// readRecord, a file that ends early is damage (ok false, nil error); any
+// other read error is returned, the file's state unknown.
+func loadIndex(f io.ReaderAt, size int64) (recs []span, ok bool, err error) {
 	var foot [segFooter]byte
 	if size < segFooter {
-		return nil, false
+		return nil, false, nil
 	}
-	if _, err := f.ReadAt(foot[:], size-segFooter); err != nil || string(foot[12:]) != segMagic {
-		return nil, false
+	if _, err := f.ReadAt(foot[:], size-segFooter); err != nil && err != io.EOF {
+		return nil, false, err
 	}
 	n := binary.LittleEndian.Uint64(foot[:])
-	if n == 0 || n > uint64(size)/(segRow+entryHeader) {
-		return nil, false
+	if string(foot[12:]) != segMagic || n == 0 || n > uint64(size)/(segRow+entryHeader) {
+		return nil, false, nil
 	}
 	table := make([]byte, n*segRow, n*segRow+8)
 	start := size - segFooter - int64(len(table))
-	if _, err := f.ReadAt(table, start); err != nil ||
-		crc32.ChecksumIEEE(append(table, foot[:8]...)) != binary.LittleEndian.Uint32(foot[8:]) {
-		return nil, false
+	if _, err := f.ReadAt(table, start); err != nil && err != io.EOF {
+		return nil, false, err
 	}
-	recs := make([]span, n)
+	if crc32.ChecksumIEEE(append(table, foot[:8]...)) != binary.LittleEndian.Uint32(foot[8:]) {
+		return nil, false, nil
+	}
+	recs = make([]span, n)
 	end := int64(0)
 	for i := range recs {
 		row := table[i*segRow:]
 		r := span{int64(binary.LittleEndian.Uint64(row)), int64(binary.LittleEndian.Uint64(row[8:])), binary.LittleEndian.Uint32(row[16:])}
 		if r.off != end || r.n < entryHeader || r.n > start-end {
-			return nil, false
+			return nil, false, nil
 		}
 		recs[i], end = r, end+r.n
 	}
 	if end != start {
-		return nil, false
+		return nil, false, nil
 	}
-	return recs, true
+	return recs, true, nil
 }
 
 // readRecord reads the record at r and verifies its envelope. A file that
@@ -104,19 +108,16 @@ func readRecord(f io.ReaderAt, r span) (key, value []byte, ok bool, err error) {
 // misdirects (another process replaced the file) reloads it once before
 // giving up. A segment with a damaged index or record — one whose envelope
 // fails, or holds another key — is deleted whole and every later read of
-// it misses: its records are only useful together. An i past the body is a
-// miss that deletes nothing.
+// it misses: its records are only useful together. An i past the body, or
+// a read error, is a miss that deletes nothing.
 func (s *Store) GetRecord(seg []byte, i int, key []byte) ([]byte, bool) {
 	return s.counted(s.getRecord(hashKey(seg)+SegExt, i, key))
 }
 
 func (s *Store) getRecord(name string, i int, key []byte) ([]byte, bool) {
-	if s.faults.read() {
-		return nil, false // transient: the segment stays on disk and indexed
-	}
-	f, err := os.Open(s.pathFor(name))
+	f, err := s.fsys.Open(s.pathFor(name))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			s.drop(name, false) // evicted by another process: forget it
 		}
 		return nil, false
@@ -136,7 +137,12 @@ func (s *Store) getRecord(name string, i int, key []byte) ([]byte, bool) {
 			if err != nil {
 				return nil, false
 			}
-			if recs, _ = loadIndex(f, info.Size()); recs == nil {
+			var ok bool
+			recs, ok, err = loadIndex(f, info.Size())
+			if err != nil {
+				return nil, false // unreadable, not damaged: it stays
+			}
+			if !ok {
 				break
 			}
 			s.admit(name, info.Size(), recs) // the one recency touch of this load

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -223,7 +224,7 @@ func TestSegmentEveryBitAndPrefix(t *testing.T) {
 // every record, and that the last record's key names the file — and leaves
 // entries, healthy segments and staging files alone.
 func TestScrubSegments(t *testing.T) {
-	s := mustOpen(t, nil)
+	s := open(t, t.TempDir(), 0)
 	for _, seg := range []string{"healthy", "flipped", "misnamed"} {
 		publish(t, s, seg, testSegment(seg, 4, 200))
 	}
@@ -391,7 +392,7 @@ func TestSegmentCrossProcess(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 || st.Bytes != ia.Size() {
 		t.Fatalf("over-budget Open: %+v, want segment a alone", st)
 	}
-	for _, p := range []string{segPath(c, "b"), segPath(c, "b") + seqSuffix} {
+	for _, p := range []string{segPath(c, "b"), segPath(c, "b") + SeqExt} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s survived its segment's eviction", filepath.Base(p))
 		}
@@ -432,104 +433,67 @@ func TestSegmentCrossProcess(t *testing.T) {
 	}
 }
 
-// TestFaultSegment drives each fault class through the segment paths: the
-// write classes hit Append and Publish, the read class hits GetRecord.
-func TestFaultSegment(t *testing.T) {
-	recs := testSegment("t", 6, 400)
-	for _, tc := range []struct {
-		name  string
-		cfg   FaultConfig
-		fired func(FaultCounters) int64
-	}{
-		{"torn", FaultConfig{TornWrite: 1, Seed: 1}, func(c FaultCounters) int64 { return c.TornWrites }},
-		{"flip", FaultConfig{BitFlip: 1, Seed: 2}, func(c FaultCounters) int64 { return c.BitFlips }},
-		{"truncate", FaultConfig{Truncate: 1, Seed: 3}, func(c FaultCounters) int64 { return c.Truncates }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fi := NewFaultInjector(tc.cfg)
-			s := mustOpen(t, fi)
-			publish(t, s, "t", recs) // damaged writes still succeed at the API
-			if n := tc.fired(fi.Counters()); n != int64(len(recs))+1 {
-				t.Errorf("%d faults fired, want one a record and one for the index", n)
-			}
-			if hits := readAll(t, s, "t", recs); hits != 0 {
-				t.Errorf("%d records of a segment damaged throughout hit", hits)
-			}
-			if _, err := os.Stat(segPath(s, "t")); !os.IsNotExist(err) {
-				t.Error("damaged segment should be deleted on read")
-			}
-		})
+// footerFault fails the next read of a segment's footer, the read loadIndex
+// starts with, once armed, as a transient I/O error would.
+type footerFault struct {
+	OS
+	armed bool
+}
+
+func (f *footerFault) Open(name string) (File, error) {
+	file, err := f.OS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return footerFile{file, f}, nil
+}
+
+type footerFile struct {
+	File
+	fault *footerFault
+}
+
+func (f footerFile) ReadAt(p []byte, off int64) (int, error) {
+	if len(p) == int(segFooter) && f.fault.armed {
+		f.fault.armed = false
+		return 0, errors.New("transient read error")
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestSegmentIndexReadErrorKeepsSegment: a read error on a segment's index
+// is not damage. The read misses, but the segment stays on disk and indexed
+// and the next read hits; a scrub counts it in Errors and keeps it.
+func TestSegmentIndexReadErrorKeepsSegment(t *testing.T) {
+	dir := t.TempDir()
+	recs := testSegment("t", 3, 100)
+	publish(t, open(t, dir, -1), "t", recs)
+	fault := &footerFault{}
+	s, err := Open(dir, Options{MaxBytes: -1, FS: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := func(when string) {
+		t.Helper()
+		if _, err := os.Stat(segPath(s, "t")); err != nil || s.Len() != 1 {
+			t.Fatalf("%s: the segment is gone (stat: %v, Len %d)", when, err, s.Len())
+		}
 	}
 
-	t.Run("write error", func(t *testing.T) {
-		fi := NewFaultInjector(FaultConfig{WriteErr: 1, Seed: 4})
-		s := mustOpen(t, fi)
-		w := s.BeginSegment([]byte("t"), 0)
-		err := w.Append(recs[0].key, recs[0].val)
-		if !IsInjected(err) {
-			t.Fatalf("Append under WriteErr=1: %v", err)
-		}
-		if err2 := w.Append(recs[1].key, recs[1].val); err2 != err || w.Publish() != err {
-			t.Error("the first failure should be every later call's error")
-		}
-		if len(staging(t, s)) != 0 || s.Len() != 0 {
-			t.Error("a failed segment left something behind")
-		}
-		if c := fi.Counters(); c.WriteErrs != 1 {
-			t.Errorf("WriteErrs = %d, want 1: a dead writer writes nothing", c.WriteErrs)
-		}
-	})
+	fault.armed = true
+	if _, ok := s.GetRecord([]byte("t"), 0, recs[0].key); ok {
+		t.Fatal("a read whose index could not be read hit")
+	}
+	kept("after the failed read")
+	if hits := readAll(t, s, "t", recs); hits != len(recs) {
+		t.Fatalf("the next reads hit %d of %d records", hits, len(recs))
+	}
 
-	t.Run("read error", func(t *testing.T) {
-		dir := t.TempDir()
-		publish(t, open(t, dir, -1), "t", recs)
-		fi := NewFaultInjector(FaultConfig{ReadErr: 1, Seed: 5})
-		s, err := Open(dir, Options{Faults: fi})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hits := readAll(t, s, "t", recs); hits != 0 {
-			t.Errorf("%d hits under ReadErr=1", hits)
-		}
-		if s.Len() != 1 {
-			t.Error("a transient read error dropped the segment")
-		}
-		if hits := readAll(t, open(t, dir, -1), "t", recs); hits != len(recs) {
-			t.Errorf("the segment did not survive read errors: %d of %d", hits, len(recs))
-		}
-	})
-
-	// Every class at once, many segments, two handles: whatever happens, a
-	// hit is the record's own bytes (readAll fails the test otherwise).
-	t.Run("mixed", func(t *testing.T) {
-		fi := NewFaultInjector(FaultConfig{TornWrite: 0.05, BitFlip: 0.05, Truncate: 0.05,
-			WriteErr: 0.05, ReadErr: 0.1, Seed: 6})
-		dir := t.TempDir()
-		s, err := Open(dir, Options{Faults: fi})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clean := open(t, dir, -1)
-		hits := 0
-		for i := 0; i < 60; i++ {
-			seg := fmt.Sprintf("seg-%d", i%20)
-			rs := testSegment(seg, 6, 400)
-			w := s.BeginSegment([]byte(seg), 0)
-			for _, r := range rs {
-				w.Append(r.key, r.val)
-			}
-			if err := w.Publish(); err != nil && !IsInjected(err) {
-				t.Fatalf("publish: %v", err)
-			}
-			hits += readAll(t, s, seg, rs) + readAll(t, clean, seg, rs)
-		}
-		if hits == 0 || fi.Counters().Total() == 0 {
-			t.Fatalf("%d hits, %+v: the mix must both serve and fault", hits, fi.Counters())
-		}
-		if len(staging(t, s)) != 0 {
-			t.Error("failed segments left staging files behind")
-		}
-	})
+	fault.armed = true
+	if rep := s.Scrub(); rep != (ScrubReport{Scanned: 1, Errors: 1}) {
+		t.Errorf("scrub under a read error: %+v, want 1 scanned, 1 error, 0 corrupt", rep)
+	}
+	kept("after the scrub")
 }
 
 // FuzzSegmentIndex: loadIndex never panics or allocates past the file, and
@@ -553,7 +517,7 @@ func FuzzSegmentIndex(f *testing.F) {
 	// a CRC that vouches for it: a count of 2^40, an offset past the end of
 	// the file, a record that overlaps the one before it.
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, ok := loadIndex(bytes.NewReader(data), int64(len(data)))
+		recs, ok, _ := loadIndex(bytes.NewReader(data), int64(len(data)))
 		if !ok {
 			if recs != nil {
 				t.Fatal("rejected index returned records")

@@ -25,6 +25,10 @@
 //     order. Sidecars are 12 bytes and are not charged to the budget.
 //   - Values only ever written together, read in order and evicted together
 //     (the chunks of one trace) share one segment file: see segment.go.
+//   - Nothing is synced, by design: every byte is verified on read, so a
+//     write a crash loses or tears is a miss, and publishing is a rename.
+//     Every file operation goes through one seam, FS (fs.go), which is where
+//     tests inject faults and rebuild the directory a crash could leave.
 package store
 
 import (
@@ -80,9 +84,8 @@ type Options struct {
 	// recently used are evicted beyond it (0 = DefaultMaxBytes, negative =
 	// unbounded).
 	MaxBytes int64
-	// Faults, when non-nil, injects disk faults into Put and Get (tests
-	// only; see FaultInjector). nil costs one pointer check per operation.
-	Faults *FaultInjector
+	// FS is the file system the store's files live in (nil = OS).
+	FS FS
 }
 
 // Stats is a point-in-time snapshot of the store's counters and footprint.
@@ -177,9 +180,9 @@ type indexed struct {
 // multiple processes may share a directory (eviction decisions are then
 // per-process approximations, which is acceptable for a cache).
 type Store struct {
-	dir    string
-	max    int64
-	faults *FaultInjector // nil outside fault-injection tests
+	dir  string
+	max  int64
+	fsys FS
 
 	mu    sync.Mutex
 	index map[string]*indexed // file name -> entry or segment
@@ -206,11 +209,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	if limit == 0 {
 		limit = DefaultMaxBytes
 	}
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = OS{}
+	}
 	root := filepath.Join(dir, fmt.Sprintf("v%d", formatVersion))
-	if err := os.MkdirAll(root, 0o777); err != nil {
+	if err := fsys.MkdirAll(root, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: root, max: limit, faults: opts.Faults, index: make(map[string]*indexed), lru: list.New()}
+	s := &Store{dir: root, max: limit, fsys: fsys, index: make(map[string]*indexed), lru: list.New()}
 
 	// Index existing files oldest-first so the recency list reflects
 	// on-disk modification times. Staging files orphaned by a crashed
@@ -224,18 +231,18 @@ func Open(dir string, opts Options) (*Store, error) {
 	var entries []found
 	var sidecars []string
 	stale := time.Now().Add(-10 * time.Minute)
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+	err := fsys.Walk(root, func(path string, info fs.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return nil // unreadable subtrees are simply not indexed
 		}
 		name := info.Name()
 		if strings.Contains(name, ".tmp-") {
 			if info.ModTime().Before(stale) {
-				_ = os.Remove(path)
+				_ = fsys.Remove(path)
 			}
 			return nil
 		}
-		if strings.HasSuffix(name, seqSuffix) {
+		if strings.HasSuffix(name, SeqExt) {
 			if info.ModTime().Before(stale) {
 				sidecars = append(sidecars, path) // orphan-sweep candidate
 			}
@@ -243,7 +250,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		if _, ok := storedName(name); ok {
 			entries = append(entries, found{indexed{name: name, size: info.Size()},
-				info.ModTime(), readSeq(path)})
+				info.ModTime(), s.readSeq(path)})
 		}
 		return nil
 	})
@@ -277,8 +284,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	// left behind). Only stale ones: a fresh sidecar may belong to a Put
 	// that is completing in another process right now.
 	for _, sc := range sidecars {
-		if _, err := os.Stat(strings.TrimSuffix(sc, seqSuffix)); os.IsNotExist(err) {
-			_ = os.Remove(sc)
+		if _, err := fsys.Stat(strings.TrimSuffix(sc, SeqExt)); errors.Is(err, fs.ErrNotExist) {
+			_ = fsys.Remove(sc)
 		}
 	}
 	// A directory warmed under a larger (or unbounded) budget is trimmed
@@ -287,7 +294,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	victims := s.evictLocked()
 	s.mu.Unlock()
 	for _, v := range victims {
-		removeEntry(v)
+		s.removeEntry(v)
 	}
 	return s, nil
 }
@@ -328,8 +335,9 @@ func hashKey(key []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// seqSuffix names the recency sidecar next to each entry file.
-const seqSuffix = ".seq"
+// SeqExt is appended to an entry's or a segment's file name to name its
+// recency sidecar.
+const SeqExt = ".seq"
 
 // seqRecord is the sidecar's size: seq u64 | crc32 of those 8 bytes, both
 // little-endian.
@@ -338,8 +346,8 @@ const seqRecord = 12
 // readSeq parses the sidecar for the entry at path; a missing sidecar, or
 // one of the wrong length or with a wrong CRC, reads as 0 (ordering then
 // falls back to mtime and key).
-func readSeq(path string) int64 {
-	data, err := os.ReadFile(path + seqSuffix)
+func (s *Store) readSeq(path string) int64 {
+	data, err := s.fsys.ReadFile(path + SeqExt)
 	if err != nil || len(data) != seqRecord ||
 		crc32.ChecksumIEEE(data[:8]) != binary.LittleEndian.Uint32(data[8:]) {
 		return 0
@@ -352,7 +360,7 @@ func readSeq(path string) int64 {
 // the in-memory LRU stays exact regardless.
 func (s *Store) touch(path string) {
 	now := time.Now()
-	_ = os.Chtimes(path, now, now)
+	_ = s.fsys.Chtimes(path, now, now)
 	// One in-place write of the whole record: no staging file, no rename.
 	// Concurrent cross-process touches of one entry leave one of the two
 	// records, or a torn mix whose CRC fails and reads as 0 — never a
@@ -360,22 +368,22 @@ func (s *Store) touch(path string) {
 	var rec [seqRecord]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(s.seq.Add(1)))
 	binary.LittleEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(rec[:8]))
-	if f, err := os.OpenFile(path+seqSuffix, os.O_WRONLY|os.O_CREATE, 0o666); err == nil {
+	if f, err := s.fsys.OpenFile(path+SeqExt, os.O_WRONLY|os.O_CREATE, 0o666); err == nil {
 		_, _ = f.WriteAt(rec[:], 0) // best-effort, as is the Close below
 		_ = f.Close()
 	}
 	// A concurrent eviction may have removed the entry (and its sidecar)
 	// between our lock release and the write above; don't leave an orphan
 	// sidecar behind for the lifetime of the process.
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		_ = os.Remove(path + seqSuffix)
+	if _, err := s.fsys.Stat(path); errors.Is(err, fs.ErrNotExist) {
+		_ = s.fsys.Remove(path + SeqExt)
 	}
 }
 
 // removeEntry deletes an evicted entry file together with its sidecar.
-func removeEntry(path string) {
-	_ = os.Remove(path)
-	_ = os.Remove(path + seqSuffix)
+func (s *Store) removeEntry(path string) {
+	_ = s.fsys.Remove(path)
+	_ = s.fsys.Remove(path + SeqExt)
 }
 
 // Get returns the value stored under key, or (nil, false). Damaged or
@@ -394,16 +402,11 @@ func (s *Store) counted(val []byte, ok bool) ([]byte, bool) {
 
 func (s *Store) get(key []byte) ([]byte, bool) {
 	name := hashKey(key) + EntryExt
-	if s.faults.read() {
-		// Transient read failure: the entry stays on disk and indexed
-		// (same semantics as a real transient ReadFile error below).
-		return nil, false
-	}
 	// The file may have been written by another process after Open, so an
 	// entry this store has not indexed is still looked for.
-	data, err := os.ReadFile(s.pathFor(name))
+	data, err := s.fsys.ReadFile(s.pathFor(name))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			// Gone (evicted by another process): forget it. A transient
 			// failure keeps the index entry — the bytes are still on disk
 			// and must stay budgeted.
@@ -439,7 +442,7 @@ func (s *Store) admit(name string, size int64, recs []span) {
 	victims := s.evictLocked()
 	s.mu.Unlock()
 	for _, v := range victims {
-		removeEntry(v)
+		s.removeEntry(v)
 	}
 	s.touch(s.pathFor(name))
 }
@@ -454,7 +457,7 @@ func (s *Store) drop(name string, remove bool) {
 	}
 	s.mu.Unlock()
 	if remove {
-		removeEntry(s.pathFor(name))
+		s.removeEntry(s.pathFor(name))
 	}
 }
 
@@ -475,18 +478,18 @@ func (s *Store) DeleteSegment(key []byte) {
 type staged struct {
 	s    *Store
 	name string
-	f    *os.File
-	off  int64 // bytes the writer meant to write so far
+	f    File
+	off  int64 // bytes written so far
 	err  error
 }
 
 func (s *Store) stage(name string) staged {
 	shard := filepath.Dir(s.pathFor(name))
-	f, err := os.CreateTemp(shard, "."+name+".tmp-")
+	f, err := s.fsys.CreateTemp(shard, "."+name+".tmp-")
 	if errors.Is(err, fs.ErrNotExist) {
 		// First file of its shard: only now pay for the directory.
-		if err = os.MkdirAll(shard, 0o777); err == nil {
-			f, err = os.CreateTemp(shard, "."+name+".tmp-")
+		if err = s.fsys.MkdirAll(shard, 0o777); err == nil {
+			f, err = s.fsys.CreateTemp(shard, "."+name+".tmp-")
 		}
 	}
 	if err != nil {
@@ -500,25 +503,18 @@ func (w *staged) fail(err error) error {
 		w.err = err
 		if w.f != nil {
 			w.f.Close()
-			os.Remove(w.f.Name())
+			w.s.fsys.Remove(w.f.Name())
 		}
 	}
 	return w.err
 }
 
-// write puts data at the end of the file, through the fault injector's
-// write classes. The offset advances by what was meant to be written: a
-// torn or truncated record of a segment leaves a hole its checksum exposes
-// on read, not a shifted tail.
+// write puts data at the end of the file.
 func (w *staged) write(data []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	out, err := w.s.faults.write(data)
-	if err == nil {
-		_, err = w.f.WriteAt(out, w.off)
-	}
-	if err != nil {
+	if _, err := w.f.WriteAt(data, w.off); err != nil {
 		return w.fail(fmt.Errorf("store: write %s: %w", w.name[:8], err))
 	}
 	w.off += int64(len(data))
@@ -534,7 +530,7 @@ func (w *staged) publish(recs []span) error {
 	if err := w.f.Close(); err != nil {
 		return w.fail(fmt.Errorf("store: close: %w", err))
 	}
-	if err := os.Rename(w.f.Name(), w.s.pathFor(w.name)); err != nil {
+	if err := w.s.fsys.Rename(w.f.Name(), w.s.pathFor(w.name)); err != nil {
 		return w.fail(fmt.Errorf("store: publish: %w", err))
 	}
 	w.f = nil // nothing left for a later fail to remove

@@ -402,17 +402,17 @@ func TestEvictionTieBreakByKeyWithoutSidecars(t *testing.T) {
 				// but the key is left to order on.
 				for _, k := range keys {
 					path := s.pathFor(hashKey(k) + EntryExt)
-					if readSeq(path) == 0 {
+					if s.readSeq(path) == 0 {
 						t.Fatalf("%s: no sequence persisted by Put", k)
 					}
-					good, err := os.ReadFile(path + seqSuffix)
+					good, err := os.ReadFile(path + SeqExt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := damage(path+seqSuffix, good); err != nil {
+					if err := damage(path+SeqExt, good); err != nil {
 						t.Fatal(err)
 					}
-					if got := readSeq(path); got != 0 {
+					if got := s.readSeq(path); got != 0 {
 						t.Fatalf("%s: damaged sidecar read as sequence %d, want 0", k, got)
 					}
 				}
@@ -471,7 +471,7 @@ func TestSidecarConcurrentHandles(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	got := readSeq(a.pathFor(hashKey(key) + EntryExt))
+	got := a.readSeq(a.pathFor(hashKey(key) + EntryExt))
 	fromA := got > aBase && got <= a.seq.Load()
 	fromB := got > bBase && got <= b.seq.Load()
 	if got != 0 && !fromA && !fromB {
@@ -496,7 +496,7 @@ func TestOpenResumesSequence(t *testing.T) {
 	if err := s2.Put([]byte("next"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readSeq(s2.pathFor(hashKey([]byte("next")) + EntryExt)); got != 5 {
+	if got := s2.readSeq(s2.pathFor(hashKey([]byte("next")) + EntryExt)); got != 5 {
 		t.Errorf("first write after reopen persisted sequence %d, want 5", got)
 	}
 }
@@ -517,11 +517,11 @@ func TestEvictionLeavesNoOrphanSidecar(t *testing.T) {
 	}
 	sidecars := 0
 	err := filepath.Walk(s.Dir(), func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || filepath.Ext(p) != seqSuffix {
+		if err != nil || info.IsDir() || filepath.Ext(p) != SeqExt {
 			return err
 		}
 		sidecars++
-		if _, err := os.Stat(strings.TrimSuffix(p, seqSuffix)); err != nil {
+		if _, err := os.Stat(strings.TrimSuffix(p, SeqExt)); err != nil {
 			t.Errorf("orphan sidecar %s: %v", filepath.Base(p), err)
 		}
 		return nil
