@@ -22,7 +22,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"strconv"
 	"strings"
@@ -190,9 +189,7 @@ func (s *Server) fetchTrace(ctx context.Context, key sim.TraceKey) (*trace.Trace
 				break // peer unusable: resume remaining chunks from the next
 			}
 			idx, raw, err := trace.DecodeChunk(data)
-			if err != nil || idx != int64(i) ||
-				int64(len(raw)) != m.Chunks[i].Rows*trace.RecordBytes ||
-				crc32.ChecksumIEEE(raw) != m.Chunks[i].CRC {
+			if err != nil || idx != int64(i) || m.Chunks[i].Verify(raw) != nil {
 				damaged = true
 				complete = false
 				continue // this chunk is damaged; others may still be good

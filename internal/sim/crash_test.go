@@ -15,9 +15,10 @@ import (
 	"minigraph/internal/store"
 )
 
-// crashBudget holds three of the four traces crashScript captures, so
-// publishing the fourth evicts the least recently used file.
-const crashBudget = 300 << 10
+// crashBudget holds three of the four traces crashScript captures (30 to
+// 48 KB segments) and its outcomes, so publishing the fourth evicts the
+// least recently used file.
+const crashBudget = 150 << 10
 
 type opKind int
 

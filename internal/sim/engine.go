@@ -800,20 +800,21 @@ func (e *Engine) captureTier(ctx context.Context, key SimKey, pr *Prepared, prog
 		if limit := key.Config.MaxRecords; limit > 0 && limit < rows {
 			rows = limit
 		}
-		w = e.store.BeginSegment(kb, rows*trace.RecordBytes)
+		w = e.store.BeginSegment(kb, rows*trace.MaxRecordBytes)
 		defer w.Abort() // a no-op once adopt has published it
 		sink = &storeChunkIO{e: e, tk: tk, w: w}
 	}
 	tr, err := e.capture(ctx, key, pr, prog, templates, sink)
-	if err == nil && w != nil && w.Err() != nil && tr.Spilled() {
-		// The segment died holding chunks the capture had let go of; only
-		// capturing again, resident this time, brings them back.
-		tr, err = e.capture(ctx, key, pr, prog, templates, nil)
-	}
 	if err != nil {
 		return nil, err
 	}
-	return e.adopt(tk, tr, tierCapture, w)
+	if tr, err = e.adopt(tk, tr, tierCapture, w); err == nil && w != nil && w.Err() != nil && tr.Spilled() {
+		// The segment died — during the capture, or at the manifest after
+		// it — holding chunks the capture had let go of; only capturing
+		// again, resident this time, brings them back.
+		return e.capture(ctx, key, pr, prog, templates, nil)
+	}
+	return tr, err
 }
 
 // capture runs the functional emulation of key's binary into a fresh
@@ -886,18 +887,19 @@ func (e *Engine) persistTrace(tk TraceKey, tr *trace.Trace, w *store.SegmentWrit
 	if err != nil {
 		return false
 	}
+	m := tr.Manifest()
 	if w == nil {
 		w = e.store.BeginSegment(keyBytes, tr.SizeBytes())
 		defer w.Abort()
 		sink := &storeChunkIO{e: e, tk: tk, w: w}
-		for ci := int64(0); ci < tr.NumChunks(); ci++ {
-			raw, err := tr.ChunkPayload(ci)
-			if err != nil || sink.SealChunk(ci, int64(len(raw))/trace.RecordBytes, raw, tr.ChunkCRC(ci)) != nil {
+		for ci, c := range m.Chunks {
+			raw, err := tr.ChunkPayload(int64(ci))
+			if err != nil || sink.SealChunk(int64(ci), c.Rows, raw, c.CRC) != nil {
 				return false
 			}
 		}
 	}
-	return e.appendRecord(w, keyBytes, trace.EncodeManifest(tr.Manifest())) == nil && w.Publish() == nil
+	return e.appendRecord(w, keyBytes, trace.EncodeManifest(m)) == nil && w.Publish() == nil
 }
 
 // loadOutcome is the store read-before of one arm: the arm's store key

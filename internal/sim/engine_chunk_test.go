@@ -3,12 +3,16 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"minigraph/internal/emu"
+	"minigraph/internal/isa"
 	"minigraph/internal/store"
 	"minigraph/internal/store/storetest"
 	"minigraph/internal/trace"
@@ -66,7 +70,9 @@ func TestBoundedMemorySweep(t *testing.T) {
 	if st.TraceChunkEvictions == 0 {
 		t.Error("no chunk evictions although traces exceed the window")
 	}
-	capBytes := int64(testChunkWindow) * testChunkRecords * trace.RecordBytes
+	// A window chunk holds its rows, at most MaxRecordBytes each, and an
+	// offset index of 4 bytes every 64 rows.
+	capBytes := int64(testChunkWindow) * testChunkRecords * (trace.MaxRecordBytes + 1)
 	if st.TraceChunkWindowPeakBytes == 0 || st.TraceChunkWindowPeakBytes > capBytes {
 		t.Errorf("peak resident window bytes %d, want in (0, %d]", st.TraceChunkWindowPeakBytes, capBytes)
 	}
@@ -411,5 +417,116 @@ func TestSegmentLostUnderReader(t *testing.T) {
 				t.Errorf("re-captured trace not served from the store: %+v", cs)
 			}
 		})
+	}
+}
+
+// putV4Segment publishes tr under tk's key as trace codec v4 stored it:
+// frames of fixed 28-byte rows (pcWord | ea | destVal | storeVal) whose
+// header counts rows, then a manifest whose chunk table has no byte
+// counts. It is what a store written before variable-width rows holds.
+func putV4Segment(t *testing.T, st *store.Store, tk TraceKey, tr *trace.Trace, prog *isa.Program) {
+	t.Helper()
+	kb, err := EncodeTraceKey(tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tr.Manifest()
+	w := st.BeginSegment(kb, 0)
+	rd := trace.NewReader(tr, prog, 0)
+	var rec emu.Record
+	var table []byte
+	for ci, c := range m.Chunks {
+		var raw []byte
+		for i := int64(0); i < c.Rows && rd.NextInto(&rec); i++ {
+			word := uint32(rec.PC)
+			if rec.Taken {
+				word |= 1 << 31
+			}
+			raw = binary.LittleEndian.AppendUint32(raw, word)
+			raw = binary.LittleEndian.AppendUint64(raw, uint64(rec.EA))
+			raw = binary.LittleEndian.AppendUint64(raw, rec.DestVal)
+			raw = binary.LittleEndian.AppendUint64(raw, rec.StoreVal)
+		}
+		crc := crc32.ChecksumIEEE(raw)
+		frame := []byte("MGTC")
+		frame = binary.LittleEndian.AppendUint16(frame, 4) // version
+		frame = binary.LittleEndian.AppendUint16(frame, 0) // flags
+		for _, v := range []uint32{uint32(ci), uint32(c.Rows), crc, uint32(len(raw))} {
+			frame = binary.LittleEndian.AppendUint32(frame, v)
+		}
+		ck, err := EncodeTraceChunkKey(tk, int64(ci))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(ck, append(frame, raw...)); err != nil {
+			t.Fatal(err)
+		}
+		table = binary.LittleEndian.AppendUint32(table, uint32(c.Rows))
+		table = binary.LittleEndian.AppendUint32(table, crc)
+		table = binary.LittleEndian.AppendUint64(table, uint64(c.NextPC))
+	}
+	// Header, error message and static table are as in v5; the chunk table
+	// is not, and the checksum covers it.
+	v5 := trace.EncodeManifest(m)
+	man := append(append([]byte{}, v5[:len(v5)-20*len(m.Chunks)]...), table...)
+	binary.LittleEndian.PutUint16(man[4:], 4)
+	binary.LittleEndian.PutUint32(man[36:], crc32.ChecksumIEEE(man[40:]))
+	if err := w.Append(kb, man); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Publish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleTraceSegmentIsRewritten: the trace codec version moved without
+// moving sim.CodecVersion, so a store can hold a v4 segment under exactly
+// the key a v5 engine asks for. A cold engine reads it as a miss, captures
+// once and republishes the segment in v5; a second cold engine then
+// replays a new arm from the store with no capture at all. Outcomes are
+// byte-identical to a fresh run throughout.
+func TestStaleTraceSegmentIsRewritten(t *testing.T) {
+	job := storeJobs()[1] // minigraph arm
+	tk := job.Key().TraceKey()
+	fresh := New(2).WithTraceChunkRecords(testChunkRecords)
+	want := outcomeBytes(t, fresh, job)
+	tr, ok := fresh.memoTrace(tk)
+	if !ok {
+		t.Fatal("fresh engine holds no trace")
+	}
+	fresh.mu.Lock()
+	prog := fresh.traces[tk].val.prog
+	fresh.mu.Unlock()
+
+	dir := t.TempDir()
+	putV4Segment(t, openStore(t, dir), tk, tr, prog)
+
+	cold := chunkedEngine(t, dir)
+	if got := outcomeBytes(t, cold, job); !bytes.Equal(got, want) {
+		t.Error("outcome over a stale segment differs from a fresh run")
+	}
+	if cs := cold.Stats(); cs.TraceStoreHits != 0 || cs.TraceCaptures != 1 {
+		t.Errorf("a v4 segment was not a miss recaptured once: %+v", cs)
+	}
+	kb, err := EncodeTraceKey(tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := openStore(t, dir).GetRecord(kb, -1, kb)
+	if !ok {
+		t.Fatal("the recapture published no segment")
+	}
+	if _, err := trace.DecodeManifest(data); err != nil {
+		t.Fatalf("the republished manifest does not decode: %v", err)
+	}
+
+	arm := job
+	arm.Config.MemLatency += 40 // same TraceKey, distinct outcome key
+	second := chunkedEngine(t, dir)
+	if got := outcomeBytes(t, second, arm); !bytes.Equal(got, outcomeBytes(t, fresh, arm)) {
+		t.Error("replay of the republished segment differs from a fresh run")
+	}
+	if ss := second.Stats(); ss.TraceStoreHits != 1 || ss.TraceCaptures != 0 {
+		t.Errorf("the republished segment was not served from the store: %+v", ss)
 	}
 }

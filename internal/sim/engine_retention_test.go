@@ -17,7 +17,7 @@ import (
 // of the trace cache is only a bound on trace memory if an evicted trace
 // really is garbage once its replays have finished.
 func TestOutcomesDoNotPinTraces(t *testing.T) {
-	// 12 trace identities of 60,000 records (2.5 MB each) through an 8 MiB
+	// 12 trace identities of 60,000 records (~0.6 MB each) through a 2 MiB
 	// cache, two machines per identity.
 	const maxRecords = 60_000
 	var jobs []SimJob
@@ -42,7 +42,7 @@ func TestOutcomesDoNotPinTraces(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	e := New(2).WithTraceCacheBytes(8 << 20)
+	e := New(2).WithTraceCacheBytes(2 << 20)
 	// Capture the first identity alone and watch its trace; the eleven that
 	// follow push it out of the cache.
 	first, err := e.Simulate(ctx, jobs[0])
@@ -67,7 +67,7 @@ func TestOutcomesDoNotPinTraces(t *testing.T) {
 	st := e.Stats()
 	const slack = 16 << 20 // preparations, programs, selections, outcomes
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > st.TraceResidentBytes+slack {
-		t.Errorf("heap grew by %d MiB over a run whose trace cache holds %d MiB (budget 8 MiB, %d MiB captured in all)",
+		t.Errorf("heap grew by %d MiB over a run whose trace cache holds %d MiB (budget 2 MiB, %d MiB captured in all)",
 			grown>>20, st.TraceResidentBytes>>20, st.TraceBytes>>20)
 	}
 	for i := 0; i < 20 && !collected.Load(); i++ {

@@ -258,35 +258,38 @@ func TestEngineStoreKeyCanonicalization(t *testing.T) {
 // chunk until it has evicted the whole store, its own head included. The
 // much smaller outcome entries still persist, nothing is evicted, no
 // staging file is left, and a cold engine answers from the outcomes without
-// recapturing. 3000 records are ~84 KB of rows in twelve ~7 KB chunks.
+// recapturing. 3000 records are ~37 KB of rows in twelve ~3 KB chunks,
+// under an up-front hint of 3000 × MaxRecordBytes = 84 KB; the manifest
+// adds sha's ~5 KB static table.
 func TestOversizedTraceRefusedByStore(t *testing.T) {
 	ctx := context.Background()
 	pk := PrepareKey{Bench: "sha", Input: workload.InputTrain}
-	base := uarch.Baseline()
-	base.MaxRecords = 3000
-	job := Baseline(pk, base)
-	ref, err := New(2).Simulate(ctx, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, tc := range []struct {
 		name     string
+		records  int64
 		max      int64
 		window   int
 		captures int64
 	}{
 		// Resident: the whole trace is offered at once, at its exact size.
-		{"resident", 24 << 10, 0, 1},
-		// Spilling: the profile says up front that it cannot fit.
-		{"spilling", 24 << 10, testChunkWindow, 1},
-		// Spilling into a budget the rows alone fit but rows plus envelopes
-		// and manifest do not: only the appends find out, after the capture
-		// has let go of the chunks the dead segment held — so it captures
-		// again, resident.
-		{"spilling, found out late", 3000*trace.RecordBytes + 2<<10, testChunkWindow, 2},
+		{"resident", 3000, 24 << 10, 0, 1},
+		// Spilling: the hint says up front that it cannot fit.
+		{"spilling", 3000, 24 << 10, testChunkWindow, 1},
+		// Spilling into a budget the hint fits but the segment does not:
+		// 64 records are at most 1.8 KB of rows, but the manifest carries the
+		// static table. Only the appends find out, after the capture has let
+		// go of the chunk the dead segment held — so it captures again,
+		// resident.
+		{"spilling, found out late", 64, 64*trace.MaxRecordBytes + 2<<10, testChunkWindow, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			base := uarch.Baseline()
+			base.MaxRecords = tc.records
+			job := Baseline(pk, base)
+			ref, err := New(2).Simulate(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
 			dir := t.TempDir()
 			st, err := store.Open(dir, store.Options{MaxBytes: tc.max})
 			if err != nil {

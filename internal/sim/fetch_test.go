@@ -110,7 +110,7 @@ func TestTraceFetcherAdoptsPeerBlob(t *testing.T) {
 	last := len(chunks) - 1
 	flipped := append([]byte(nil), chunks[last]...)
 	flipped[len(flipped)-1] ^= 0xff
-	for name, bad := range map[string][]byte{"bit flip": flipped, "short chunk": chunks[last][:len(chunks[last])-trace.RecordBytes]} {
+	for name, bad := range map[string][]byte{"bit flip": flipped, "short chunk": chunks[last][:len(chunks[last])-1]} {
 		offer := append(payloads(nil), chunks...)
 		offer[last] = bad
 		damaged := New(2).WithTraceFetcher(fetcherOf(m, offer, new(atomic.Int64)))

@@ -15,7 +15,7 @@ import (
 )
 
 // Chunked backing. A Trace's packed rows are not one flat buffer but a
-// sequence of fixed-size chunks (a power-of-two record count per chunk,
+// sequence of chunks of a fixed row count (a power of two,
 // DefaultChunkRecords unless overridden at capture). The chunk is the unit
 // of everything the substrate does with trace data:
 //
@@ -24,26 +24,39 @@ import (
 //     never needs more than one open chunk of memory;
 //   - each chunk carries its own CRC, so damage is detected — and
 //     re-fetched or re-captured — per chunk, not per multi-GB blob;
-//   - the persistent store holds one entry per chunk plus a Manifest
-//     entry naming them, so a cold process (or a peer transfer) moves and
+//   - the persistent store holds one record per chunk plus a Manifest
+//     naming them, so a cold process (or a peer transfer) moves and
 //     verifies the trace chunk by chunk;
+//   - a chunk becomes resident (sealed and retained, faulted in, or
+//     materialized) through one pass over its rows that checks them and
+//     indexes them (see resident);
 //   - Readers hold a bounded window of resident chunks and fault evicted
 //     ones back in through a ChunkSource, so replay memory is bounded by
 //     the window, not the trace. Rewind stays unbounded: rewinding past
 //     the window merely re-faults old chunks, it never clamps.
 const (
 	// DefaultChunkRecords is the records-per-chunk default (~64Ki rows,
-	// 1.75 MiB of packed rows per chunk).
+	// at most 1.75 MiB of packed rows per chunk).
 	DefaultChunkRecords = 1 << 16
 
 	// minChunkRecords floors the records-per-chunk override. Tiny chunks
 	// exist so tests can cross many chunk boundaries cheaply; below this
 	// the per-chunk framing overhead stops being meaningful.
 	minChunkRecords = 1 << 4
+
+	// maxChunkRecords caps it so that a chunk of the widest rows still
+	// counts its bytes in the u32 the frame and the manifest give them.
+	maxChunkRecords = 1 << 27
+
+	// indexStride is the row distance between a resident chunk's indexed
+	// offsets: reaching any row is one lookup and fewer than indexStride
+	// row steps.
+	indexStride = 64
 )
 
 // normalizeChunkRecords rounds n up to a power of two within
-// [minChunkRecords, 2^30], with 0 (and negatives) selecting the default.
+// [minChunkRecords, maxChunkRecords], with 0 (and negatives) selecting the
+// default.
 func normalizeChunkRecords(n int64) int64 {
 	if n <= 0 {
 		return DefaultChunkRecords
@@ -51,8 +64,8 @@ func normalizeChunkRecords(n int64) int64 {
 	if n < minChunkRecords {
 		n = minChunkRecords
 	}
-	if n > 1<<30 {
-		n = 1 << 30
+	if n > maxChunkRecords {
+		n = maxChunkRecords
 	}
 	if n&(n-1) != 0 {
 		n = 1 << bits.Len64(uint64(n))
@@ -78,7 +91,7 @@ type ChunkSink interface {
 }
 
 // ChunkSource supplies the raw packed rows of one sealed chunk by index
-// (see Trace.BindSource). The returned bytes are CRC-verified against the
+// (see Trace.BindSource). The returned bytes are verified against the
 // trace's manifest by the caller, so a source only moves bytes. Sources
 // must be safe for concurrent use — every Reader over a spilled trace
 // faults through the one bound source.
@@ -86,24 +99,39 @@ type ChunkSource interface {
 	FetchChunk(index int64) ([]byte, error)
 }
 
-// ChunkInfo is one manifest entry: the row count and payload CRC of one
-// sealed chunk, and the NextPC of its last row — the one NextPC the rows
-// themselves cannot supply, since a row's successor is the next row. It
-// is full width because the trace's last record may leave the program
-// entirely (the step after it faults at fetch).
+// ChunkInfo is one manifest entry: the row count, payload byte count and
+// payload CRC of one sealed chunk, and the NextPC of its last row — the
+// one NextPC the rows themselves cannot supply, since a row's successor is
+// the next row. It is full width because the trace's last record may leave
+// the program entirely (the step after it faults at fetch).
 type ChunkInfo struct {
 	Rows   int64
+	Bytes  int64
 	CRC    uint32
 	NextPC int64
+}
+
+// Verify checks that raw is the payload this entry describes: its byte
+// count and its CRC. Whether its rows make sense under the static table is
+// checked when the chunk becomes resident.
+func (c ChunkInfo) Verify(raw []byte) error {
+	if int64(len(raw)) != c.Bytes {
+		return fmt.Errorf("payload is %d bytes, the manifest says %d", len(raw), c.Bytes)
+	}
+	if crc32.ChecksumIEEE(raw) != c.CRC {
+		return errors.New("payload checksum mismatch")
+	}
+	return nil
 }
 
 // Manifest describes a chunked trace without its rows: total rows,
 // records per chunk, capture termination state, the static table (one
 // StaticInst per static instruction, indexed by pc), and the per-chunk
-// row counts, checksums and next pcs. It is the unit the store persists
-// under the trace's key — chunk payloads live in their own entries — and
-// what a peer transfer fetches first to know what to stream; with the
-// static table in it, rows plus manifest are the whole trace.
+// row and byte counts, checksums and next pcs. It is the unit the store
+// persists under the trace's key — chunk payloads live in their own
+// records — and what a peer transfer fetches first to know what to
+// stream; with the static table in it, rows plus manifest are the whole
+// trace.
 type Manifest struct {
 	ChunkRecords int64
 	Rows         int64
@@ -113,12 +141,13 @@ type Manifest struct {
 	Chunks       []ChunkInfo
 }
 
-// checkStatic rejects a static table or a chunk chain no capture writes:
+// check rejects a static table or a chunk table no capture writes:
 // unknown flags, more than two sources, an unexecuted entry that is not
-// all zero, or a chunk other than the last whose NextPC — the pc of the
-// row that follows it — is not an executed entry. Only the last chunk can
-// point outside the program.
-func (m Manifest) checkStatic() error {
+// all zero, a chunk whose byte count no rows of its row count can have,
+// or a chunk other than the last whose NextPC — the pc of the row that
+// follows it — is not an executed entry. Only the last chunk can point
+// outside the program.
+func (m Manifest) check() error {
 	for pc, s := range m.Static {
 		switch {
 		case s.Flags&^staticKnownFlags != 0:
@@ -127,6 +156,11 @@ func (m Manifest) checkStatic() error {
 			return fmt.Errorf("trace: static entry %d is unexecuted but not empty", pc)
 		case s.NSrcs > 2:
 			return fmt.Errorf("trace: static entry %d has %d sources", pc, s.NSrcs)
+		}
+	}
+	for i, c := range m.Chunks {
+		if c.Bytes < c.Rows*pcWordBytes || c.Bytes > c.Rows*MaxRecordBytes {
+			return fmt.Errorf("trace: manifest chunk %d claims %d bytes for %d rows", i, c.Bytes, c.Rows)
 		}
 	}
 	for i := 0; i < len(m.Chunks)-1; i++ {
@@ -150,18 +184,20 @@ const chunkFlagFlate uint16 = 1 << 0
 // manifestHeaderBytes: magic(4) version(2) flags(2: bit0 halted)
 // errLen(4) rows(8) chunkRecords(8) chunkCount(4) staticCount(4) crc(4),
 // then errMsg, then staticCount × staticInstBytes, then chunkCount ×
-// (rows u32 | crc u32 | nextPC i64). crc is the IEEE CRC-32 of everything
-// after the header: errMsg, the static table and the chunk table.
+// (rows u32 | bytes u32 | crc u32 | nextPC i64). crc is the IEEE CRC-32
+// of everything after the header: errMsg, the static table and the chunk
+// table.
 const manifestHeaderBytes = 4 + 2 + 2 + 4 + 8 + 8 + 4 + 4 + 4
 
 // chunkInfoBytes is one chunk-table entry of an encoded manifest.
-const chunkInfoBytes = 4 + 4 + 8
+const chunkInfoBytes = 4 + 4 + 4 + 8
 
-// chunkHeaderBytes: magic(4) version(2) flags(2) index(4) rows(4)
+// chunkHeaderBytes: magic(4) version(2) flags(2) index(4) rawLen(4)
 // rawCRC(4) encLen(4), then encLen payload bytes (raw packed rows, or a
-// DEFLATE stream of them when chunkFlagFlate is set). rawCRC is always
-// the CRC of the *uncompressed* rows — the manifest and the frame agree
-// on one checksum no matter how the payload traveled.
+// DEFLATE stream of them when chunkFlagFlate is set). rawLen and rawCRC
+// are always those of the *uncompressed* rows — the manifest and the
+// frame agree on one byte count and one checksum no matter how the
+// payload traveled.
 const chunkHeaderBytes = 4 + 2 + 2 + 4 + 4 + 4 + 4
 
 // EncodeManifest renders m in the versioned binary manifest encoding.
@@ -177,6 +213,7 @@ func EncodeManifest(m Manifest) []byte {
 	}
 	for _, c := range m.Chunks {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Rows))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Bytes))
 		buf = binary.LittleEndian.AppendUint32(buf, c.CRC)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.NextPC))
 	}
@@ -200,10 +237,10 @@ func EncodeManifest(m Manifest) []byte {
 // DecodeManifest parses a binary manifest encoding. It rejects bad magic,
 // version mismatches, truncation, trailing garbage, table corruption, and
 // any internal inconsistency (chunk rows that do not sum to the total,
-// oversized chunks, a non-power-of-two chunk size, a static entry no
-// capture writes, a chunk that continues at a pc the static table does
-// not hold) — a damaged or stale manifest must read as a cache miss,
-// never as a wrong chunk plan.
+// oversized chunks, a byte count no rows can have, a non-power-of-two
+// chunk size, a static entry no capture writes, a chunk that continues at
+// a pc the static table does not hold) — a damaged or stale manifest must
+// read as a cache miss, never as a wrong chunk plan.
 func DecodeManifest(data []byte) (Manifest, error) {
 	var m Manifest
 	if len(data) < manifestHeaderBytes {
@@ -224,7 +261,7 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	chunkRecords := int64(binary.LittleEndian.Uint64(data[20:]))
 	count := int64(binary.LittleEndian.Uint32(data[28:]))
 	statics := int64(binary.LittleEndian.Uint32(data[32:]))
-	if rows < 0 || chunkRecords < minChunkRecords || chunkRecords > 1<<30 ||
+	if rows < 0 || chunkRecords < minChunkRecords || chunkRecords > maxChunkRecords ||
 		chunkRecords&(chunkRecords-1) != 0 {
 		return m, fmt.Errorf("trace: implausible manifest geometry (rows=%d chunkRecords=%d)", rows, chunkRecords)
 	}
@@ -265,13 +302,18 @@ func DecodeManifest(data []byte) (Manifest, error) {
 		if int64(i) < count-1 && r != chunkRecords {
 			return m, fmt.Errorf("trace: manifest chunk %d is short (%d rows) but not last", i, r)
 		}
-		m.Chunks[i] = ChunkInfo{Rows: r, CRC: binary.LittleEndian.Uint32(e[4:]), NextPC: int64(binary.LittleEndian.Uint64(e[8:]))}
+		m.Chunks[i] = ChunkInfo{
+			Rows:   r,
+			Bytes:  int64(binary.LittleEndian.Uint32(e[4:])),
+			CRC:    binary.LittleEndian.Uint32(e[8:]),
+			NextPC: int64(binary.LittleEndian.Uint64(e[12:])),
+		}
 		sum += r
 	}
 	if sum != rows {
 		return m, fmt.Errorf("trace: manifest chunk rows sum to %d, want %d", sum, rows)
 	}
-	return m, m.checkStatic()
+	return m, m.check()
 }
 
 // EncodeChunk renders one sealed chunk's raw rows as a self-describing,
@@ -280,9 +322,6 @@ func DecodeManifest(data []byte) (Manifest, error) {
 // chunk is stored raw, so compression can only help); the frame's CRC is
 // always of the raw rows, matching the manifest's entry for the chunk.
 func EncodeChunk(index int64, raw []byte, compress bool) []byte {
-	if len(raw)%recordBytes != 0 {
-		panic(fmt.Sprintf("trace: chunk payload %d bytes is not whole rows", len(raw)))
-	}
 	payload := raw
 	var fl uint16
 	if compress && len(raw) > 0 {
@@ -301,7 +340,7 @@ func EncodeChunk(index int64, raw []byte, compress bool) []byte {
 	binary.LittleEndian.PutUint16(h[4:], CodecVersion)
 	binary.LittleEndian.PutUint16(h[6:], fl)
 	binary.LittleEndian.PutUint32(h[8:], uint32(index))
-	binary.LittleEndian.PutUint32(h[12:], uint32(len(raw)/recordBytes))
+	binary.LittleEndian.PutUint32(h[12:], uint32(len(raw)))
 	binary.LittleEndian.PutUint32(h[16:], crc32.ChecksumIEEE(raw))
 	binary.LittleEndian.PutUint32(h[20:], uint32(len(payload)))
 	out = append(out, h[:]...)
@@ -310,8 +349,9 @@ func EncodeChunk(index int64, raw []byte, compress bool) []byte {
 }
 
 // DecodeChunk parses a chunk frame, decompressing if needed, and verifies
-// it end to end: magic, version, length, whole rows, and the raw-payload
-// CRC. The returned slice is freshly allocated (never aliases data).
+// it end to end: magic, version, frame length, raw length, and the
+// raw-payload CRC. The returned slice is freshly allocated (never aliases
+// data).
 func DecodeChunk(data []byte) (index int64, raw []byte, err error) {
 	if len(data) < chunkHeaderBytes {
 		return 0, nil, fmt.Errorf("trace: short chunk header (%d bytes)", len(data))
@@ -327,7 +367,7 @@ func DecodeChunk(data []byte) (index int64, raw []byte, err error) {
 		return 0, nil, fmt.Errorf("trace: unknown chunk flags %#x", fl)
 	}
 	index = int64(binary.LittleEndian.Uint32(data[8:]))
-	rows := int64(binary.LittleEndian.Uint32(data[12:]))
+	rawLen := int64(binary.LittleEndian.Uint32(data[12:]))
 	wantCRC := binary.LittleEndian.Uint32(data[16:])
 	encLen := int64(binary.LittleEndian.Uint32(data[20:]))
 	if int64(len(data)) != chunkHeaderBytes+encLen {
@@ -335,17 +375,17 @@ func DecodeChunk(data []byte) (index int64, raw []byte, err error) {
 	}
 	payload := data[chunkHeaderBytes:]
 	if fl&chunkFlagFlate != 0 {
-		// The row count sizes the inflate buffer, and it arrives from the
+		// The raw length sizes the inflate buffer, and it arrives from the
 		// wire. DEFLATE expands at most ~1032x, so a header claiming more
-		// rows than the payload could possibly inflate to is a memory
+		// bytes than the payload could possibly inflate to is a memory
 		// bomb, not a chunk — reject it before allocating anything.
-		if rows*recordBytes > encLen*1032+64 {
-			return 0, nil, fmt.Errorf("trace: chunk claims %d rows from %d compressed bytes", rows, encLen)
+		if rawLen > encLen*1032+64 {
+			return 0, nil, fmt.Errorf("trace: chunk claims %d bytes from %d compressed bytes", rawLen, encLen)
 		}
 		zr := flate.NewReader(bytes.NewReader(payload))
-		raw = make([]byte, 0, rows*recordBytes)
+		raw = make([]byte, 0, rawLen)
 		var rerr error
-		raw, rerr = appendAll(raw, zr, rows*recordBytes)
+		raw, rerr = appendAll(raw, zr, rawLen)
 		_ = zr.Close()
 		if rerr != nil {
 			return 0, nil, fmt.Errorf("trace: chunk inflate: %w", rerr)
@@ -353,8 +393,8 @@ func DecodeChunk(data []byte) (index int64, raw []byte, err error) {
 	} else {
 		raw = append([]byte(nil), payload...)
 	}
-	if int64(len(raw)) != rows*recordBytes {
-		return 0, nil, fmt.Errorf("trace: chunk holds %d bytes, header claims %d rows", len(raw), rows)
+	if int64(len(raw)) != rawLen {
+		return 0, nil, fmt.Errorf("trace: chunk holds %d bytes, header claims %d", len(raw), rawLen)
 	}
 	if crc32.ChecksumIEEE(raw) != wantCRC {
 		return 0, nil, fmt.Errorf("trace: chunk payload checksum mismatch")
@@ -382,9 +422,54 @@ func appendAll(dst []byte, r io.Reader, limit int64) ([]byte, error) {
 	}
 }
 
+// chunk is one sealed chunk as memory holds it: its packed rows and, once
+// resident, the byte offset of every indexStride-th row. The index is
+// derived from the rows when the chunk becomes resident — never stored or
+// sent — so no stored index can disagree with the rows it indexes.
+type chunk struct {
+	rows  []byte
+	index []uint32
+}
+
+// heldBytes is the memory c pins.
+func (c chunk) heldBytes() int64 { return int64(cap(c.rows)) + 4*int64(cap(c.index)) }
+
+// resident checks data as chunk ci's rows and indexes them, in one pass:
+// every row names a pc the trace executed, and the rows, each as wide as
+// its pc's static entry says, tile data exactly in the manifest's row
+// count. Data that passes can be decoded with no further check; data that
+// does not is damage its CRC did not see — the CRC only says the bytes
+// are the ones the manifest's author checksummed — and the chunk reads as
+// ErrChunkUnavailable as a whole.
+func (t *Trace) resident(ci int64, data []byte) (chunk, error) {
+	rows := t.info[ci].Rows
+	index := make([]uint32, (rows+indexStride-1)/indexStride)
+	off := 0
+	for r := int64(0); r < rows; r++ {
+		if r%indexStride == 0 {
+			index[r/indexStride] = uint32(off)
+		}
+		if len(data)-off < pcWordBytes {
+			return chunk{}, fmt.Errorf("%w: chunk %d ends inside row %d of %d", ErrChunkUnavailable, ci, r, rows)
+		}
+		pc := isa.PC(binary.LittleEndian.Uint32(data[off:]) &^ takenBit)
+		if !t.executed(pc) {
+			return chunk{}, fmt.Errorf("%w: chunk %d row %d names pc %d, which the static table does not hold", ErrChunkUnavailable, ci, r, pc)
+		}
+		if off += int(rowWidth[t.fields[pc]]); off > len(data) {
+			return chunk{}, fmt.Errorf("%w: chunk %d row %d (pc %d) claims values past the end of the payload", ErrChunkUnavailable, ci, r, pc)
+		}
+	}
+	if off != len(data) {
+		return chunk{}, fmt.Errorf("%w: chunk %d has %d bytes after its %d rows", ErrChunkUnavailable, ci, len(data)-off, rows)
+	}
+	return chunk{rows: data, index: index}, nil
+}
+
 // WindowStats reports one reader's bounded-window activity: chunks
 // faulted in through the ChunkSource, chunks evicted to stay inside the
-// window, and the peak bytes the window held resident at any moment.
+// window, and the peak bytes (rows and index) the window held resident at
+// any moment.
 type WindowStats struct {
 	Faults    int64
 	Evictions int64
@@ -392,29 +477,32 @@ type WindowStats struct {
 }
 
 // chunkWindow is one reader's (or one gang's) view of a trace bound to a
-// program: the row decoder, over a bounded cache of non-resident chunk
-// payloads. Chunks the Trace itself retains are served directly and cost
-// the window nothing; only spilled chunks are faulted in (CRC-verified
-// against the manifest) and LRU-evicted beyond max. A window is not safe
-// for concurrent use — sharing happens at the immutable Trace, not here.
+// program: the row decoder, over a bounded cache of non-resident chunks.
+// Chunks the Trace itself retains are served directly and cost the window
+// nothing; only spilled chunks are faulted in (verified against the
+// manifest, checked and indexed) and LRU-evicted beyond max. A window is
+// not safe for concurrent use — sharing happens at the immutable Trace,
+// not here.
 type chunkWindow struct {
 	t      *Trace
 	prog   *isa.Program
 	misfit error // t's static table does not fit prog: nothing is served
 
 	max   int // max faulted chunks held resident (<= 0: unbounded)
-	cache map[int64][]byte
+	cache map[int64]chunk
 	order []int64 // least recently touched first
 	bytes int64
 	stats WindowStats
 
-	// The chunk under the last decoded record — rows [base, end) and the
-	// NextPC of the last of them — so the per-record path is one
-	// bounds-checked slice and no lookup, as it was when the trace was a
-	// single flat buffer.
-	cur       []byte
+	// The chunk under the cursor — rows [base, end) and the NextPC of the
+	// last of them — and the cursor itself: the row of record at starts at
+	// byte off of it. Sequential decoding reads the next row where the last
+	// one ended, so the per-record path is no lookup at all.
+	cur       chunk
 	base, end int64
 	next      isa.PC
+	at        int64
+	off       int
 }
 
 func newChunkWindow(t *Trace, prog *isa.Program, maxChunks int) *chunkWindow {
@@ -441,62 +529,85 @@ func (w *chunkWindow) open(limit int64) (serve int64, err error) {
 // necessary. Every field is written, so dst may be reused across calls
 // without clearing. Inst is resolved through the bound program — the same
 // lookup the live emulator performs — so a Trace can be bound to any
-// structurally identical copy of the program it was captured from. A row
-// whose pc (or whose successor's) the static table does not hold is
-// damage the chunk CRC did not see; it reads as ErrChunkUnavailable, not
-// as a record.
+// structurally identical copy of the program it was captured from. The
+// row needs no check of its own: its chunk was checked whole when it
+// became resident, and a chunk that failed reads as ErrChunkUnavailable.
 func (w *chunkWindow) fill(dst *emu.Record, seq int64) error {
-	if seq < w.base || seq >= w.end {
-		ci := seq >> w.t.chunkShift
-		data, err := w.rows(ci)
-		if err != nil {
+	if seq != w.at || seq >= w.end {
+		if err := w.seek(seq); err != nil {
 			return err
 		}
-		w.cur, w.base, w.next = data, ci<<w.t.chunkShift, w.t.nexts[ci]
-		w.end = w.base + int64(len(data))/recordBytes
 	}
-	rows := w.cur[(seq-w.base)*recordBytes:]
-	word := binary.LittleEndian.Uint32(rows)
-	pc, next := isa.PC(word&^takenBit), w.next
-	if len(rows) > recordBytes {
-		next = isa.PC(binary.LittleEndian.Uint32(rows[recordBytes:]) &^ takenBit)
-		if !w.t.executed(next) {
-			return fmt.Errorf("%w: record %d is followed by pc %d, which the static table does not hold", ErrChunkUnavailable, seq, next)
-		}
-	}
-	if !w.t.executed(pc) {
-		return fmt.Errorf("%w: record %d names pc %d, which the static table does not hold", ErrChunkUnavailable, seq, pc)
-	}
-	rows = rows[:recordBytes:recordBytes]
+	rows := w.cur.rows
+	word := binary.LittleEndian.Uint32(rows[w.off:])
+	pc := isa.PC(word &^ takenBit)
+	f := w.t.fields[pc]
 	*dst = w.t.static[pc]
 	dst.Seq = seq
 	dst.Inst = &w.prog.Insts[pc]
-	dst.EA = isa.Addr(binary.LittleEndian.Uint64(rows[4:]))
 	dst.Taken = word&takenBit != 0
-	dst.NextPC = next
-	dst.DestVal = binary.LittleEndian.Uint64(rows[12:])
-	dst.StoreVal = binary.LittleEndian.Uint64(rows[20:])
+	off := w.off + pcWordBytes
+	if f&fieldEA != 0 {
+		dst.EA = isa.Addr(binary.LittleEndian.Uint64(rows[off:]))
+		off += valueBytes
+	}
+	if f&fieldDest != 0 {
+		dst.DestVal = binary.LittleEndian.Uint64(rows[off:])
+		off += valueBytes
+	}
+	if f&fieldStore != 0 {
+		dst.StoreVal = binary.LittleEndian.Uint64(rows[off:])
+		off += valueBytes
+	}
+	dst.NextPC = w.next
+	if off < len(rows) {
+		dst.NextPC = isa.PC(binary.LittleEndian.Uint32(rows[off:]) &^ takenBit)
+	}
+	w.at, w.off = seq+1, off
 	return nil
 }
 
-// rows returns chunk ci's raw packed rows, faulting through the trace's
-// source if the chunk is not resident. Every byte served has passed the
-// manifest CRC — a source that returns damaged or wrong-length bytes
-// reads as ErrChunkUnavailable, never as wrong records.
-func (w *chunkWindow) rows(ci int64) ([]byte, error) {
-	if data := w.t.chunks[ci]; data != nil {
-		return data, nil
+// seek moves the cursor to seq: into seq's chunk if it is not the one under
+// the cursor, then to the indexed row at or before seq, then row by row —
+// fewer than indexStride steps — to seq itself.
+func (w *chunkWindow) seek(seq int64) error {
+	if seq < w.base || seq >= w.end {
+		ci := seq >> w.t.chunkShift
+		c, err := w.chunk(ci)
+		if err != nil {
+			return err
+		}
+		info := &w.t.info[ci]
+		w.cur, w.base, w.next = c, ci<<w.t.chunkShift, isa.PC(info.NextPC)
+		w.end = w.base + info.Rows
 	}
-	if data, ok := w.cache[ci]; ok {
+	k := (seq - w.base) / indexStride
+	w.at, w.off = w.base+k*indexStride, int(w.cur.index[k])
+	for ; w.at < seq; w.at++ {
+		w.off += int(rowWidth[w.t.fields[binary.LittleEndian.Uint32(w.cur.rows[w.off:])&^takenBit]])
+	}
+	return nil
+}
+
+// chunk returns chunk ci resident and indexed, faulting it in through the
+// trace's source if neither the trace nor the window holds it. Every byte
+// served has passed the manifest's byte count and CRC and the row check —
+// a source that returns damaged or wrong-length bytes reads as
+// ErrChunkUnavailable, never as wrong records.
+func (w *chunkWindow) chunk(ci int64) (chunk, error) {
+	if c := w.t.chunks[ci]; c.rows != nil {
+		return c, nil
+	}
+	if c, ok := w.cache[ci]; ok {
 		w.touch(ci)
-		return data, nil
+		return c, nil
 	}
-	data, err := w.t.ChunkPayload(ci)
+	c, err := w.t.fault(ci)
 	if err != nil {
-		return nil, err
+		return chunk{}, err
 	}
 	if w.cache == nil {
-		w.cache = make(map[int64][]byte)
+		w.cache = make(map[int64]chunk)
 	}
 	// Evict before inserting so residency never exceeds max chunks, even
 	// transiently — PeakBytes ≤ max × chunk bytes is the bound callers
@@ -504,18 +615,18 @@ func (w *chunkWindow) rows(ci int64) ([]byte, error) {
 	for w.max > 0 && len(w.cache) >= w.max {
 		victim := w.order[0]
 		w.order = w.order[:copy(w.order, w.order[1:])]
-		w.bytes -= int64(len(w.cache[victim]))
+		w.bytes -= w.cache[victim].heldBytes()
 		delete(w.cache, victim)
 		w.stats.Evictions++
 	}
-	w.cache[ci] = data
+	w.cache[ci] = c
 	w.order = append(w.order, ci)
-	w.bytes += int64(len(data))
+	w.bytes += c.heldBytes()
 	w.stats.Faults++
 	if w.bytes > w.stats.PeakBytes {
 		w.stats.PeakBytes = w.bytes
 	}
-	return data, nil
+	return c, nil
 }
 
 // touch marks ci most recently used, in place.

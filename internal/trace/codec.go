@@ -27,4 +27,16 @@ package trace
 //	   but the rows inside it did, and a v3 manifest has no static table
 //	   to decode them with, so both re-read as version errors: a miss and
 //	   one re-capture, never a v3 row read as a v4 one.
-const CodecVersion = 4
+//	5: a row stores its pcWord plus only the values its pc produces — ea
+//	   for a load or store, destVal for a writable Dest, storeVal for a
+//	   store — so rows are 4 to 28 bytes (about 10 on average over the
+//	   mini-graph binaries) and which fields a row has is read from the
+//	   static table. The manifest's chunk table gained each chunk's payload
+//	   byte count (rows u32 | bytes u32 | crc u32 | nextPC i64), and the
+//	   frame header's rows field became the raw payload's byte count,
+//	   which also bounds the inflate buffer. Chunks are capped at 2^27
+//	   rows, so a chunk of the widest rows still counts its bytes in a u32.
+//	   A resident chunk's offset index (every 64th row) is derived from
+//	   its rows and never stored. There is no v4 reader: a v4 manifest or
+//	   frame is a version error, a miss, and one re-capture.
+const CodecVersion = 5

@@ -59,6 +59,24 @@ func seedTrace(f *testing.F) (prog *isa.Program, captured, adopted *trace.Trace,
 	return prog, captured, adopted, live
 }
 
+// rewindSrc is a loop whose rows take four widths (a load, an ALU result,
+// a store, a branch), so the byte offset of a row is not a multiple of
+// anything; it runs 100 times for 504 records.
+const rewindSrc = `
+        .data
+buf:    .space 16
+        .text
+main:   li    r1, 100
+        lda   r2, buf(zero)
+        clr   r3
+loop:   ldq   r4, 0(r2)
+        addq  r3, r4, r3
+        stq   r3, 8(r2)
+        subl  r1, 1, r1
+        bne   r1, loop
+        halt
+`
+
 // spilled returns tr as a process adopts it from outside: no chunk
 // resident, every one behind a ChunkSource.
 func spilled(tb testing.TB, tr *trace.Trace) *trace.Trace {
@@ -91,17 +109,35 @@ func (c chunkMap) FetchChunk(i int64) ([]byte, error) {
 
 // FuzzReaderRewind drives a solo Reader and a gang cursor (over a tiny
 // shared ring, so the lag boundary is crossed constantly) through an
-// arbitrary schedule of consumes and rewinds over a spilled 16-row-chunk
-// trace behind a one-chunk window, and demands at every step the record
-// the live machine produced. Schedule bytes: even op = consume (op/2)%8+1
-// records, odd op = rewind op/2 records back (clamped to zero). The seed
-// corpus includes the maximum-rewind-depth case — consume the entire
-// trace, then rewind all the way to record zero — so unbounded Rewind can
-// never silently clamp to a retention window, and (testdata/fuzz) rewinds
-// onto the last row of a chunk and the first row of the next: the two
-// rows whose NextPC does not come from the row after them in the chunk.
+// arbitrary schedule of consumes and rewinds over a spilled 128-row-chunk
+// trace of rewindSrc behind a one-chunk window, and demands at every step
+// the record the live machine produced. Schedule bytes: even op = consume
+// (op/2)%8+1 records, odd op = rewind op/2 records back (clamped to zero).
+// The seed corpus includes the maximum-rewind-depth case — consume the
+// entire trace, then rewind all the way to record zero — so unbounded
+// Rewind can never silently clamp to a retention window. The seeds in
+// testdata/fuzz rewind onto the last row of a chunk and the first row of
+// the next (127 and 128: the two rows whose NextPC does not come from the
+// row after them in the chunk, and the last and first row of an index
+// stride), onto the last row of the trace, and from one chunk back into
+// the previous onto the first and the last row of an index stride (192
+// and 191), so a seek lands on an indexed row and on the row 63 steps
+// past one.
 func FuzzReaderRewind(f *testing.F) {
-	prog, _, tr, live := seedTrace(f)
+	prog := asm.MustAssemble("rewind", rewindSrc)
+	captured, err := trace.CaptureWith(context.Background(), prog, nil, 0, trace.CaptureOptions{ChunkRecords: 128})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tr := spilled(f, captured)
+	var live []emu.Record
+	for m := emu.NewMachine(prog, nil); !m.Halted; {
+		var rec emu.Record
+		if err := m.Step(&rec); err != nil {
+			f.Fatal(err)
+		}
+		live = append(live, rec)
+	}
 	full := bytes.Repeat([]byte{0xfe}, int(tr.Len())/8+2) // consume past exhaustion
 	f.Add(append(append([]byte{}, full...), 0xff))        // then max-depth rewind to zero
 	f.Add([]byte{0x02, 0x03, 0x0e, 0x05, 0xfe})           // mixed short hops
@@ -150,10 +186,16 @@ func FuzzReaderRewind(f *testing.F) {
 // round-trip its payload bit-exactly through both the raw and the
 // compressed encoding. These are the frames that cross process and
 // machine boundaries (store entries, peer transfers), so they see truly
-// hostile input — which a frame's CRC does not stop: a peer can checksum
-// whatever rows it likes. So an accepted frame is also replayed as a
-// chunk of the seed trace, under a manifest that vouches for it, and the
-// rows it holds must read as records or as a miss, never as a panic.
+// hostile input — which neither a frame's CRC nor a manifest's stops: a
+// peer can checksum whatever it likes. So an accepted manifest is replayed
+// over the seed trace's chunks, and an accepted frame is replayed as a
+// chunk of the seed trace under a manifest that vouches for its byte count
+// and CRC: either reads as records or as a miss, never as a panic, and a
+// vouched chunk whose rows do not read serves none of them. The seeds in
+// testdata/fuzz add damaged static tables, a flipped per-chunk NextPC, a
+// lying byte count, and vouched frames with a row past the table, a last
+// row short of the values its pc claims, a trailing byte, and rows that
+// tile a count other than the manifest's.
 func FuzzChunkCodec(f *testing.F) {
 	prog, tr, _, _ := seedTrace(f)
 	f.Add(trace.EncodeManifest(tr.Manifest()))
@@ -173,6 +215,10 @@ func FuzzChunkCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("MGTM garbage"))
 	f.Add([]byte("MGTC garbage"))
+	seedChunks := make(chunkMap)
+	for ci := int64(0); ci < tr.NumChunks(); ci++ {
+		seedChunks[ci], _ = tr.ChunkPayload(ci)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := trace.DecodeManifest(data); err == nil {
@@ -187,16 +233,18 @@ func FuzzChunkCodec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoded manifest is not adoptable: %v", err)
 			}
-			// Whatever program it describes, binding it to this one is a
-			// fit or a miss.
-			if err := trace.NewReader(adopted, prog, 0).Err(); err != nil && !errors.Is(err, trace.ErrChunkUnavailable) && err.Error() != m.ErrMsg {
-				t.Fatalf("opening an adopted manifest: %v", err)
+			// Whatever program it describes, binding it to this one over
+			// the seed's rows is a fit or a miss.
+			adopted.BindSource(seedChunks)
+			rd := trace.NewReader(adopted, prog, 0)
+			var rec emu.Record
+			for rd.NextInto(&rec) {
+			}
+			if err := rd.Err(); err != nil && !errors.Is(err, trace.ErrChunkUnavailable) && err.Error() != m.ErrMsg {
+				t.Fatalf("replaying an adopted manifest: %v", err)
 			}
 		}
 		if idx, raw, err := trace.DecodeChunk(data); err == nil {
-			if len(raw)%trace.RecordBytes != 0 {
-				t.Fatalf("accepted chunk of %d bytes: not whole rows", len(raw))
-			}
 			for _, compress := range []bool{false, true} {
 				re := trace.EncodeChunk(idx, raw, compress)
 				idx2, raw2, err := trace.DecodeChunk(re)
@@ -208,25 +256,31 @@ func FuzzChunkCodec(f *testing.F) {
 				}
 			}
 			m := tr.Manifest()
-			if idx < int64(len(m.Chunks)) && int64(len(raw)) == m.Chunks[idx].Rows*trace.RecordBytes {
-				m.Chunks[idx].CRC = crc32.ChecksumIEEE(raw)
-				src := chunkMap{idx: raw}
-				for ci := range m.Chunks {
-					if int64(ci) != idx {
-						src[int64(ci)], _ = tr.ChunkPayload(int64(ci))
-					}
+			if idx >= int64(len(m.Chunks)) {
+				return
+			}
+			m.Chunks[idx].Bytes, m.Chunks[idx].CRC = int64(len(raw)), crc32.ChecksumIEEE(raw)
+			src := chunkMap{idx: raw}
+			for ci := range m.Chunks {
+				if int64(ci) != idx {
+					src[int64(ci)] = seedChunks[int64(ci)]
 				}
-				vouched, err := trace.FromManifest(m, src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rd := trace.NewReader(vouched, prog, 0)
-				var rec emu.Record
-				for rd.NextInto(&rec) {
-				}
-				if err := rd.Err(); err != nil && !errors.Is(err, trace.ErrChunkUnavailable) {
-					t.Fatalf("replaying an accepted frame: %v", err)
-				}
+			}
+			vouched, err := trace.FromManifest(m, src)
+			if err != nil {
+				return // no rows of this chunk's row count are that many bytes
+			}
+			rd := trace.NewReader(vouched, prog, 0)
+			var rec emu.Record
+			for rd.NextInto(&rec) {
+			}
+			switch err := rd.Err(); {
+			case err == nil && rd.Cursor() != tr.Len():
+				t.Fatalf("replaying an accepted frame stopped at %d of %d records", rd.Cursor(), tr.Len())
+			case err != nil && !errors.Is(err, trace.ErrChunkUnavailable):
+				t.Fatalf("replaying an accepted frame: %v", err)
+			case err != nil && rd.Cursor() != idx*m.ChunkRecords:
+				t.Fatalf("a vouched chunk %d that does not read served %d records, want the %d before it", idx, rd.Cursor(), idx*m.ChunkRecords)
 			}
 		}
 	})

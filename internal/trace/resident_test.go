@@ -9,9 +9,10 @@ import (
 )
 
 // TestResidentBytesCountsWhatIsHeld: the engine's trace cache budgets by
-// ResidentBytes, so it has to be the memory the chunks pin — and the tail
-// chunk of a capture, opened at full chunk capacity and half filled, must
-// not pin the half it never used.
+// ResidentBytes, so it has to be the memory the chunks pin — every retained
+// chunk's rows and offset index held at exactly their length, not in the
+// chunk-sized scratch buffer capture wrote them into — and the rows it
+// holds are the trace's SizeBytes.
 func TestResidentBytesCountsWhatIsHeld(t *testing.T) {
 	wl, _ := workload.ByName("sha")
 	const rows = 4096
@@ -23,17 +24,27 @@ func TestResidentBytesCountsWhatIsHeld(t *testing.T) {
 	if tr.Len() != rows+rows/2 || tr.NumChunks() != 2 {
 		t.Fatalf("captured %d records in %d chunks, want 1.5 chunks", tr.Len(), tr.NumChunks())
 	}
-	var held int64
+	var held, payload int64
 	for i, c := range tr.chunks {
-		held += int64(cap(c))
-		if crc32.ChecksumIEEE(c) != tr.crcs[i] {
+		if cap(c.rows) != len(c.rows) || cap(c.index) != len(c.index) {
+			t.Errorf("chunk %d holds rows %d/%d and index %d/%d (len/cap)", i, len(c.rows), cap(c.rows), len(c.index), cap(c.index))
+		}
+		held += int64(cap(c.rows)) + 4*int64(cap(c.index))
+		payload += int64(len(c.rows))
+		if tr.info[i].Verify(c.rows) != nil {
+			t.Errorf("chunk %d no longer matches its manifest entry", i)
+		}
+		if crc32.ChecksumIEEE(c.rows) != tr.info[i].CRC {
 			t.Errorf("chunk %d no longer matches its manifest checksum", i)
 		}
 	}
 	if got := tr.ResidentBytes(); got != held {
 		t.Errorf("ResidentBytes = %d, the chunks hold %d", got, held)
 	}
-	if held != tr.SizeBytes() {
-		t.Errorf("1.5 chunks of records (%d bytes) hold %d bytes", tr.SizeBytes(), held)
+	if payload != tr.SizeBytes() {
+		t.Errorf("1.5 chunks of records (%d bytes) hold %d bytes of rows", tr.SizeBytes(), payload)
+	}
+	if payload >= tr.Len()*MaxRecordBytes {
+		t.Errorf("%d rows take %d bytes: no row left a value out", tr.Len(), payload)
 	}
 }

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"minigraph"
@@ -25,7 +26,8 @@ func staticHalf(rec emu.Record) emu.Record {
 // checkStaticIsStatic runs prog live beside a replay of its capture. Every
 // live record's static half must equal the first one its pc produced —
 // the assumption the static table is built on, checked here so that an
-// ISA or mini-graph change that makes a field dynamic fails by name — and
+// ISA or mini-graph change that makes a field dynamic fails by name —
+// every value the row format leaves out for its pc must be zero, and
 // every replayed record must equal the live one in full.
 func checkStaticIsStatic(t *testing.T, name string, prog *isa.Program, mgt *core.MGT, limit int64) {
 	t.Helper()
@@ -47,6 +49,9 @@ func checkStaticIsStatic(t *testing.T, name string, prog *isa.Program, mgt *core
 		} else if was != half {
 			t.Fatalf("%s: pc %d is not static: record %d\nfirst: %+v\nnow:   %+v", name, live.PC, live.Seq, was, half)
 		}
+		if v := absentValue(&live); v != "" {
+			t.Fatalf("%s: pc %d (%v) record %d: %s, which its row does not store", name, live.PC, live.Op, live.Seq, v)
+		}
 		if live != replayed {
 			t.Fatalf("%s: record %d\nlive:   %+v\nreplay: %+v", name, live.Seq, live, replayed)
 		}
@@ -54,6 +59,24 @@ func checkStaticIsStatic(t *testing.T, name string, prog *isa.Program, mgt *core
 	if rd.Cursor() != tr.Len() {
 		t.Fatalf("%s: replay stopped at %d of %d: %v", name, rd.Cursor(), tr.Len(), rd.Err())
 	}
+}
+
+// absentValue names a value rec holds in a slot its pc's static entry —
+// rec's static half, which the caller has checked is the entry — says a
+// row at that pc does not carry: an address without a load or store, a
+// destination value without a writable Dest, a stored value without a
+// store. Replay reads such a slot as zero, so a non-zero one would be
+// silently dropped.
+func absentValue(rec *emu.Record) string {
+	switch {
+	case !rec.IsLoad && !rec.IsStore && rec.EA != 0:
+		return fmt.Sprintf("ea %#x without a memory access", rec.EA)
+	case (rec.Dest.IsZero() || int(rec.Dest) >= isa.TotalRegs) && rec.DestVal != 0:
+		return fmt.Sprintf("destVal %#x without a writable Dest (%v)", rec.DestVal, rec.Dest)
+	case !rec.IsStore && rec.StoreVal != 0:
+		return fmt.Sprintf("storeVal %#x without a store", rec.StoreVal)
+	}
+	return ""
 }
 
 // miniGraphOf rewrites prog the way the engine does.
@@ -70,9 +93,10 @@ func miniGraphOf(t *testing.T, prog *isa.Program) (*isa.Program, *core.MGT) {
 	return rw.Prog, rw.MGT
 }
 
-// TestStaticFieldsAreStatic: "static" is checked, not assumed — over every
-// registered workload and the -short progen corpus, baseline and
-// mini-graph binary both.
+// TestStaticFieldsAreStatic: "static" is checked, not assumed — and so is
+// the precondition of the row format, that a value a pc cannot produce is
+// zero — over every registered workload and the -short progen corpus,
+// baseline and mini-graph binary both.
 func TestStaticFieldsAreStatic(t *testing.T) {
 	limit := int64(0)
 	if testing.Short() {

@@ -8,19 +8,20 @@
 // multi-arm experiment sweeps spend most of their time.
 //
 // A trace stores only what the program text does not. Each record is a
-// fixed-width dynamic row (which pc executed, whether it was taken, and
-// the three values it produced: effective address, destination value,
-// store value); everything that is a function of the pc — opcode,
-// operand registers, access size, the load/store/control flags, the
-// mini-graph id — lives once per static instruction in the trace's static
-// table, filled the first time a pc executes and carried in the Manifest,
-// so a trace adopted from a store or a peer replays without the
-// mini-graph table that shaped it.
+// dynamic row: which pc executed, whether it was taken, and those of the
+// three values it produced (effective address, destination value, store
+// value) that its pc can produce at all. Everything that is a function of
+// the pc — opcode, operand registers, access size, the load/store/control
+// flags, the mini-graph id, and so which values a row carries — lives once
+// per static instruction in the trace's static table, filled the first
+// time a pc executes and carried in the Manifest, so a trace adopted from
+// a store or a peer replays without the mini-graph table that shaped it.
 //
-// The rows are held as fixed-size chunks (DefaultChunkRecords rows per
-// chunk; see chunk.go), which are the unit of capture spill, CRC framing,
-// store persistence, peer transfer and reader residency — a trace much
-// larger than RAM captures and replays within a bounded chunk window.
+// The rows are held as chunks of a fixed row count (DefaultChunkRecords
+// rows per chunk; see chunk.go), which are the unit of capture spill, CRC
+// framing, store persistence, peer transfer and reader residency — a
+// trace much larger than RAM captures and replays within a bounded chunk
+// window.
 //
 // Invariant (the golden rule for any TraceSource implementation): replaying
 // a trace through the pipeline must produce byte-identical results to the
@@ -52,17 +53,20 @@ import (
 	"minigraph/internal/isa"
 )
 
-// recordBytes is the packed per-record storage: one 28-byte little-endian
-// dynamic row
+// A row is a little-endian pcWord followed by exactly the values its
+// pc's static entry says a record there produces:
 //
-//	pcWord u32 | ea u64 | destVal u64 | storeVal u64
+//	pcWord u32 | ea u64 (load or store) | destVal u64 (writable Dest) | storeVal u64 (store)
 //
 // where pcWord is the record's pc with Taken in bit 31 (a stored pc is
 // always inside the program, so the bit is free, and Taken is a stored
 // bit because it is not derivable: a conditional branch to its own
-// fall-through is taken or not with the same NextPC). Rows are
-// fixed-width and packed back to back within a chunk, so seq → byte
-// offset is a multiply and Rewind is O(1).
+// fall-through is taken or not with the same NextPC). A value a pc cannot
+// produce is zero in every live record (TestStaticFieldsAreStatic checks
+// it), so leaving it out loses nothing. Rows are packed back to back
+// within a chunk, so a row's offset is the sum of the widths before it;
+// each resident chunk keeps the offset of every indexStride-th row (see
+// chunk.go), which keeps Rewind to one lookup and a few row steps.
 //
 // Nothing else is stored per record. The static fields come from the
 // static table entry of the row's pc (see StaticInst). NextPC is where the
@@ -71,14 +75,28 @@ import (
 // a NextPC outside the program can live (only a trace's last record can
 // have one: the step after it faults at fetch). Seq is the row index,
 // FallPC is pc+1 and Inst is the bound program's instruction at pc.
-const recordBytes = 4 + 8 + 8 + 8
+const (
+	pcWordBytes = 4
+	valueBytes  = 8
+)
 
-// RecordBytes is the packed row size in bytes, exported so sizing logic
-// (cache budgets, window caps) outside the package can reason in bytes.
-const RecordBytes = recordBytes
+// MaxRecordBytes is the widest row: a pc that produces all three values.
+// It bounds a trace's bytes from its record count before it is captured
+// (store budget hints); a captured trace knows its real size (SizeBytes).
+const MaxRecordBytes = pcWordBytes + 3*valueBytes
 
 // takenBit is bit 31 of a row's pcWord.
 const takenBit uint32 = 1 << 31
+
+// Row field bits: which values the rows of a pc carry, in row order.
+const (
+	fieldEA uint8 = 1 << iota
+	fieldDest
+	fieldStore
+)
+
+// rowWidth is the byte width of a row carrying the given fields.
+var rowWidth = [8]uint8{4, 12, 12, 20, 12, 20, 20, 28}
 
 // StaticInst is one static-table entry: everything about a record that is
 // a function of its pc alone, under the program and mini-graph table the
@@ -135,6 +153,23 @@ func staticOf(rec *emu.Record) StaticInst {
 	}
 }
 
+// fields is the set of values a row at this entry's pc carries: an
+// address for a memory access, the destination value for a writable Dest,
+// the stored value for a store. Meaningless for an unexecuted entry.
+func (s StaticInst) fields() uint8 {
+	var f uint8
+	if s.Flags&(staticLoad|staticStore) != 0 {
+		f |= fieldEA
+	}
+	if d := isa.Reg(s.Dest); !d.IsZero() && int(d) < isa.TotalRegs {
+		f |= fieldDest
+	}
+	if s.Flags&staticStore != 0 {
+		f |= fieldStore
+	}
+	return f
+}
+
 // unexecuted marks a template no row may name: a valid template's PC is
 // its own index in the table.
 const unexecuted isa.PC = -1
@@ -164,11 +199,11 @@ func (s StaticInst) template(pc isa.PC) emu.Record {
 	}
 }
 
-// Trace is an immutable dynamic instruction stream in packed-record form,
-// held as fixed-size chunks. A Trace is safe for concurrent Readers once
-// built; a chunk is either resident (its payload retained in memory) or
-// spilled (payload dropped after sealing through a ChunkSink), in which
-// case Readers fault it back in through the bound ChunkSource.
+// Trace is an immutable dynamic instruction stream in packed-row form,
+// held as chunks of a fixed row count. A Trace is safe for concurrent
+// Readers once built; a chunk is either resident (its payload retained in
+// memory) or spilled (payload dropped after sealing through a ChunkSink),
+// in which case Readers fault it back in through the bound ChunkSource.
 type Trace struct {
 	chunkRecords int64 // rows per chunk (power of two)
 	chunkShift   uint  // log2(chunkRecords)
@@ -178,21 +213,24 @@ type Trace struct {
 	// by pc: decoding a row is one copy of its pc's template plus the
 	// dynamic fields. A pc the trace never executed holds the unexecuted
 	// marker. The table is small (one entry per static instruction) and is
-	// not counted by SizeBytes or ResidentBytes.
+	// not counted by SizeBytes or ResidentBytes. fields holds, by pc, the
+	// values a row at that pc carries, so a decoder never inspects a
+	// template to find a row's width.
 	static []emu.Record
+	fields []uint8
 
-	// chunks holds each sealed chunk's packed rows; a nil entry is a
-	// spilled chunk whose payload lives behind source. crcs and nexts are
-	// the manifest: the IEEE CRC-32 of each chunk's raw rows, computed at
-	// seal time and re-checked on every fault-in, and the NextPC of each
-	// chunk's last row.
-	chunks [][]byte
-	crcs   []uint32
-	nexts  []isa.PC
+	// chunks holds each sealed chunk's packed rows and offset index; an
+	// entry without rows is a spilled chunk whose payload lives behind
+	// source. info is the manifest's chunk table: each chunk's rows, bytes
+	// and IEEE CRC-32, computed at seal time and re-checked on every
+	// fault-in, and the NextPC of its last row.
+	chunks []chunk
+	info   []ChunkInfo
 	source ChunkSource
 
-	// cur is the open (unsealed) chunk during capture, nil once built;
-	// next is the NextPC of the last record appended to it.
+	// cur is the open (unsealed) chunk during capture — a scratch buffer
+	// every chunk is written into and sealed from — nil once built; next is
+	// the NextPC of the last record appended to it.
 	cur  []byte
 	next isa.PC
 
@@ -238,24 +276,26 @@ func (t *Trace) chunkRows(ci int64) int64 {
 	return t.ChunkRecords()
 }
 
-// ChunkCRC returns the manifest checksum of chunk ci's raw rows.
-func (t *Trace) ChunkCRC(ci int64) uint32 { return t.crcs[ci] }
-
-// SizeBytes returns the logical size of the trace: the packed record
-// bytes it represents plus the fault message — independent of how many
-// chunks happen to be resident right now (see ResidentBytes for that).
+// SizeBytes returns the logical size of the trace: the packed row bytes
+// it represents plus the fault message — independent of how many chunks
+// happen to be resident right now (see ResidentBytes for that).
 func (t *Trace) SizeBytes() int64 {
-	return t.n*recordBytes + int64(len(t.errMsg))
+	b := int64(len(t.errMsg))
+	for _, c := range t.info {
+		b += c.Bytes
+	}
+	return b
 }
 
-// ResidentBytes returns the chunk payload bytes currently held in memory
-// by the Trace itself (spilled chunks and reader windows excluded). It
-// counts capacity, not length: a cache that budgets by this number must be
-// charged what the heap holds, and a buffer's unused tail is held too.
+// ResidentBytes returns the chunk payload and offset-index bytes currently
+// held in memory by the Trace itself (spilled chunks and reader windows
+// excluded). It counts capacity, not length: a cache that budgets by this
+// number must be charged what the heap holds, and a buffer's unused tail
+// is held too.
 func (t *Trace) ResidentBytes() int64 {
 	var b int64
 	for _, c := range t.chunks {
-		b += int64(cap(c))
+		b += c.heldBytes()
 	}
 	return b + int64(cap(t.cur))
 }
@@ -264,7 +304,7 @@ func (t *Trace) ResidentBytes() int64 {
 // then requires a bound ChunkSource).
 func (t *Trace) Spilled() bool {
 	for _, c := range t.chunks {
-		if c == nil {
+		if c.rows == nil {
 			return true
 		}
 	}
@@ -272,17 +312,17 @@ func (t *Trace) Spilled() bool {
 }
 
 // Materialize faults every spilled chunk in through the bound source and
-// retains it, leaving the trace fully resident (and fully CRC-verified).
+// retains it, leaving the trace fully resident (and fully verified).
 // Replay then needs no source at all — how a store load or a peer
 // transfer is adopted when no residency bound is in force.
 func (t *Trace) Materialize() error {
 	for ci := range t.chunks {
-		if t.chunks[ci] == nil {
-			data, err := t.ChunkPayload(int64(ci))
+		if t.chunks[ci].rows == nil {
+			c, err := t.fault(int64(ci))
 			if err != nil {
 				return err
 			}
-			t.chunks[ci] = data
+			t.chunks[ci] = c
 		}
 	}
 	return nil
@@ -297,7 +337,7 @@ func (t *Trace) Materialize() error {
 func (t *Trace) BindSource(src ChunkSource) { t.source = src }
 
 // Manifest returns the trace's manifest: geometry, termination state, the
-// static table, and per-chunk row counts, checksums and next pcs.
+// static table, and per-chunk row and byte counts, checksums and next pcs.
 func (t *Trace) Manifest() Manifest {
 	m := Manifest{
 		ChunkRecords: t.ChunkRecords(),
@@ -305,15 +345,12 @@ func (t *Trace) Manifest() Manifest {
 		Halted:       t.halted,
 		ErrMsg:       t.errMsg,
 		Static:       make([]StaticInst, len(t.static)),
-		Chunks:       make([]ChunkInfo, len(t.chunks)),
+		Chunks:       append([]ChunkInfo(nil), t.info...),
 	}
 	for pc := range t.static {
 		if tm := &t.static[pc]; tm.PC == isa.PC(pc) {
 			m.Static[pc] = staticOf(tm)
 		}
-	}
-	for i := range t.chunks {
-		m.Chunks[i] = ChunkInfo{Rows: t.chunkRows(int64(i)), CRC: t.crcs[i], NextPC: int64(t.nexts[i])}
 	}
 	return m
 }
@@ -333,7 +370,7 @@ func FromManifest(m Manifest, src ChunkSource) (*Trace, error) {
 	if int64(len(m.Chunks)) != (m.Rows+cr-1)/cr {
 		return nil, fmt.Errorf("trace: manifest has %d chunks for %d rows", len(m.Chunks), m.Rows)
 	}
-	if err := m.checkStatic(); err != nil {
+	if err := m.check(); err != nil {
 		return nil, err
 	}
 	t := &Trace{
@@ -341,21 +378,20 @@ func FromManifest(m Manifest, src ChunkSource) (*Trace, error) {
 		chunkShift:   uint(bits.TrailingZeros64(uint64(cr))),
 		n:            m.Rows,
 		static:       make([]emu.Record, len(m.Static)),
-		chunks:       make([][]byte, len(m.Chunks)),
-		crcs:         make([]uint32, len(m.Chunks)),
-		nexts:        make([]isa.PC, len(m.Chunks)),
+		fields:       make([]uint8, len(m.Static)),
+		chunks:       make([]chunk, len(m.Chunks)),
+		info:         append([]ChunkInfo(nil), m.Chunks...),
 		source:       src,
 		errMsg:       m.ErrMsg,
 		halted:       m.Halted,
 	}
 	for pc, s := range m.Static {
-		t.static[pc] = s.template(isa.PC(pc))
+		t.static[pc], t.fields[pc] = s.template(isa.PC(pc)), s.fields()
 	}
 	for i, c := range m.Chunks {
 		if c.Rows != t.chunkRows(int64(i)) {
 			return nil, fmt.Errorf("trace: manifest chunk %d claims %d rows, geometry says %d", i, c.Rows, t.chunkRows(int64(i)))
 		}
-		t.crcs[i], t.nexts[i] = c.CRC, isa.PC(c.NextPC)
 	}
 	return t, nil
 }
@@ -393,27 +429,37 @@ func (t *Trace) fits(prog *isa.Program) error {
 }
 
 // ChunkPayload returns chunk ci's raw packed rows: the resident payload,
-// or one fetched (and CRC-verified) through the bound source. Unlike a
-// reader window, nothing is cached — this is the persistence/transfer
-// path, not the replay path.
+// or one fetched (and verified against the manifest's byte count and CRC)
+// through the bound source. Unlike a reader window, nothing is cached —
+// this is the persistence/transfer path, not the replay path.
 func (t *Trace) ChunkPayload(ci int64) ([]byte, error) {
 	if ci < 0 || ci >= t.NumChunks() {
 		return nil, fmt.Errorf("trace: chunk %d out of range (%d chunks)", ci, t.NumChunks())
 	}
-	if data := t.chunks[ci]; data != nil {
+	if data := t.chunks[ci].rows; data != nil {
 		return data, nil
 	}
 	if t.source == nil {
 		return nil, fmt.Errorf("%w: chunk %d is not resident and the trace has no source", ErrChunkUnavailable, ci)
 	}
 	data, err := t.source.FetchChunk(ci)
+	if err == nil {
+		err = t.info[ci].Verify(data)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: chunk %d: %v", ErrChunkUnavailable, ci, err)
 	}
-	if int64(len(data)) != t.chunkRows(ci)*recordBytes || crc32.ChecksumIEEE(data) != t.crcs[ci] {
-		return nil, fmt.Errorf("%w: chunk %d: source payload failed verification", ErrChunkUnavailable, ci)
-	}
 	return data, nil
+}
+
+// fault fetches spilled chunk ci through the source and makes it
+// resident: verified against the manifest, its rows checked and indexed.
+func (t *Trace) fault(ci int64) (chunk, error) {
+	data, err := t.ChunkPayload(ci)
+	if err != nil {
+		return chunk{}, err
+	}
+	return t.resident(ci, data)
 }
 
 // appendRecord packs one record's dynamic row into the open chunk and, the
@@ -422,47 +468,49 @@ func (t *Trace) appendRecord(rec *emu.Record) {
 	if tm := &t.static[rec.PC]; tm.PC != rec.PC {
 		// Through the wire form, so the template a capture replays from is
 		// the one an adopter of its manifest rebuilds.
-		*tm = staticOf(rec).template(rec.PC)
+		s := staticOf(rec)
+		*tm, t.fields[rec.PC] = s.template(rec.PC), s.fields()
 	}
 	w := uint32(rec.PC)
 	if rec.Taken {
 		w |= takenBit
 	}
-	var row [recordBytes]byte
-	binary.LittleEndian.PutUint32(row[0:], w)
-	binary.LittleEndian.PutUint64(row[4:], uint64(rec.EA))
-	binary.LittleEndian.PutUint64(row[12:], rec.DestVal)
-	binary.LittleEndian.PutUint64(row[20:], rec.StoreVal)
-	t.cur = append(t.cur, row[:]...)
+	t.cur = binary.LittleEndian.AppendUint32(t.cur, w)
+	f := t.fields[rec.PC]
+	if f&fieldEA != 0 {
+		t.cur = binary.LittleEndian.AppendUint64(t.cur, uint64(rec.EA))
+	}
+	if f&fieldDest != 0 {
+		t.cur = binary.LittleEndian.AppendUint64(t.cur, rec.DestVal)
+	}
+	if f&fieldStore != 0 {
+		t.cur = binary.LittleEndian.AppendUint64(t.cur, rec.StoreVal)
+	}
 	t.next = rec.NextPC
 	t.n++
 }
 
-// seal closes the open chunk: records its checksum in the manifest and
-// either spills it through sink (dropping the payload) or retains it. A
-// sink error keeps the chunk resident — spilling is an optimization, so
-// its failure can cost memory but never the capture. A retained chunk is
-// held for the trace's lifetime, so a tail chunk that did not fill its
-// chunk-sized buffer moves to one of its own size.
+// seal closes the open chunk: records it in the manifest's chunk table
+// and either spills it through sink or retains a copy of its own size,
+// indexed. A sink error keeps the chunk resident — spilling is an
+// optimization, so its failure can cost memory but never the capture.
+// Either way the scratch buffer is emptied for the next chunk.
 func (t *Trace) seal(sink ChunkSink) {
 	if len(t.cur) == 0 {
 		return
 	}
 	idx := int64(len(t.chunks))
-	crc := crc32.ChecksumIEEE(t.cur)
-	t.crcs = append(t.crcs, crc)
-	t.nexts = append(t.nexts, t.next)
-	if sink != nil && sink.SealChunk(idx, int64(len(t.cur))/recordBytes, t.cur, crc) == nil {
-		t.chunks = append(t.chunks, nil)
-	} else {
-		if cap(t.cur) > len(t.cur) {
-			exact := make([]byte, len(t.cur))
-			copy(exact, t.cur)
-			t.cur = exact
+	info := ChunkInfo{Rows: t.chunkRows(idx), Bytes: int64(len(t.cur)), CRC: crc32.ChecksumIEEE(t.cur), NextPC: int64(t.next)}
+	t.info = append(t.info, info)
+	var c chunk
+	if sink == nil || sink.SealChunk(idx, info.Rows, t.cur, info.CRC) != nil {
+		var err error
+		if c, err = t.resident(idx, append(make([]byte, 0, len(t.cur)), t.cur...)); err != nil {
+			panic(fmt.Sprintf("trace: capture sealed a chunk it cannot read back: %v", err))
 		}
-		t.chunks = append(t.chunks, t.cur)
 	}
-	t.cur = nil
+	t.chunks = append(t.chunks, c)
+	t.cur = t.cur[:0]
 }
 
 // captureCheckInterval is how many records elapse between context checks
@@ -476,8 +524,9 @@ type CaptureOptions struct {
 	// it can never change a replayed record.
 	ChunkRecords int64
 	// Hint is a record-count hint (e.g. a profile's dynamic instruction
-	// count): an accurate hint sizes the first chunk's buffer once. The
-	// hint only affects allocation, never content.
+	// count): an accurate hint sizes the capture's one scratch buffer for
+	// no more rows than the trace will have. The hint only affects
+	// allocation, never content.
 	Hint int64
 	// Sink, when non-nil, receives each chunk as it seals; a successful
 	// SealChunk lets capture drop the chunk from memory, so capturing a
@@ -510,26 +559,24 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 		chunkRecords: cr,
 		chunkShift:   uint(bits.TrailingZeros64(uint64(cr))),
 		static:       make([]emu.Record, prog.Len()),
+		fields:       make([]uint8, prog.Len()),
 	}
 	for pc := range t.static {
 		t.static[pc].PC = unexecuted
 	}
-	chunkBytes := cr * recordBytes
 
-	// Size the open chunk's buffer from the hint, capped at one chunk:
-	// an accurate hint for a small trace allocates once; a huge trace
-	// allocates chunk-sized buffers and recycles nothing bigger.
-	hint := opts.Hint
-	if hint <= 0 {
-		hint = 1 << 12
+	// One scratch buffer holds the open chunk, sized for the widest chunk
+	// the capture can produce — the hint and the limit can only shrink
+	// that — so every chunk is written without growing it; a sealed chunk
+	// that stays resident is copied out at its own size.
+	rows := cr
+	if opts.Hint > 0 && opts.Hint < rows {
+		rows = opts.Hint
 	}
-	if limit < hint {
-		hint = limit
+	if limit < rows {
+		rows = limit
 	}
-	if hint > cr {
-		hint = cr
-	}
-	t.cur = make([]byte, 0, hint*recordBytes)
+	t.cur = make([]byte, 0, rows*MaxRecordBytes)
 
 	m := emu.NewMachine(prog, mgt)
 	var rec emu.Record
@@ -538,41 +585,19 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			// Geometric growth between checks keeps the append fast path
-			// bounds-check-only; an accurate hint makes this a no-op.
-			if free := (int64(cap(t.cur)) - int64(len(t.cur))) / recordBytes; free < captureCheckInterval {
-				want := 2 * int64(cap(t.cur)) / recordBytes
-				if min := int64(len(t.cur))/recordBytes + captureCheckInterval; want < min {
-					want = min
-				}
-				if want > cr {
-					want = cr
-				}
-				if rem := limit - t.n + int64(len(t.cur))/recordBytes; limit < math.MaxInt64 && want > rem {
-					want = rem
-				}
-				if want*recordBytes > int64(cap(t.cur)) {
-					grown := make([]byte, len(t.cur), want*recordBytes)
-					copy(grown, t.cur)
-					t.cur = grown
-				}
-			}
 		}
 		if err := m.Step(&rec); err != nil {
 			t.errMsg = err.Error()
-			t.seal(opts.Sink)
-			return t, nil
+			break
 		}
 		t.appendRecord(&rec)
-		if int64(len(t.cur)) == chunkBytes {
+		if t.n&(cr-1) == 0 {
 			t.seal(opts.Sink)
-			if t.n < limit && !m.Halted {
-				t.cur = make([]byte, 0, chunkBytes)
-			}
 		}
 	}
 	t.halted = m.Halted
 	t.seal(opts.Sink)
+	t.cur = nil
 	return t, nil
 }
 

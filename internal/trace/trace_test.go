@@ -214,6 +214,37 @@ func TestCaptureLimitSemantics(t *testing.T) {
 	}
 }
 
+// discardSink accepts every chunk and keeps nothing.
+type discardSink struct{}
+
+func (discardSink) SealChunk(int64, int64, []byte, uint32) error { return nil }
+
+// TestCaptureAllocatesOneScratchBuffer: capture writes every chunk into one
+// scratch buffer and, when the chunk spills, keeps nothing of it — so the
+// same records captured as 64 spilled chunks cost no more allocations than
+// as 4 (beyond the manifest's chunk table growing), not one buffer a chunk.
+func TestCaptureAllocatesOneScratchBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	wl, _ := workload.ByName("sha")
+	prog := wl.Build(workload.InputTrain)
+	const records = 1 << 14
+	allocs := func(chunkRecords int64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			tr, err := trace.CaptureWith(context.Background(), prog, nil, records,
+				trace.CaptureOptions{ChunkRecords: chunkRecords, Sink: discardSink{}})
+			if err != nil || tr.NumChunks() != records/chunkRecords || !tr.Spilled() {
+				t.Fatalf("capture: %v", err)
+			}
+		})
+	}
+	few, many := allocs(records/4), allocs(records/64)
+	if extra := many - few; extra > 16 {
+		t.Errorf("60 more spilled chunks cost %.0f more allocations (%.0f → %.0f), want a handful", extra, few, many)
+	}
+}
+
 // faultSrc jumps to a PC outside the program: the live stream and a
 // captured trace must surface the identical architectural fault — and the
 // identical last record, whose NextPC is the out-of-program target.
@@ -380,6 +411,25 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// vouch replaces chunk ci's payload with damage(payload) under a manifest
+// that vouches for the result — its byte count and CRC — the way a peer can
+// checksum whatever rows it likes: only the rows themselves can give it
+// away.
+func vouch(t *testing.T, w *wire, ci int, damage func(raw []byte) []byte) {
+	t.Helper()
+	_, raw, err := trace.DecodeChunk(w.frames[ci])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = damage(raw)
+	m, err := trace.DecodeManifest(w.manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Chunks[ci].Bytes, m.Chunks[ci].CRC = int64(len(raw)), crc32.ChecksumIEEE(raw)
+	w.manifest, w.frames[ci] = trace.EncodeManifest(m), trace.EncodeChunk(int64(ci), raw, false)
+}
+
 // TestDecodeRejectsDamage: every kind of damage to either encoding reads
 // as an error — ErrChunkUnavailable when it is a chunk's payload that is
 // wrong — never as a trace.
@@ -392,6 +442,21 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	good := encodeWire(t, tr)
 	if _, err := good.adopt(); err != nil {
 		t.Fatalf("undamaged wire form rejected: %v", err)
+	}
+	if len(good.frames) != 4 {
+		t.Fatalf("%d chunks, want 3 full and a 232-row tail", len(good.frames))
+	}
+	// short is a chunk whose last row carries a value, so cutting a byte
+	// off the chunk leaves that row short of one.
+	short := -1
+	var rec emu.Record
+	for rd := trace.NewReader(tr, prog, 0); short < 0 && rd.NextInto(&rec); {
+		if rec.Seq%256 == 255 && (rec.IsLoad || rec.IsStore || rec.Dest != isa.RNone) {
+			short = int(rec.Seq / 256)
+		}
+	}
+	if short < 0 {
+		t.Fatal("no full chunk ends in a row that carries a value")
 	}
 	badMagic := func(b []byte) []byte { return append([]byte{'X'}, b[1:]...) }
 	badVersion := func(b []byte) []byte {
@@ -415,6 +480,23 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{name: "frame trailing byte", unavailable: true, bytes: func(w *wire) { w.frames[3] = append(append([]byte{}, w.frames[3]...), 0) }},
 		{name: "frame magic", unavailable: true, bytes: func(w *wire) { w.frames[0] = badMagic(w.frames[0]) }},
 		{name: "frame version", unavailable: true, bytes: func(w *wire) { w.frames[0] = badVersion(w.frames[0]) }},
+		// Rows a manifest vouches for — byte count and CRC — that do not
+		// read as its rows: the chunk is a miss as a whole.
+		{name: "last row short of the values its pc claims", unavailable: true, bytes: func(w *wire) {
+			vouch(t, w, short, func(raw []byte) []byte { return raw[:len(raw)-1] })
+		}},
+		{name: "one trailing byte", unavailable: true, bytes: func(w *wire) {
+			vouch(t, w, 1, func(raw []byte) []byte { return append(raw, 0) })
+		}},
+		{name: "rows tile another row count", unavailable: true, bytes: func(w *wire) {
+			_, full, _ := trace.DecodeChunk(w.frames[2])
+			vouch(t, w, 3, func([]byte) []byte { return full }) // 256 rows where the manifest says 232
+		}},
+		{name: "manifest byte count lies", unavailable: true, bytes: func(w *wire) {
+			m, _ := trace.DecodeManifest(w.manifest)
+			m.Chunks[1].Bytes += 8
+			w.manifest = trace.EncodeManifest(m)
+		}},
 		{name: "manifest empty", bytes: func(w *wire) { w.manifest = nil }},
 		{name: "manifest magic", bytes: func(w *wire) { w.manifest = badMagic(w.manifest) }},
 		{name: "manifest version", bytes: func(w *wire) { w.manifest = badVersion(w.manifest) }},
@@ -426,7 +508,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		}},
 		{name: "manifest static table bit", bytes: func(w *wire) {
 			w.manifest = append([]byte{}, w.manifest...)
-			w.manifest[len(w.manifest)-16*len(w.frames)-7] ^= 1 // the last static entry's opcode
+			w.manifest[len(w.manifest)-20*len(w.frames)-7] ^= 1 // the last static entry's opcode
 		}},
 		{name: "manifest static flag unknown", manifest: func(m *trace.Manifest) { m.Static[0].Flags |= 1 << 15 }},
 		{name: "manifest static sources", manifest: func(m *trace.Manifest) { m.Static[0].NSrcs = 3 }},
@@ -435,6 +517,12 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		}},
 		{name: "manifest chunk continues outside the table", manifest: func(m *trace.Manifest) { m.Chunks[0].NextPC = int64(len(m.Static)) }},
 		{name: "manifest chunk continues at a negative pc", manifest: func(m *trace.Manifest) { m.Chunks[1].NextPC = -3 }},
+		{name: "manifest chunk bytes wider than its rows can be", manifest: func(m *trace.Manifest) {
+			m.Chunks[0].Bytes = m.Chunks[0].Rows*trace.MaxRecordBytes + 1
+		}},
+		{name: "manifest chunk bytes narrower than its rows can be", manifest: func(m *trace.Manifest) {
+			m.Chunks[2].Bytes = m.Chunks[2].Rows*4 - 1
+		}},
 		{name: "manifest row count", manifest: func(m *trace.Manifest) { m.Rows++ }},
 		{name: "manifest chunk count", manifest: func(m *trace.Manifest) { m.Chunks = m.Chunks[:len(m.Chunks)-1] }},
 		{name: "manifest geometry", manifest: func(m *trace.Manifest) { m.ChunkRecords = 48 }},
@@ -467,10 +555,11 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 // TestRowOutsideStaticTableIsAMiss: a row is trusted no further than its
 // chunk's CRC, and a CRC only says the bytes are the ones the manifest's
-// author checksummed. A row (or its successor, which supplies its NextPC)
-// naming a pc past the static table, or one the trace never executed,
-// cuts the stream there with ErrChunkUnavailable — through a solo reader
-// and a gang cursor alike — and never decodes into a record.
+// author checksummed. A row naming a pc past the static table, or one the
+// trace never executed, makes its whole chunk a miss: adopting the trace
+// fails, and replaying it spilled cuts the stream at the chunk's first
+// record with ErrChunkUnavailable — through a solo reader and a gang
+// cursor alike — so not one of its rows decodes into a record.
 func TestRowOutsideStaticTableIsAMiss(t *testing.T) {
 	prog := asm.MustAssemble("skip", `
         .text
@@ -490,39 +579,45 @@ done:   halt
 	if err != nil {
 		t.Fatal(err)
 	}
+	// li writes r1 (pc and destVal), bne and halt write nothing (pc only).
+	offsets := []int{0, 12, 16}
+	if len(good) != 20 {
+		t.Fatalf("the three rows are %d bytes, want 12+4+4", len(good))
+	}
 	for _, c := range []struct {
-		name   string
-		row    int
-		pc     uint32
-		served int64 // records before the cut
+		name string
+		row  int
+		pc   uint32
 	}{
-		// A bad pc already spoils the record before it, whose NextPC it is.
-		{"past the table", 1, uint32(prog.Len()), 0},
-		{"far past the table", 2, 1<<31 - 1, 1},
-		{"unexecuted", 2, 2, 1},
-		{"first row, taken bit set", 0, uint32(prog.Len()) | 1<<31, 0},
+		{"past the table", 1, uint32(prog.Len())},
+		{"far past the table", 2, 1<<31 - 1},
+		{"unexecuted", 2, 2},
+		{"first row, taken bit set", 0, uint32(prog.Len()) | 1<<31},
 	} {
 		raw := append([]byte{}, good...)
-		binary.LittleEndian.PutUint32(raw[c.row*trace.RecordBytes:], c.pc)
+		binary.LittleEndian.PutUint32(raw[offsets[c.row]:], c.pc)
 		m := tr.Manifest()
 		m.Chunks[0].CRC = crc32.ChecksumIEEE(raw)
 		w := wire{manifest: trace.EncodeManifest(m), frames: [][]byte{trace.EncodeChunk(0, raw, false)}}
-		adopted, err := w.adopt()
+		if _, err := w.adopt(); !errors.Is(err, trace.ErrChunkUnavailable) {
+			t.Errorf("%s: adopting a chunk with a row outside the table gave %v, want ErrChunkUnavailable", c.name, err)
+		}
+		spilled, err := trace.FromManifest(m, w)
 		if err != nil {
-			t.Fatalf("%s: a chunk its manifest vouches for was not adopted: %v", c.name, err)
+			t.Fatal(err)
 		}
 		var rec emu.Record
-		rd := trace.NewReader(adopted, prog, 0)
+		rd := trace.NewReader(spilled, prog, 0)
 		for rd.NextInto(&rec) {
 		}
-		if rd.Cursor() != c.served || !errors.Is(rd.Err(), trace.ErrChunkUnavailable) {
-			t.Errorf("%s: solo reader served %d records (want %d) and reported %v", c.name, rd.Cursor(), c.served, rd.Err())
+		if rd.Cursor() != 0 || !errors.Is(rd.Err(), trace.ErrChunkUnavailable) {
+			t.Errorf("%s: solo reader served %d records of a damaged chunk and reported %v", c.name, rd.Cursor(), rd.Err())
 		}
-		cur := trace.NewGangReader(adopted, prog, 0).Cursor(0)
+		cur := trace.NewGangReader(spilled, prog, 0).Cursor(0)
 		for cur.NextInto(&rec) {
 		}
-		if cur.Cursor() != c.served || !errors.Is(cur.Err(), trace.ErrChunkUnavailable) {
-			t.Errorf("%s: gang cursor served %d records (want %d) and reported %v", c.name, cur.Cursor(), c.served, cur.Err())
+		if cur.Cursor() != 0 || !errors.Is(cur.Err(), trace.ErrChunkUnavailable) {
+			t.Errorf("%s: gang cursor served %d records of a damaged chunk and reported %v", c.name, cur.Cursor(), cur.Err())
 		}
 	}
 }
