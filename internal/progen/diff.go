@@ -19,7 +19,7 @@ import (
 
 // Mode selects how records are delivered to the pipelines under test. The
 // oracle runs every arm under every mode: divergence in exactly one mode
-// pinpoints the delivery layer (trace codec, chunk spill and gang ring,
+// pinpoints the delivery layer (trace codec, chunk spill and gang window,
 // live stream) rather than the pipeline.
 type Mode string
 

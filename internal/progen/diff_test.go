@@ -63,6 +63,9 @@ func TestDifferentialCorpus(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	st := eng.byMode[ModeGang].Stats()
+	t.Logf("gang mode: %d chunk faults, %d chunk evictions, window peak %d bytes",
+		st.TraceChunkFaults, st.TraceChunkEvictions, st.TraceChunkWindowPeakBytes)
 	// The modes must have been the delivery paths they are named for: every
 	// arm of every seed in a gang (each seed's baseline and mini-graph
 	// trace groups form one gang apiece, or two where the worker pool is

@@ -535,7 +535,7 @@ func TestStatszTraceCounters(t *testing.T) {
 		t.Fatalf("gang counters formed=%d arms=%d, want 2/5: %+v", st.GangsFormed, st.GangArms, st)
 	}
 	if st.GangSharedRecords == 0 {
-		t.Fatal("gang shared-decode counter not populated")
+		t.Fatal("gang shared-records counter not populated")
 	}
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {

@@ -167,7 +167,7 @@ type Stats struct {
 	// Chunk-residency counters. TraceChunkFaults counts spilled chunks
 	// faulted in through reader windows (and TraceChunkEvictions the
 	// window evictions that made room); TraceChunkWindowPeakBytes is the
-	// largest resident footprint any single reader window reached;
+	// largest resident footprint any one reader's or gang's window reached;
 	// TraceResidentBytes is the chunk payload currently held by the
 	// in-memory trace cache (what the LRU budget accounts);
 	// TraceChunkRecaptures counts replays that lost a chunk mid-flight
@@ -187,9 +187,9 @@ type Stats struct {
 
 	// Gang-replay counters (see internal/sim/gang.go). GangsFormed counts
 	// gangs actually run; GangArms the arms those gangs carried (mean gang
-	// size = GangArms/GangsFormed); GangSharedRecords the per-record decodes
-	// arms skipped by reading the shared ring; GangFallbackSolo the sweep
-	// trace-groups that were singletons and took the independent path.
+	// size = GangArms/GangsFormed); GangSharedRecords the records arms read
+	// from chunks their gang's window already held (a solo arm faults them);
+	// GangFallbackSolo the singleton trace-groups run the independent way.
 	GangsFormed       int64 `json:"gangs_formed"`
 	GangArms          int64 `json:"gang_arms"`
 	GangSharedRecords int64 `json:"gang_shared_records"`
@@ -263,7 +263,8 @@ func (e *Engine) WithTraceChunkRecords(n int64) *Engine {
 // behavior). With a store attached and a bounded window, captures spill
 // sealed chunks straight to the store and replays fault them back in on
 // demand, so a sweep over a trace far larger than RAM runs in
-// n × chunk bytes per reader. Reports are byte-identical either way.
+// n × chunk bytes per reader; a gang shares one of max(n, lag chunks) —
+// see trace.NewGangReaderWindowed. Reports are byte-identical either way.
 // Set before submitting jobs; e is returned for chaining.
 func (e *Engine) WithTraceChunkWindow(n int) *Engine {
 	if n < 0 {

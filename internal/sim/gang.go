@@ -14,14 +14,14 @@ import (
 // cursor end-to-end per arm faults every spilled chunk in from the store
 // once per arm; instead RunEach groups a sweep's new jobs by TraceKey and
 // runs each group as a *gang* — one goroutine interleaving all of the
-// group's pipelines over a shared-decode trace.GangReader and one chunk
-// window. Each chunk is faulted in and each packed record decoded once at
-// the gang's frontier; trailing arms are served by a struct copy from the
-// decoded ring. The scheduler steps pipelines round-robin in fixed cycle
-// quanta and paces leaders so the gang's cursors stay inside the shared
-// window; an arm stalled on a long-latency event simply lags (still served
-// from the ring) while fast arms proceed. An engine whose traces are
-// resident never gangs; planGangs says why.
+// group's pipelines over one trace.GangReader, whose cursors share one
+// chunk window. Each chunk is faulted in once, at the gang's leading
+// cursor; every cursor decodes its own rows, and trailing arms find their
+// chunk already resident. The scheduler steps pipelines round-robin in
+// fixed cycle quanta and paces leaders so the gang's cursors stay inside
+// the window's lag; an arm stalled on a long-latency event simply lags
+// (its chunk still resident) while fast arms proceed. An engine whose
+// traces are resident never gangs; planGangs says why.
 //
 // Gang execution is transparent: arms are registered in the engine's
 // single-flight table exactly like Simulate leaders, so concurrent
@@ -41,8 +41,8 @@ const (
 	// gangLead bounds how far (in trace records) an arm's cursor may run
 	// ahead of the gang's slowest non-exhausted cursor before the scheduler
 	// skips its turn. The lead plus one quantum's fetch overshoot plus the
-	// deepest squash rewind stays well inside trace.DefaultGangWindow, so
-	// in steady state every serve is a ring copy.
+	// deepest squash rewind stays well inside trace.DefaultGangWindow, the
+	// lag a gang's chunk window spans: no arm re-faults another's chunk.
 	gangLead = 2048
 )
 
@@ -75,10 +75,9 @@ type gangPlan struct {
 // regime and nothing a caller sets. Under bounded replay every solo arm
 // faults each chunk of its trace in from the store again, and a gang of n
 // arms faults it once (n× fewer chunk faults and more arms/s on the
-// store_stream benchmark). Over a resident trace a gang shares only the
-// record decode, and the interleave costs more than that saves
-// (config_sweep, store_warm), so a resident engine gets the zero plan
-// before a lock is taken or a key is hashed.
+// store_stream benchmark). Over a resident trace a gang has no fault to
+// share and the interleave only costs (config_sweep, store_warm), so a
+// resident engine gets the zero plan before a lock or a key hash.
 //
 // Otherwise jobs are grouped by TraceKey and every gang arm is registered
 // in the single-flight table. Keys already in flight (or cached) and
@@ -225,10 +224,10 @@ type gangArm struct {
 }
 
 // runGang executes one gang: per-arm store pre-check, one shared capture,
-// then all remaining arms interleaved on this goroutine over a shared-
-// decode GangReader, holding a single worker slot. Every arm's call is
-// fulfilled exactly once — with its outcome, its wrapped hard error, or
-// the gang's context error (evicted for takeover).
+// then all remaining arms interleaved on this goroutine over one
+// GangReader's shared chunk window, holding a single worker slot. Every
+// arm's call is fulfilled exactly once — with its outcome, its wrapped
+// hard error, or the gang's context error (evicted for takeover).
 func (e *Engine) runGang(ctx context.Context, g *gang) {
 	e.gangsFormed.Add(1)
 	e.gangArmsRun.Add(int64(len(g.arms)))
@@ -319,7 +318,7 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 		}
 		active = next
 	}
-	e.gangShared.Add(gr.SharedServes())
+	e.gangShared.Add(gr.SharedRecords())
 }
 
 // finishArm fulfills one arm's call — the tail of Simulate's solo path:

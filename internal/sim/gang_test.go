@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"minigraph/internal/core"
+	"minigraph/internal/trace"
 	"minigraph/internal/uarch"
 	"minigraph/internal/workload"
 )
@@ -191,7 +192,7 @@ func TestGangMatchesSequential(t *testing.T) {
 		t.Errorf("gang arms %d, want %d", st.GangArms, len(jobs))
 	}
 	if st.GangSharedRecords == 0 {
-		t.Error("gang sweep never served a record from the shared ring")
+		t.Error("no gang arm ever read a chunk another arm had faulted in")
 	}
 	if st.SimRuns != int64(len(jobs)) {
 		t.Errorf("sim runs %d, want %d", st.SimRuns, len(jobs))
@@ -205,9 +206,8 @@ func TestGangMatchesSequential(t *testing.T) {
 // TraceKey group, one worker, so the planner forms a single gang over one
 // shared trace — and checks every arm against an independently computed
 // solo outcome. CI's large-trace job runs this under -race: the
-// single-goroutine gang interleave, the shared-decode ring and the shared
-// chunk window must be data-race-free against the engine's concurrent
-// waiters.
+// single-goroutine gang interleave and the shared chunk window must be
+// data-race-free against the engine's concurrent waiters.
 func TestGangMaxSizeSharedTrace(t *testing.T) {
 	jobs := latencyArms(testBench, 60_000, 0, 110, 120, 130, 140, 150, 160, 170)
 	e := gangEngine(t, t.TempDir())
@@ -233,6 +233,46 @@ func TestGangMaxSizeSharedTrace(t *testing.T) {
 		b, _ := EncodeOutcome(ref)
 		if !bytes.Equal(a, b) {
 			t.Errorf("arm %d (mem%d): gang outcome differs from solo", i, job.Config.MemLatency)
+		}
+	}
+}
+
+// TestGangFaultsEachChunkOnce pins the gang window's sizing: a gang's
+// cursors share one chunk window that holds every chunk the gang's lag
+// window can span, however small the engine's per-reader window, so the
+// leading arm faults each chunk in once and no trailing arm faults it
+// again — while the window stays within that many chunks of the widest
+// rows, and the outcomes stay a resident engine's. A gang window of the
+// engine's 2 chunks would make trailing arms re-fault at 256-row chunks.
+func TestGangFaultsEachChunkOnce(t *testing.T) {
+	const maxRecords = 60_000
+	jobs := latencyArms(testBench, maxRecords, 0, 140, 160)
+	want, err := New(1).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := gangEngine(t, t.TempDir())
+	got, err := e.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.GangsFormed != 1 || st.GangArms != int64(len(jobs)) {
+		t.Fatalf("one gang of %d arms expected: formed=%d arms=%d", len(jobs), st.GangsFormed, st.GangArms)
+	}
+	if chunks := int64((maxRecords + testChunkRecords - 1) / testChunkRecords); st.TraceChunkFaults != chunks || st.TraceChunkRecaptures != 0 {
+		t.Errorf("gang faulted %d chunks (%d recaptures) of a %d-chunk trace, want each once and none",
+			st.TraceChunkFaults, st.TraceChunkRecaptures, chunks)
+	}
+	lagChunks := (trace.DefaultGangWindow+testChunkRecords-1)/testChunkRecords + 1
+	if bound := int64(lagChunks * testChunkRecords * (trace.MaxRecordBytes + 1)); st.TraceChunkWindowPeakBytes > bound {
+		t.Errorf("gang window peaked at %d bytes, want at most %d (%d chunks of the widest rows)",
+			st.TraceChunkWindowPeakBytes, bound, lagChunks)
+	}
+	ref := encodedOutcomes(t, want)
+	for i, out := range encodedOutcomes(t, got) {
+		if !bytes.Equal(out, ref[i]) {
+			t.Errorf("arm %d (mem%d): gang outcome differs from the resident engine's", i, jobs[i].Config.MemLatency)
 		}
 	}
 }

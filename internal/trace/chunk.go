@@ -466,23 +466,26 @@ func (t *Trace) resident(ci int64, data []byte) (chunk, error) {
 	return chunk{rows: data, index: index}, nil
 }
 
-// WindowStats reports one reader's bounded-window activity: chunks
-// faulted in through the ChunkSource, chunks evicted to stay inside the
-// window, and the peak bytes (rows and index) the window held resident at
-// any moment.
+// WindowStats reports one window's activity — a solo reader's or a
+// gang's: chunks faulted in through the ChunkSource, chunks evicted to
+// stay inside the window, and the peak bytes (rows and index) the window
+// held resident at any moment.
 type WindowStats struct {
 	Faults    int64
 	Evictions int64
 	PeakBytes int64
 }
 
-// chunkWindow is one reader's (or one gang's) view of a trace bound to a
-// program: the row decoder, over a bounded cache of non-resident chunks.
+// chunkWindow is the bounded cache of spilled chunks behind one reader,
+// or shared by every cursor of one gang, over a trace bound to a program.
 // Chunks the Trace itself retains are served directly and cost the window
 // nothing; only spilled chunks are faulted in (verified against the
-// manifest, checked and indexed) and LRU-evicted beyond max. A window is
-// not safe for concurrent use — sharing happens at the immutable Trace,
-// not here.
+// manifest, checked and indexed) and LRU-evicted beyond max. Each cursor
+// decodes through its own decoder and pins at most the one chunk under it,
+// which the window may already have evicted: k cursors over a window of
+// max chunks keep at most max + k alive, and PeakBytes counts the
+// window's own. A window is not safe for concurrent use — sharing across
+// goroutines happens at the immutable Trace, not here.
 type chunkWindow struct {
 	t      *Trace
 	prog   *isa.Program
@@ -494,15 +497,9 @@ type chunkWindow struct {
 	bytes int64
 	stats WindowStats
 
-	// The chunk under the cursor — rows [base, end) and the NextPC of the
-	// last of them — and the cursor itself: the row of record at starts at
-	// byte off of it. Sequential decoding reads the next row where the last
-	// one ended, so the per-record path is no lookup at all.
-	cur       chunk
-	base, end int64
-	next      isa.PC
-	at        int64
-	off       int
+	// shared counts the records cursors read from a chunk the window
+	// already held when they entered it (see GangReader.SharedRecords).
+	shared int64
 }
 
 func newChunkWindow(t *Trace, prog *isa.Program, maxChunks int) *chunkWindow {
@@ -525,6 +522,21 @@ func (w *chunkWindow) open(limit int64) (serve int64, err error) {
 	return w.t.n, w.t.Err()
 }
 
+// decoder is one cursor's row decoder over a window: the chunk under the
+// cursor — rows [base, end) and the NextPC of the last of them — and the
+// position in it: the row of record at starts at byte off. Sequential
+// decoding reads the next row where the last one ended, so the per-record
+// path is no lookup at all.
+type decoder struct {
+	w         *chunkWindow
+	cur       chunk
+	base, end int64
+	next      isa.PC
+	at        int64
+	off       int
+	held      bool // cur came from the window, not from this cursor's fault
+}
+
 // fill decodes the record at seq into dst, faulting in its chunk if
 // necessary. Every field is written, so dst may be reused across calls
 // without clearing. Inst is resolved through the bound program — the same
@@ -532,21 +544,21 @@ func (w *chunkWindow) open(limit int64) (serve int64, err error) {
 // structurally identical copy of the program it was captured from. The
 // row needs no check of its own: its chunk was checked whole when it
 // became resident, and a chunk that failed reads as ErrChunkUnavailable.
-func (w *chunkWindow) fill(dst *emu.Record, seq int64) error {
-	if seq != w.at || seq >= w.end {
-		if err := w.seek(seq); err != nil {
+func (d *decoder) fill(dst *emu.Record, seq int64) error {
+	if seq != d.at || seq >= d.end {
+		if err := d.seek(seq); err != nil {
 			return err
 		}
 	}
-	rows := w.cur.rows
-	word := binary.LittleEndian.Uint32(rows[w.off:])
+	t, rows := d.w.t, d.cur.rows
+	word := binary.LittleEndian.Uint32(rows[d.off:])
 	pc := isa.PC(word &^ takenBit)
-	f := w.t.fields[pc]
-	*dst = w.t.static[pc]
+	f := t.fields[pc]
+	*dst = t.static[pc]
 	dst.Seq = seq
-	dst.Inst = &w.prog.Insts[pc]
+	dst.Inst = &d.w.prog.Insts[pc]
 	dst.Taken = word&takenBit != 0
-	off := w.off + pcWordBytes
+	off := d.off + pcWordBytes
 	if f&fieldEA != 0 {
 		dst.EA = isa.Addr(binary.LittleEndian.Uint64(rows[off:]))
 		off += valueBytes
@@ -559,52 +571,55 @@ func (w *chunkWindow) fill(dst *emu.Record, seq int64) error {
 		dst.StoreVal = binary.LittleEndian.Uint64(rows[off:])
 		off += valueBytes
 	}
-	dst.NextPC = w.next
+	dst.NextPC = d.next
 	if off < len(rows) {
 		dst.NextPC = isa.PC(binary.LittleEndian.Uint32(rows[off:]) &^ takenBit)
 	}
-	w.at, w.off = seq+1, off
+	if d.held {
+		d.w.shared++
+	}
+	d.at, d.off = seq+1, off
 	return nil
 }
 
-// seek moves the cursor to seq: into seq's chunk if it is not the one under
-// the cursor, then to the indexed row at or before seq, then row by row —
+// seek moves the decoder to seq: into seq's chunk if it is not the one
+// under it, then to the indexed row at or before seq, then row by row —
 // fewer than indexStride steps — to seq itself.
-func (w *chunkWindow) seek(seq int64) error {
-	if seq < w.base || seq >= w.end {
-		ci := seq >> w.t.chunkShift
-		c, err := w.chunk(ci)
+func (d *decoder) seek(seq int64) error {
+	t := d.w.t
+	if seq < d.base || seq >= d.end {
+		ci := seq >> t.chunkShift
+		c, held, err := d.w.chunk(ci)
 		if err != nil {
 			return err
 		}
-		info := &w.t.info[ci]
-		w.cur, w.base, w.next = c, ci<<w.t.chunkShift, isa.PC(info.NextPC)
-		w.end = w.base + info.Rows
+		info := &t.info[ci]
+		d.cur, d.held, d.base, d.next = c, held, ci<<t.chunkShift, isa.PC(info.NextPC)
+		d.end = d.base + info.Rows
 	}
-	k := (seq - w.base) / indexStride
-	w.at, w.off = w.base+k*indexStride, int(w.cur.index[k])
-	for ; w.at < seq; w.at++ {
-		w.off += int(rowWidth[w.t.fields[binary.LittleEndian.Uint32(w.cur.rows[w.off:])&^takenBit]])
+	k := (seq - d.base) / indexStride
+	d.at, d.off = d.base+k*indexStride, int(d.cur.index[k])
+	for ; d.at < seq; d.at++ {
+		d.off += int(rowWidth[t.fields[binary.LittleEndian.Uint32(d.cur.rows[d.off:])&^takenBit]])
 	}
 	return nil
 }
 
 // chunk returns chunk ci resident and indexed, faulting it in through the
-// trace's source if neither the trace nor the window holds it. Every byte
-// served has passed the manifest's byte count and CRC and the row check —
-// a source that returns damaged or wrong-length bytes reads as
-// ErrChunkUnavailable, never as wrong records.
-func (w *chunkWindow) chunk(ci int64) (chunk, error) {
+// trace's source if neither the trace nor the window holds it; held says
+// the window already held it. Every byte served has passed the manifest's
+// byte count and CRC and the row check — a source that returns damaged or
+// wrong-length bytes reads as ErrChunkUnavailable, never as wrong records.
+func (w *chunkWindow) chunk(ci int64) (c chunk, held bool, err error) {
 	if c := w.t.chunks[ci]; c.rows != nil {
-		return c, nil
+		return c, false, nil
 	}
 	if c, ok := w.cache[ci]; ok {
 		w.touch(ci)
-		return c, nil
+		return c, true, nil
 	}
-	c, err := w.t.fault(ci)
-	if err != nil {
-		return chunk{}, err
+	if c, err = w.t.fault(ci); err != nil {
+		return chunk{}, false, err
 	}
 	if w.cache == nil {
 		w.cache = make(map[int64]chunk)
@@ -626,7 +641,7 @@ func (w *chunkWindow) chunk(ci int64) (chunk, error) {
 	if w.bytes > w.stats.PeakBytes {
 		w.stats.PeakBytes = w.bytes
 	}
-	return c, nil
+	return c, false, nil
 }
 
 // touch marks ci most recently used, in place.

@@ -107,22 +107,30 @@ func (c chunkMap) FetchChunk(i int64) ([]byte, error) {
 	return raw, nil
 }
 
-// FuzzReaderRewind drives a solo Reader and a gang cursor (over a tiny
-// shared ring, so the lag boundary is crossed constantly) through an
-// arbitrary schedule of consumes and rewinds over a spilled 128-row-chunk
-// trace of rewindSrc behind a one-chunk window, and demands at every step
-// the record the live machine produced. Schedule bytes: even op = consume
-// (op/2)%8+1 records, odd op = rewind op/2 records back (clamped to zero).
-// The seed corpus includes the maximum-rewind-depth case — consume the
-// entire trace, then rewind all the way to record zero — so unbounded
-// Rewind can never silently clamp to a retention window. The seeds in
-// testdata/fuzz rewind onto the last row of a chunk and the first row of
-// the next (127 and 128: the two rows whose NextPC does not come from the
-// row after them in the chunk, and the last and first row of an index
-// stride), onto the last row of the trace, and from one chunk back into
-// the previous onto the first and the last row of an index stride (192
-// and 191), so a seek lands on an indexed row and on the row 63 steps
-// past one.
+// FuzzReaderRewind drives two gang cursors sharing one chunk window, each
+// beside a solo Reader of its own, through an arbitrary schedule of
+// consumes and rewinds over a spilled 128-row-chunk trace of rewindSrc,
+// and demands at every step the record the live machine produced. The
+// solo Readers hold one chunk each; the gang's window, sized from an
+// 8-record lag, holds two, so a cursor crossing into a chunk can evict the
+// one the other cursor is decoding. Schedule bytes: bit 1 picks the
+// cursor (and its Reader); an even op consumes (op>>2)%8+1 records, an odd
+// op rewinds op>>2 records back (clamped to zero). The seed corpus
+// includes the maximum-rewind-depth case — consume the entire trace, then
+// rewind all the way to record zero — so unbounded Rewind can never
+// silently clamp to a retention window. The seeds in testdata/fuzz rewind
+// onto the last row of a chunk and the first row of the next (127 and
+// 128: the two rows whose NextPC does not come from the row after them in
+// the chunk, and the last and first row of an index stride), onto the
+// last row of the trace, and from one chunk back into the previous onto
+// the first and the last row of an index stride (192 and 191), so a seek
+// lands on an indexed row and on the row 63 steps past one. One more
+// (two-cursors-two-chunks-apart) runs the first cursor two chunks ahead
+// and lets the second cross into chunk 1, which evicts chunk 2 from under
+// the first; the first reads on from the chunk it pins, then both walk
+// on crossing boundaries in turn, and the first rewinds back across two
+// of them, evicting the chunk under the second, which then rewinds within
+// the chunk it pins.
 func FuzzReaderRewind(f *testing.F) {
 	prog := asm.MustAssemble("rewind", rewindSrc)
 	captured, err := trace.CaptureWith(context.Background(), prog, nil, 0, trace.CaptureOptions{ChunkRecords: 128})
@@ -138,19 +146,22 @@ func FuzzReaderRewind(f *testing.F) {
 		}
 		live = append(live, rec)
 	}
-	full := bytes.Repeat([]byte{0xfe}, int(tr.Len())/8+2) // consume past exhaustion
-	f.Add(append(append([]byte{}, full...), 0xff))        // then max-depth rewind to zero
-	f.Add([]byte{0x02, 0x03, 0x0e, 0x05, 0xfe})           // mixed short hops
+	full := bytes.Repeat([]byte{0x1c}, int(tr.Len())/8+2)                  // consume past exhaustion
+	f.Add(append(full, bytes.Repeat([]byte{0xfd}, int(tr.Len())/63+1)...)) // then max-depth rewind to zero
+	f.Add([]byte{0x04, 0x1e, 0x09, 0x0c, 0x07, 0x1c})                      // mixed short hops on both cursors
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, sched []byte) {
-		rd := trace.NewReaderWindowed(tr, prog, 0, 1)
 		g := trace.NewGangReaderWindowed(tr, prog, 8, 1)
-		cur := g.Cursor(0)
+		var solo, gang [2]*trace.Reader
+		for i := range gang {
+			solo[i], gang[i] = trace.NewReaderWindowed(tr, prog, 0, 1), g.Cursor(0)
+		}
 		var a, b emu.Record
 		for step, op := range sched {
+			rd, cur := solo[op>>1&1], gang[op>>1&1]
 			if op&1 == 0 {
-				for n := int(op>>1)%8 + 1; n > 0; n-- {
+				for n := int(op>>2)%8 + 1; n > 0; n-- {
 					aok, bok := rd.NextInto(&a), cur.NextInto(&b)
 					if aok != bok {
 						t.Fatalf("op %d: reader ok=%v gang ok=%v", step, aok, bok)
@@ -163,19 +174,18 @@ func FuzzReaderRewind(f *testing.F) {
 					}
 				}
 			} else {
-				seq := cur.Cursor() - int64(op>>1)
-				if seq < 0 {
-					seq = 0
-				}
+				seq := max(cur.Cursor()-int64(op>>2), 0)
 				rd.Rewind(seq)
 				cur.Rewind(seq)
 			}
 		}
-		if rd.Exhausted() != cur.Exhausted() {
-			t.Fatalf("exhaustion mismatch: reader %v gang %v", rd.Exhausted(), cur.Exhausted())
-		}
-		if rd.Err() != nil || cur.Err() != nil {
-			t.Fatalf("replay failed: reader %v gang %v", rd.Err(), cur.Err())
+		for i := range gang {
+			if solo[i].Exhausted() != gang[i].Exhausted() {
+				t.Fatalf("cursor %d: exhaustion mismatch: reader %v gang %v", i, solo[i].Exhausted(), gang[i].Exhausted())
+			}
+			if solo[i].Err() != nil || gang[i].Err() != nil {
+				t.Fatalf("cursor %d: replay failed: reader %v gang %v", i, solo[i].Err(), gang[i].Err())
+			}
 		}
 	})
 }

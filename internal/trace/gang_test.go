@@ -14,7 +14,7 @@ import (
 
 // TestGangCursorMatchesReader drives a solo Reader and a GangCursor in
 // lockstep over the same trace and demands byte-identical records — the
-// shared-decode ring must be invisible.
+// gang's shared window must be invisible.
 func TestGangCursorMatchesReader(t *testing.T) {
 	prog, mgt, _ := rewritten(t, "sha")
 	const limit = 20_000
@@ -22,7 +22,7 @@ func TestGangCursorMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := trace.NewGangReader(tr, prog, 512)
+	g := trace.NewGangReaderWindowed(tr, prog, 512, 0)
 	cur := g.Cursor(limit)
 	rd := trace.NewReader(tr, prog, limit)
 	var a, b emu.Record
@@ -51,72 +51,6 @@ func TestGangCursorMatchesReader(t *testing.T) {
 	}
 }
 
-// TestGangLagWindowBoundary pins the exact edge of the shared ring: a
-// cursor exactly `window` records behind the decode frontier is still
-// served from the ring, one record further back takes the private-decode
-// fallback — and both are byte-identical to a solo Reader. This is the
-// can't-silently-clamp test: the window boundary must shift cost, never
-// content.
-func TestGangLagWindowBoundary(t *testing.T) {
-	prog, mgt, _ := rewritten(t, "sha")
-	const limit = 10_000
-	tr, err := trace.Capture(context.Background(), prog, mgt, limit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const window = 1024
-	g := trace.NewGangReader(tr, prog, window)
-	if g.Window() != window {
-		t.Fatalf("window %d, want %d (power of two kept as-is)", g.Window(), window)
-	}
-	lead := g.Cursor(limit)
-	lag := g.Cursor(limit)
-
-	// Advance the leader so the frontier sits at `window+1`; the ring now
-	// holds records [1, window+1).
-	var rec emu.Record
-	for i := 0; i < window+1; i++ {
-		if !lead.NextInto(&rec) {
-			t.Fatalf("leader exhausted at %d", i)
-		}
-	}
-	if g.Decoded() != window+1 {
-		t.Fatalf("frontier %d, want %d", g.Decoded(), window+1)
-	}
-
-	// The lagging cursor reads record 1 — exactly `window` behind the
-	// frontier, the oldest record still in the ring.
-	soloBefore, sharedBefore := g.SoloFills(), g.SharedServes()
-	var want emu.Record
-	trace.NewReader(tr, prog, limit).NextInto(&want) // record 0 for comparison below
-	lag.Rewind(0)                                    // no-op (already at 0), pins rewind-to-zero legality
-	if !lag.NextInto(&rec) {
-		t.Fatal("lag cursor exhausted at record 0")
-	}
-	// Record 0 is one *past* the window edge (frontier-window-1): private.
-	if g.SoloFills() != soloBefore+1 {
-		t.Fatalf("record 0 at lag window+1: soloFills %d→%d, want a private decode", soloBefore, g.SoloFills())
-	}
-	if !reflect.DeepEqual(rec, want) {
-		t.Fatalf("private-decode record differs from Reader:\ngang:   %+v\nreader: %+v", rec, want)
-	}
-
-	// Record 1 is exactly `window` behind: still a ring serve.
-	sharedBefore = g.SharedServes()
-	rd := trace.NewReader(tr, prog, limit)
-	rd.NextInto(&want)
-	rd.NextInto(&want) // record 1
-	if !lag.NextInto(&rec) {
-		t.Fatal("lag cursor exhausted at record 1")
-	}
-	if g.SharedServes() != sharedBefore+1 {
-		t.Fatalf("record 1 at lag=window: sharedServes did not grow (solo %d shared %d)", g.SoloFills(), g.SharedServes())
-	}
-	if !reflect.DeepEqual(rec, want) {
-		t.Fatalf("ring-served record differs from Reader:\ngang:   %+v\nreader: %+v", rec, want)
-	}
-}
-
 // TestGangCursorLimitAndFault pins Reader-parity cut-off semantics: a
 // cursor bounded at or below the trace length never observes the capture's
 // architectural fault, an unbounded cursor surfaces it.
@@ -126,10 +60,7 @@ func TestGangCursorLimitAndFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := trace.NewGangReader(tr, prog, 0)
-	if g.Window() != trace.DefaultGangWindow {
-		t.Fatalf("default window %d, want %d", g.Window(), trace.DefaultGangWindow)
-	}
+	g := trace.NewGangReaderWindowed(tr, prog, 0, 0)
 	bounded := g.Cursor(tr.Len())
 	if bounded.Err() != nil {
 		t.Fatalf("bounded cursor err %v, want nil", bounded.Err())
@@ -171,7 +102,7 @@ func TestGangPipelineMatchesSoloPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g := trace.NewGangReader(tr, prog, 4096)
+	g := trace.NewGangReaderWindowed(tr, prog, 4096, 0)
 	const arms = 4
 	pipes := make([]*uarch.Pipeline, arms)
 	params := core.ExecParams{LoadLat: cfg.LoadLat, Collapse: cfg.Collapse, UseAP: cfg.APs > 0}
@@ -203,15 +134,12 @@ func TestGangPipelineMatchesSoloPipeline(t *testing.T) {
 			t.Errorf("gang arm %d diverged from the solo pipeline", i)
 		}
 	}
-	if g.SharedServes() == 0 {
-		t.Error("interleaved gang never hit the shared ring")
-	}
 }
 
 // TestGangSpilledReplayAllocatesPerChunk: the engine gangs only under
-// bounded replay, so a gang's decode frontier always runs over spilled
-// chunks — and must pay for a chunk when it crosses into it, not for
-// every record in it. (It once looked its chunk up in the window per
+// bounded replay, so a gang's cursors always run over spilled chunks —
+// and must pay for a chunk when they cross into it, not for every record
+// in it. (It once looked its chunk up in the window per
 // record, and the window's LRU touch reallocated its order list each
 // time: one heap allocation a record.)
 func TestGangSpilledReplayAllocatesPerChunk(t *testing.T) {

@@ -179,7 +179,7 @@ func TestMisfitProgramIsAMiss(t *testing.T) {
 		if rd.NextInto(&rec) || !rd.Exhausted() || !errors.Is(rd.Err(), trace.ErrChunkUnavailable) {
 			t.Errorf("%s: solo reader served a record or reported %v", name, rd.Err())
 		}
-		cur := trace.NewGangReader(tr, bound, 0).Cursor(0)
+		cur := trace.NewGangReaderWindowed(tr, bound, 0, 0).Cursor(0)
 		if cur.NextInto(&rec) || !cur.Exhausted() || !errors.Is(cur.Err(), trace.ErrChunkUnavailable) {
 			t.Errorf("%s: gang cursor served a record or reported %v", name, cur.Err())
 		}

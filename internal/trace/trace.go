@@ -609,19 +609,17 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 // is single-goroutine; open one Reader per concurrent simulation over the
 // shared Trace.
 //
-// Over a spilled trace the Reader holds a bounded window of resident
-// chunks (NewReaderWindowed) and faults evicted ones back in through the
-// trace's ChunkSource; a source failure surfaces through Err as
-// ErrChunkUnavailable after the stream cuts off, mirroring how the live
-// stream surfaces an architectural fault.
+// Over a spilled trace the Reader faults chunks in through the trace's
+// ChunkSource into a bounded window of resident chunks — its own
+// (NewReaderWindowed) or its gang's (GangReader.Cursor); a source failure
+// surfaces through Err as ErrChunkUnavailable after the stream cuts off,
+// mirroring how the live stream surfaces an architectural fault.
 type Reader struct {
-	win     *chunkWindow
+	dec     decoder
 	serve   int64 // records available to this reader (limit-clamped)
 	cursor  int64
 	err     error
 	faultAt int64 // serve value before an I/O cutoff (for Err precedence)
-
-	scratch emu.Record
 }
 
 // NewReader opens a cursor over t bound to prog (the program t was
@@ -640,33 +638,28 @@ func NewReader(t *Trace, prog *isa.Program, limit int64) *Reader {
 // trace is. Chunks the Trace itself retains are served directly and do
 // not count against the window.
 func NewReaderWindowed(t *Trace, prog *isa.Program, limit int64, windowChunks int) *Reader {
-	r := &Reader{win: newChunkWindow(t, prog, windowChunks)}
-	r.serve, r.err = r.win.open(limit)
+	return newReader(newChunkWindow(t, prog, windowChunks), limit)
+}
+
+func newReader(w *chunkWindow, limit int64) *Reader {
+	r := &Reader{dec: decoder{w: w}}
+	r.serve, r.err = w.open(limit)
 	return r
 }
 
-// WindowStats reports the reader's chunk-window activity (faults,
-// evictions, peak resident bytes).
-func (r *Reader) WindowStats() WindowStats { return r.win.stats }
-
-// Next returns the record at the cursor, advancing it. ok=false means the
-// stream is exhausted (halt, limit, or fault — check Err). The returned
-// pointer is the reader's scratch record and is valid until the next call.
-func (r *Reader) Next() (*emu.Record, bool) {
-	if !r.NextInto(&r.scratch) {
-		return nil, false
-	}
-	return &r.scratch, true
-}
+// WindowStats reports the activity of the reader's chunk window (faults,
+// evictions, peak resident bytes) — its gang's, for a gang cursor.
+func (r *Reader) WindowStats() WindowStats { return r.dec.w.stats }
 
 // NextInto writes the record at the cursor into dst and advances — the
 // pipeline's zero-copy delivery path (the record materialises directly in
-// the consumer's storage, no scratch staging).
+// the consumer's storage, no scratch staging). false means the stream is
+// exhausted (halt, limit, or fault — check Err).
 func (r *Reader) NextInto(dst *emu.Record) bool {
 	if r.cursor >= r.serve {
 		return false
 	}
-	if err := r.win.fill(dst, r.cursor); err != nil {
+	if err := r.dec.fill(dst, r.cursor); err != nil {
 		// The stream cuts off at the cursor and the failure surfaces
 		// through Err.
 		r.err = err
@@ -678,7 +671,8 @@ func (r *Reader) NextInto(dst *emu.Record) bool {
 	return true
 }
 
-// Cursor returns the sequence number of the next record Next will serve.
+// Cursor returns the sequence number of the next record NextInto will
+// serve.
 func (r *Reader) Cursor() int64 { return r.cursor }
 
 // Err returns the architectural fault that truncated the stream (if this

@@ -61,18 +61,19 @@ func TestReaderMatchesStream(t *testing.T) {
 
 	s := emu.NewStream(emu.NewMachine(prog, mgt), 4096, limit)
 	r := trace.NewReader(tr, prog, limit)
+	var rr emu.Record
 	step := 0
 	for {
 		sr, sok := s.Next()
-		rr, rok := r.Next()
+		rok := r.NextInto(&rr)
 		if sok != rok {
 			t.Fatalf("step %d: stream ok=%v reader ok=%v", step, sok, rok)
 		}
 		if !sok {
 			break
 		}
-		if !reflect.DeepEqual(*sr, *rr) {
-			t.Fatalf("step %d: record mismatch\nstream: %+v\nreplay: %+v", step, *sr, *rr)
+		if !reflect.DeepEqual(*sr, rr) {
+			t.Fatalf("step %d: record mismatch\nstream: %+v\nreplay: %+v", step, *sr, rr)
 		}
 		step++
 		// Periodic rewinds exercise the squash path; every 4096 records jump
@@ -101,19 +102,18 @@ func TestReaderDeepRewind(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := trace.NewReader(tr, prog, 0)
-	var first emu.Record
+	var first, rec emu.Record
 	for i := 0; i < 10_000; i++ {
-		rec, ok := r.Next()
-		if !ok {
+		if !r.NextInto(&rec) {
 			t.Fatalf("exhausted at %d", i)
 		}
 		if i == 0 {
-			first = *rec
+			first = rec
 		}
 	}
 	r.Rewind(0)
-	rec, ok := r.Next()
-	if !ok || !reflect.DeepEqual(*rec, first) {
+	ok := r.NextInto(&rec)
+	if !ok || !reflect.DeepEqual(rec, first) {
 		t.Fatalf("deep rewind did not re-serve record 0 (ok=%v)", ok)
 	}
 }
@@ -295,12 +295,8 @@ func TestCaptureFaultParity(t *testing.T) {
 		for name, from := range map[string]*trace.Trace{"captured": tr, "adopted": adopted} {
 			r := trace.NewReader(from, prog, 0)
 			var replayed []emu.Record
-			for {
-				rec, ok := r.Next()
-				if !ok {
-					break
-				}
-				replayed = append(replayed, *rec)
+			for rec := (emu.Record{}); r.NextInto(&rec); {
+				replayed = append(replayed, rec)
 			}
 			if len(replayed) != len(live) {
 				t.Fatalf("target %d, %s: replay served %d records, stream %d", target, name, len(replayed), len(live))
@@ -613,7 +609,7 @@ done:   halt
 		if rd.Cursor() != 0 || !errors.Is(rd.Err(), trace.ErrChunkUnavailable) {
 			t.Errorf("%s: solo reader served %d records of a damaged chunk and reported %v", c.name, rd.Cursor(), rd.Err())
 		}
-		cur := trace.NewGangReader(spilled, prog, 0).Cursor(0)
+		cur := trace.NewGangReaderWindowed(spilled, prog, 0, 0).Cursor(0)
 		for cur.NextInto(&rec) {
 		}
 		if cur.Cursor() != 0 || !errors.Is(cur.Err(), trace.ErrChunkUnavailable) {

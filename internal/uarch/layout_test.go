@@ -122,7 +122,8 @@ func TestTraceLayoutIsInvisible(t *testing.T) {
 							continue
 						}
 						// Unequal quanta, so the cursors drift apart and
-						// back across the shared ring's edge.
+						// cross chunk boundaries of the shared window
+						// out of step.
 						done, err := p.RunCycles(ctx, int64(256<<i))
 						if err == nil && done {
 							var got *uarch.Result
