@@ -164,18 +164,43 @@ func (w *trackingWorker) traceSet() map[string]bool {
 // benchSubsetSweep32 is the acceptance sweep: 32 arms (8 machine/policy
 // variants × the 4-bench subset), record-bounded so the test stays quick.
 func benchSubsetSweep32() SweepRequest {
-	req := SweepRequest{Name: "equiv32", Title: "32-arm benchSubset equivalence"}
+	return subsetSweep("equiv32", "32-arm benchSubset equivalence", []JobSpec{
+		{Baseline: true, Machine: "baseline"},
+		{Baseline: true, Machine: "baseline", MemLatency: 300},
+		{},
+		{MemLatency: 300},
+		{Machine: "minigraph-int"},
+		{Collapse: true},
+		{MaxSize: 3},
+		{Entries: 128},
+	})
+}
+
+// distinctBinarySweep32 has benchSubsetSweep32's shape — per bench two
+// arms over the baseline binary, three over the default recipe and three
+// of one arm each — but its single-arm recipes rewrite every benchmark into
+// a binary of its own, where minigraph-int, MaxSize 3 and 128 entries
+// select the default's mini-graphs on some benchmarks. Its 20 trace
+// identities are 20 binaries (the caller checks), so a tier that captures
+// once per binary captures once per identity.
+func distinctBinarySweep32() SweepRequest {
+	return subsetSweep("distinct32", "32-arm benchSubset sweep over 20 binaries", []JobSpec{
+		{Baseline: true, Machine: "baseline"},
+		{Baseline: true, Machine: "baseline", MemLatency: 300},
+		{},
+		{MemLatency: 300},
+		{Compress: true},
+		{Collapse: true},
+		{MaxSize: 2},
+		{MaxSize: 2, Compress: true},
+	})
+}
+
+// subsetSweep crosses variants with the 4-bench subset, record-bounded.
+func subsetSweep(name, title string, variants []JobSpec) SweepRequest {
+	req := SweepRequest{Name: name, Title: title}
 	for _, b := range workload.BenchSubset() {
-		for i, spec := range []JobSpec{
-			{Baseline: true, Machine: "baseline"},
-			{Baseline: true, Machine: "baseline", MemLatency: 300},
-			{},
-			{MemLatency: 300},
-			{Machine: "minigraph-int"},
-			{Collapse: true},
-			{MaxSize: 3},
-			{Entries: 128},
-		} {
+		for i, spec := range variants {
 			spec.Bench = b
 			spec.MaxRecords = 3000
 			spec.Arm = fmt.Sprintf("%s/v%d", b, i)
@@ -303,8 +328,24 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	// second registers mid-sweep, the first's heartbeat TTL lapses
 	// mid-sweep, and every re-routed arm fetches its captured trace blob
 	// from the previous owner — byte-identical report, zero re-captures.
+	// An engine captures once per binary, not per trace identity, so this
+	// sweep's identities must be distinct binaries for "one capture per
+	// identity" to mean "no re-routed arm re-captured": a single-process
+	// reference run proves they are.
+	dreq := distinctBinarySweep32()
+	refEng := sim.New(2)
+	ref := mustNew(t, Options{Engine: refEng})
+	rts := httptest.NewServer(ref)
+	t.Cleanup(func() {
+		rts.Close()
+		ref.Close()
+	})
+	dwant, err := NewClient(rts.URL).SweepJSON(ctx, dreq)
+	if err != nil {
+		t.Fatal(err)
+	}
 	arms := make(map[string]int) // trace identity -> arms replaying it
-	for _, js := range req.Jobs {
+	for _, js := range dreq.Jobs {
 		job, err := js.Resolve()
 		if err != nil {
 			t.Fatal(err)
@@ -314,6 +355,9 @@ func TestCoordinatorEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		arms[string(tk)]++
+	}
+	if got := refEng.Stats().TraceCaptures; got != int64(len(arms)) {
+		t.Fatalf("the elastic sweep's %d trace identities are %d binaries; each must be its own", len(arms), got)
 	}
 
 	// Arms dispatch in scheduler order and rendezvous placement hashes the
@@ -376,7 +420,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	}
 	doneCh := make(chan sweepRes, 1)
 	go func() {
-		data, err := cl.SweepJSON(ctx, req)
+		data, err := cl.SweepJSON(ctx, dreq)
 		doneCh <- sweepRes{data, err}
 	}()
 
@@ -403,7 +447,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	if !bytes.Equal(res.data, want) {
+	if !bytes.Equal(res.data, dwant) {
 		t.Fatalf("elastic-membership sweep differs from single-process:\n%s", res.data)
 	}
 	if n := e2.served.Load(); n == 0 {

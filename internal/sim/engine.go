@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,12 +33,16 @@ const ProfileLimit = 4_000_000
 // waiting on a duplicate never occupies a worker slot.
 //
 // Simulations are trace-driven: the functional emulation of a program is
-// captured once per TraceKey (preparation + extraction axes + record
-// limit) into an immutable structure-of-arrays trace, and every machine
-// configuration swept over that binary replays the shared trace through
-// its own zero-allocation cursor — concurrently, with no locking. With a
-// persistent store attached, traces round-trip through disk (manifest +
-// chunk entries) so cold processes replay without ever emulating.
+// captured once per binary into an immutable structure-of-arrays trace,
+// and every machine configuration swept over that binary replays the
+// shared trace through its own zero-allocation cursor — concurrently, with
+// no locking. A binary is its content (BinaryID), not the recipe that
+// produced it: each TraceKey (preparation + extraction axes + record
+// limit) is rewritten once and becomes an alias of its binary, so policies
+// that select the same mini-graphs share one capture, and one pipeline run
+// per machine. With a persistent store attached, traces round-trip through
+// disk (manifest + chunk entries, stored under the TraceKey that sourced
+// them) so cold processes replay without ever emulating.
 //
 // An Engine is safe for concurrent use and is meant to be shared across
 // experiments so cross-figure common work (benchmark preparations, the
@@ -68,33 +73,38 @@ type Engine struct {
 	mu     sync.Mutex
 	preps  map[PrepareKey]*call[*Prepared]
 	sims   map[SimKey]*call[*Outcome]
-	traces map[TraceKey]*call[*capturedTrace]
+	traces map[TraceKey]*call[*capturedTrace] // recipe -> its binary (an alias)
+	bins   map[BinaryID]*call[*trace.Trace]   // one trace per binary
+	runs   map[runKey]*call[*uarch.Result]    // one pipeline run per (binary, machine)
 
 	// Captured traces are the one memoization whose values are large (a
 	// full-run capture is tens of MB), so unlike outcomes they are LRU-
-	// bounded: traceSizes/traceOrder track completed entries and evict the
-	// least recently touched beyond traceMaxBytes. Evicting only drops the
-	// map reference — in-flight replays hold the immutable trace directly,
-	// and a re-request recaptures (or reloads from the store). Nothing
-	// else outlives a replay: the memoized Outcome of a finished arm shares
-	// no memory with its pipeline or reader (uarch.Pipeline.Finish), so
-	// traceMaxBytes bounds the trace bytes the heap holds, cache slack and
-	// all (trace.ResidentBytes counts capacity) — plus the traces of the
-	// at most `workers` replays still running over an evicted entry.
+	// bounded, per binary: traceSizes/traceOrder track completed entries
+	// and evict the least recently touched beyond traceMaxBytes, dropping
+	// every alias of the victim with it (aliases lists them). Evicting only
+	// drops the map references — in-flight replays hold the immutable trace
+	// directly, and a re-request recaptures (or reloads from the store).
+	// Nothing else outlives a replay: the memoized Outcome of a finished
+	// arm shares no memory with its pipeline or reader
+	// (uarch.Pipeline.Finish), so traceMaxBytes bounds the trace bytes the
+	// heap holds, cache slack and all (trace.ResidentBytes counts capacity)
+	// — plus the traces of the at most `workers` replays still running over
+	// an evicted entry.
 	traceMaxBytes int64
 	traceResident int64
-	traceSizes    map[TraceKey]int64
-	traceOrder    []TraceKey // least recently touched first
+	traceSizes    map[BinaryID]int64
+	traceOrder    []BinaryID // least recently touched first
+	aliases       map[BinaryID][]TraceKey
 
-	prepRuns    atomic.Int64
-	prepHits    atomic.Int64
-	simRuns     atomic.Int64
-	simHits     atomic.Int64
-	storeHits   atomic.Int64
-	storeMisses atomic.Int64
-	storePuts   atomic.Int64
+	prepRuns      atomic.Int64
+	prepHits      atomic.Int64
+	simRuns       atomic.Int64
+	simHits       atomic.Int64
+	simBinaryHits atomic.Int64
+	storeHits     atomic.Int64
+	storeMisses   atomic.Int64
+	storePuts     atomic.Int64
 
-	traceRuns        atomic.Int64
 	traceCaptures    atomic.Int64
 	traceHits        atomic.Int64
 	traceStoreHits   atomic.Int64
@@ -122,17 +132,27 @@ type Engine struct {
 	fePrefLate     atomic.Int64
 }
 
-// capturedTrace is one memoized capture: the rewritten binary (or the
-// prepared original for baseline jobs), the selection and templates that
-// produced it, and the recorded dynamic stream. Everything here is
-// immutable after capture and shared by every replaying arm; per-arm state
-// (the MGT with its config-specific schedules, the replay cursor) is built
-// fresh per simulation.
+// capturedTrace is one TraceKey's alias of its binary: the rewritten
+// program (or the prepared original for baseline jobs), the selection and
+// templates that produced it, and the binary's content identity, under
+// which the engine holds the one recorded dynamic stream (bins) that every
+// alias replays. Everything here is immutable and shared by every
+// replaying arm; per-arm state (the MGT with its config-specific
+// schedules, the replay cursor) is built fresh per simulation. Aliases of
+// one binary differ only in their selection, which is why an outcome is
+// still memoized per SimKey.
 type capturedTrace struct {
 	prog      *isa.Program
 	templates []*core.Template
 	sel       *core.Selection
-	trace     *trace.Trace
+	id        BinaryID
+}
+
+// runKey identifies one pipeline run: a binary and a canonical machine.
+// Every SimKey that maps to it gets the same uarch.Result.
+type runKey struct {
+	bin BinaryID
+	cfg uarch.Config
 }
 
 // Stats is a point-in-time snapshot of the engine's cache counters. Runs
@@ -140,25 +160,32 @@ type capturedTrace struct {
 // function); Hits count submissions served from the in-memory cache
 // (including waits on an in-flight duplicate). When a persistent store is
 // attached, StoreHits of those SimRuns were answered from disk without
-// touching the pipeline — SimRuns−StoreHits is the number of timing
-// simulations actually executed.
+// touching the pipeline, and SimBinaryHits of them were answered by the
+// pipeline run of another SimKey over the same binary and machine (two
+// policies that select the same mini-graphs) — SimRuns−StoreHits−
+// SimBinaryHits (PipelineSims) is the number of timing simulations
+// actually executed.
 type Stats struct {
-	PrepareRuns int64 `json:"prepare_runs"`
-	PrepareHits int64 `json:"prepare_hits"`
-	SimRuns     int64 `json:"sim_runs"`
-	SimHits     int64 `json:"sim_hits"`
-	StoreHits   int64 `json:"store_hits,omitempty"`
-	StoreMisses int64 `json:"store_misses,omitempty"`
-	StorePuts   int64 `json:"store_puts,omitempty"`
+	PrepareRuns   int64 `json:"prepare_runs"`
+	PrepareHits   int64 `json:"prepare_hits"`
+	SimRuns       int64 `json:"sim_runs"`
+	SimHits       int64 `json:"sim_hits"`
+	SimBinaryHits int64 `json:"sim_binary_hits,omitempty"`
+	StoreHits     int64 `json:"store_hits,omitempty"`
+	StoreMisses   int64 `json:"store_misses,omitempty"`
+	StorePuts     int64 `json:"store_puts,omitempty"`
 
-	// Trace-cache counters. TraceCaptures counts functional emulations
-	// actually executed in-process; TraceReplayHits counts simulations that
-	// replayed a trace another arm had already produced (in-memory hit);
-	// TraceStoreHits counts traces loaded from the persistent store instead
-	// of emulating. TraceBytes is the cumulative size of captured/loaded
-	// trace data. In a multi-arm sweep over one binary, TraceCaptures stays
-	// at one while TraceReplayHits grows with the arm count — per-prepare
-	// emulation happens exactly once per process.
+	// Trace-cache counters, per binary (BinaryID), not per TraceKey: two
+	// recipes that rewrite a benchmark into the same binary share one
+	// trace. TraceCaptures counts functional emulations actually executed
+	// in-process, one per binary sourced by capture; TraceReplayHits counts
+	// simulations that replayed a trace another arm had already produced
+	// (in-memory hit, under its own TraceKey or an alias); TraceStoreHits
+	// counts traces loaded from the persistent store instead of emulating.
+	// TraceBytes is the cumulative size of captured/loaded trace data. In a
+	// multi-arm sweep over one binary, TraceCaptures stays at one while
+	// TraceReplayHits grows with the arm count — emulation happens exactly
+	// once per binary per process.
 	TraceCaptures   int64 `json:"trace_captures"`
 	TraceReplayHits int64 `json:"trace_replay_hits"`
 	TraceStoreHits  int64 `json:"trace_store_hits,omitempty"`
@@ -208,8 +235,9 @@ type Stats struct {
 }
 
 // PipelineSims is the number of timing simulations the engine actually
-// executed (in-process cache misses not answered by the persistent store).
-func (s Stats) PipelineSims() int64 { return s.SimRuns - s.StoreHits }
+// executed: in-process cache misses answered neither by the persistent
+// store nor by another key's run over the same binary and machine.
+func (s Stats) PipelineSims() int64 { return s.SimRuns - s.StoreHits - s.SimBinaryHits }
 
 // New builds an engine with the given worker-pool size (0 = GOMAXPROCS).
 func New(workers int) *Engine {
@@ -222,8 +250,11 @@ func New(workers int) *Engine {
 		preps:         make(map[PrepareKey]*call[*Prepared]),
 		sims:          make(map[SimKey]*call[*Outcome]),
 		traces:        make(map[TraceKey]*call[*capturedTrace]),
+		bins:          make(map[BinaryID]*call[*trace.Trace]),
+		runs:          make(map[runKey]*call[*uarch.Result]),
 		traceMaxBytes: DefaultTraceCacheBytes,
-		traceSizes:    make(map[TraceKey]int64),
+		traceSizes:    make(map[BinaryID]int64),
+		aliases:       make(map[BinaryID][]TraceKey),
 	}
 }
 
@@ -306,35 +337,48 @@ func (e *Engine) noteWindow(ws trace.WindowStats) {
 	}
 }
 
-// touchTrace marks key's trace as recently used and evicts the least
-// recently touched completed traces beyond the byte budget. The entry
-// just touched is never evicted, so a working set larger than the budget
-// degrades to capture-per-sweep rather than thrashing mid-sweep arms.
-func (e *Engine) touchTrace(key TraceKey, size int64) {
+// touchTrace marks binary id's trace as recently used, records tk as one
+// of its aliases, and evicts the least recently touched completed traces
+// beyond the byte budget, each with its aliases. The binary just touched
+// is never evicted, so a working set larger than the budget degrades to
+// capture-per-sweep rather than thrashing mid-sweep arms.
+func (e *Engine) touchTrace(tk TraceKey, id BinaryID, size int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.traces[key]; !ok {
+	if _, ok := e.bins[id]; !ok {
 		return // evicted or canceled while we were completing
 	}
-	if _, tracked := e.traceSizes[key]; tracked {
-		for i, k := range e.traceOrder {
-			if k == key {
-				e.traceOrder = append(append(e.traceOrder[:i:i], e.traceOrder[i+1:]...), key)
-				break
-			}
-		}
+	if _, tracked := e.traceSizes[id]; tracked {
+		e.traceOrder = append(slices.DeleteFunc(e.traceOrder, func(b BinaryID) bool { return b == id }), id)
 	} else {
-		e.traceSizes[key] = size
+		e.traceSizes[id] = size
 		e.traceResident += size
-		e.traceOrder = append(e.traceOrder, key)
+		e.traceOrder = append(e.traceOrder, id)
+	}
+	// Only a completed alias is listed: an entry in flight was created
+	// after this binary's last eviction and is listed when it completes.
+	if a, ok := e.traces[tk]; ok && isDone(a) && !slices.Contains(e.aliases[id], tk) {
+		e.aliases[id] = append(e.aliases[id], tk)
 	}
 	for e.traceResident > e.traceMaxBytes && len(e.traceOrder) > 1 {
-		victim := e.traceOrder[0]
-		e.traceOrder = e.traceOrder[1:]
-		e.traceResident -= e.traceSizes[victim]
-		delete(e.traceSizes, victim)
-		delete(e.traces, victim)
+		e.dropBinary(e.traceOrder[0])
 	}
+}
+
+// dropBinary forgets binary id's trace and every TraceKey aliased to it,
+// so the next ask for any of them rewrites and re-sources. Called with
+// e.mu held.
+func (e *Engine) dropBinary(id BinaryID) {
+	delete(e.bins, id)
+	if size, ok := e.traceSizes[id]; ok {
+		e.traceResident -= size
+		delete(e.traceSizes, id)
+		e.traceOrder = slices.DeleteFunc(e.traceOrder, func(b BinaryID) bool { return b == id })
+	}
+	for _, tk := range e.aliases[id] {
+		delete(e.traces, tk)
+	}
+	delete(e.aliases, id)
 }
 
 // Workers returns the pool size.
@@ -368,24 +412,21 @@ func (e *Engine) WithTraceFetcher(f func(ctx context.Context, key TraceKey) (*tr
 	return e
 }
 
-// memoTrace returns the completed in-memory capture for key, if any. A
-// capture in flight does not count, so a peer asking mid-capture simply
-// falls back to its own sources.
+// memoTrace returns the completed in-memory trace of key's binary, if
+// any, whichever TraceKey sourced it. A capture in flight does not count,
+// so a peer asking mid-capture simply falls back to its own sources.
 func (e *Engine) memoTrace(key TraceKey) (*trace.Trace, bool) {
 	e.mu.Lock()
-	c, ok := e.traces[key]
-	e.mu.Unlock()
-	if !ok {
+	defer e.mu.Unlock()
+	a, ok := e.traces[key]
+	if !ok || !isDone(a) || a.err != nil {
 		return nil, false
 	}
-	select {
-	case <-c.done:
-		if c.err == nil && c.val != nil && c.val.trace != nil {
-			return c.val.trace, true
-		}
-	default: // still capturing
+	c, ok := e.bins[a.val.id] // the key resolves through its alias
+	if !ok || !isDone(c) || c.err != nil || c.val == nil {
+		return nil, false
 	}
-	return nil, false
+	return c.val, true
 }
 
 // storedManifest is the one lookup of key's manifest in the attached
@@ -517,6 +558,7 @@ func (e *Engine) Stats() Stats {
 		PrepareHits:      e.prepHits.Load(),
 		SimRuns:          e.simRuns.Load(),
 		SimHits:          e.simHits.Load(),
+		SimBinaryHits:    e.simBinaryHits.Load(),
 		StoreHits:        e.storeHits.Load(),
 		StoreMisses:      e.storeMisses.Load(),
 		StorePuts:        e.storePuts.Load(),
@@ -564,6 +606,17 @@ type call[T any] struct {
 	err  error
 }
 
+// isDone reports whether c has completed. Reading c.val or c.err is
+// race-free only after it has.
+func isDone[T any](c *call[T]) bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // acquire takes a worker slot, or fails if ctx is done first.
 func (e *Engine) acquire(ctx context.Context) error {
 	select {
@@ -580,10 +633,16 @@ func (e *Engine) release() { <-e.sem }
 // wait for the leader (or their own ctx). A result carrying a context
 // error is evicted from the cache, and waiters whose own context is still
 // live retry it: one caller's cancellation must not fail an unrelated
-// caller that happened to share the key.
+// caller that happened to share the key. A result that lost a spilled
+// chunk (trace.ErrChunkUnavailable) is evicted too, but returned to its
+// waiters: each recovers by re-sourcing the trace and asking again, and
+// must not find the stale failure then. hits may be nil, and so may
+// onWait, which runs before a caller takes or waits for another caller's
+// result: a caller holding a worker slot it means to compute with gives
+// the slot up there.
 func singleflight[K comparable, T any](
 	e *Engine, ctx context.Context, m map[K]*call[T], key K,
-	runs, hits *atomic.Int64, compute func(context.Context) (T, error),
+	hits *atomic.Int64, onWait func(), compute func(context.Context) (T, error),
 ) (T, error) {
 	for {
 		e.mu.Lock()
@@ -593,18 +652,24 @@ func singleflight[K comparable, T any](
 			m[key] = c
 			e.mu.Unlock()
 
-			runs.Add(1)
 			c.val, c.err = compute(ctx)
-			if isCtxErr(c.err) {
+			if isCtxErr(c.err) || errors.Is(c.err, trace.ErrChunkUnavailable) {
 				e.mu.Lock()
-				delete(m, key)
+				if m[key] == c {
+					delete(m, key)
+				}
 				e.mu.Unlock()
 			}
 			close(c.done)
 			return c.val, c.err
 		}
 		e.mu.Unlock()
-		hits.Add(1)
+		if hits != nil {
+			hits.Add(1)
+		}
+		if onWait != nil {
+			onWait()
+		}
 		select {
 		case <-c.done:
 			if isCtxErr(c.err) && ctx.Err() == nil {
@@ -627,8 +692,9 @@ func isCtxErr(err error) bool {
 // Prepare builds (or returns the cached) preparation for key: the
 // benchmark's program, CFG, liveness, and basic-block frequency profile.
 func (e *Engine) Prepare(ctx context.Context, key PrepareKey) (*Prepared, error) {
-	return singleflight(e, ctx, e.preps, key, &e.prepRuns, &e.prepHits,
+	return singleflight(e, ctx, e.preps, key, &e.prepHits, nil,
 		func(ctx context.Context) (*Prepared, error) {
+			e.prepRuns.Add(1)
 			if err := e.acquire(ctx); err != nil {
 				return nil, err
 			}
@@ -664,62 +730,85 @@ func buildProgram(pr *Prepared, key TraceKey) (*isa.Program, []*core.Template, *
 	return res.Prog, res.Templates, sel, nil
 }
 
-// captureTrace returns the memoized capture for key's trace identity,
-// sourcing it at most once per process no matter how many arms ask (see
-// sourceTrace for where it comes from). Like Prepare, the compute takes
-// its own worker slot and callers must not hold one.
-func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*capturedTrace, error) {
+// captureTrace returns key's alias of its binary and the binary's
+// memoized trace, rewriting the program at most once per TraceKey and
+// sourcing the trace at most once per binary (see sourceTrace for where it
+// comes from) no matter how many arms ask. Like Prepare, the computes take
+// a worker slot and callers must not hold one. The slot a rewrite took
+// passes straight to the capture of its binary when this caller leads
+// that too: queueing for a second slot would start every capture behind
+// the replays already waiting, and lengthen the sweep. No slot is held
+// while waiting on another key's capture.
+func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*capturedTrace, *trace.Trace, error) {
 	tk := key.TraceKey()
-	ct, err := singleflight(e, ctx, e.traces, tk, &e.traceRuns, &e.traceHits,
+	held := false
+	release := func() {
+		if held {
+			e.release()
+			held = false
+		}
+	}
+	defer release()
+	ct, err := singleflight(e, ctx, e.traces, tk, nil, nil,
 		func(ctx context.Context) (*capturedTrace, error) {
 			if err := e.acquire(ctx); err != nil {
 				return nil, err
 			}
-			defer e.release()
+			held = true
 			prog, templates, sel, err := buildProgram(pr, tk)
 			if err != nil {
 				return nil, err
 			}
-			tr, err := e.sourceTrace(ctx, key, pr, prog, templates)
+			return &capturedTrace{prog: prog, templates: templates, sel: sel, id: binaryID(prog, templates, tk.Limit)}, nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := singleflight(e, ctx, e.bins, ct.id, &e.traceHits, release,
+		func(ctx context.Context) (*trace.Trace, error) {
+			if !held {
+				if err := e.acquire(ctx); err != nil {
+					return nil, err
+				}
+				held = true
+			}
+			defer release()
+			tr, err := e.sourceTrace(ctx, key, pr, ct.prog, ct.templates)
 			if err != nil {
 				return nil, err
 			}
 			e.traceBytes.Add(tr.SizeBytes())
-			return &capturedTrace{prog: prog, templates: templates, sel: sel, trace: tr}, nil
+			return tr, nil
 		})
-	if err == nil {
-		// The LRU accounts what the trace actually holds resident — a
-		// spilled trace costs its manifest bookkeeping, not its logical
-		// size, so the budget admits many large spilled traces at once.
-		e.touchTrace(tk, ct.trace.ResidentBytes())
+	if err != nil {
+		return nil, nil, err
 	}
-	return ct, err
+	// The LRU accounts what the trace actually holds resident — a spilled
+	// trace costs its manifest bookkeeping, not its logical size, so the
+	// budget admits many large spilled traces at once.
+	e.touchTrace(tk, ct.id, tr.ResidentBytes())
+	return ct, tr, nil
 }
 
-// evictTrace drops key's completed capture from the in-memory cache so
-// the next captureTrace recomputes (or reloads) it — the recovery path
-// after a replay lost a chunk mid-flight.
+// evictTrace drops the completed trace of key's binary, and every alias
+// of that binary, from the in-memory cache so the next captureTrace
+// re-sources (or reloads) it — the recovery path after a replay lost a
+// chunk mid-flight.
 func (e *Engine) evictTrace(key TraceKey) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c, ok := e.traces[key]; ok {
-		select {
-		case <-c.done:
-		default:
-			return // in flight: its waiters own it
-		}
-		delete(e.traces, key)
+	a, ok := e.traces[key]
+	if !ok || !isDone(a) {
+		return // gone already, or in flight: its waiters own it
 	}
-	if size, ok := e.traceSizes[key]; ok {
-		e.traceResident -= size
-		delete(e.traceSizes, key)
-		for i, k := range e.traceOrder {
-			if k == key {
-				e.traceOrder = append(e.traceOrder[:i:i], e.traceOrder[i+1:]...)
-				break
-			}
-		}
+	delete(e.traces, key)
+	if a.err != nil {
+		return
 	}
+	if c, ok := e.bins[a.val.id]; ok && !isDone(c) {
+		return // re-sourcing already: its waiters own it
+	}
+	e.dropBinary(a.val.id)
 }
 
 // sourceTrace produces key's trace from the first tier holding a valid
@@ -962,8 +1051,9 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 		return nil, fmt.Errorf("sim: job %q: %w", job.Config.Name, err)
 	}
 	key := job.Key()
-	return singleflight(e, ctx, e.sims, key, &e.simRuns, &e.simHits,
+	return singleflight(e, ctx, e.sims, key, &e.simHits, nil,
 		func(ctx context.Context) (*Outcome, error) {
+			e.simRuns.Add(1)
 			keyBytes, out := e.loadOutcome(key)
 			if out != nil {
 				return out, nil
@@ -1016,37 +1106,57 @@ func newMGT(key SimKey, templates []*core.Template) *core.MGT {
 	return core.NewMGT(templates, ExecParams(key.Config))
 }
 
-// ranArm is the tail of every in-process pipeline run — solo replay, live
-// emulation and gang arms: name the arm in a failure, fold a result's
-// front-end counters into the engine totals. cfgName is the job's display
-// name (the canonical key clears it). ErrChunkUnavailable stays
-// unwrappable through the %w so Simulate can recover by re-capturing.
+// ranArm is the tail of the in-process pipeline runs that are one arm's
+// own — live emulation, resident recovery and gang arms: name the arm in a
+// failure, fold a result's front-end counters into the engine totals.
 func (e *Engine) ranArm(key SimKey, cfgName string, res *uarch.Result, err error) (*uarch.Result, error) {
 	if err != nil {
-		return nil, fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, cfgName, err)
+		return nil, armErr(key, cfgName, err)
 	}
 	e.noteFrontend(res)
 	return res, nil
 }
 
+// armErr names the arm in a failure. cfgName is the job's display name
+// (the canonical key clears it). ErrChunkUnavailable stays unwrappable
+// through the %w so Simulate can recover by re-capturing.
+func armErr(key SimKey, cfgName string, err error) error {
+	return fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, cfgName, err)
+}
+
 // replay runs one timing simulation over the shared captured trace for
 // key's binary (sourcing it if need be — before taking a worker slot,
 // since captureTrace takes its own) through a private zero-allocation
-// cursor.
+// cursor. The pipeline runs once per (binary, canonical machine): an arm
+// whose recipe aliases another's binary shares that arm's Result, run or
+// in flight, and keeps its own selection; a shared failure is named after
+// the arm that asked. Gang arms and live emulation (a test knob) keep
+// their own pipelines and share no run: gangs form only under bounded
+// replay, and no workload there aliases.
 func (e *Engine) replay(ctx context.Context, key SimKey, cfgName string, pr *Prepared) (*uarch.Result, *core.Selection, error) {
-	ct, err := e.captureTrace(ctx, key, pr)
+	ct, tr, err := e.captureTrace(ctx, key, pr)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := e.acquire(ctx); err != nil {
-		return nil, nil, err
+	res, err := singleflight(e, ctx, e.runs, runKey{bin: ct.id, cfg: key.Config}, &e.simBinaryHits, nil,
+		func(ctx context.Context) (*uarch.Result, error) {
+			if err := e.acquire(ctx); err != nil {
+				return nil, err
+			}
+			defer e.release()
+			rd := trace.NewReaderWindowed(tr, ct.prog, key.Config.MaxRecords, e.chunkWindow)
+			res, err := uarch.NewWithSource(key.Config, newMGT(key, ct.templates), rd).Run(ctx)
+			e.noteWindow(rd.WindowStats())
+			if err != nil {
+				return nil, err
+			}
+			e.noteFrontend(res)
+			return res, nil
+		})
+	if err != nil {
+		return nil, nil, armErr(key, cfgName, err)
 	}
-	defer e.release()
-	rd := trace.NewReaderWindowed(ct.trace, ct.prog, key.Config.MaxRecords, e.chunkWindow)
-	res, err := uarch.NewWithSource(key.Config, newMGT(key, ct.templates), rd).Run(ctx)
-	e.noteWindow(rd.WindowStats())
-	res, err = e.ranArm(key, cfgName, res, err)
-	return res, ct.sel, err
+	return res, ct.sel, nil
 }
 
 // replayResident is the last-resort recovery for replays that keep losing

@@ -49,15 +49,18 @@ func TestOutcomesDoNotPinTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watched, ok := e.memoTrace(jobs[0].Key().TraceKey())
+	if !ok {
+		t.Fatal("the first identity's trace is not cached")
+	}
 	var collected atomic.Bool
-	runtime.AddCleanup(e.traces[jobs[0].Key().TraceKey()].val.trace,
-		func(*atomic.Bool) { collected.Store(true) }, &collected)
+	runtime.AddCleanup(watched, func(*atomic.Bool) { collected.Store(true) }, &collected)
 
 	outs, err := e.Run(ctx, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, cached := e.traces[jobs[0].Key().TraceKey()]; cached {
+	if _, cached := e.memoTrace(jobs[0].Key().TraceKey()); cached {
 		t.Fatal("the watched trace was never evicted; the test needs a smaller cache or more traces")
 	}
 

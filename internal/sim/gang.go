@@ -31,7 +31,10 @@ import (
 // interleaving them in cycle chunks cannot change any result — gang
 // reports are byte-identical to sequential per-arm execution (enforced by
 // TestGangMatchesSequential). Singleton groups fall back to the plain
-// Simulate path.
+// Simulate path. Gangs group by TraceKey, not BinaryID, and a gang arm
+// runs its own pipeline rather than sharing an aliased arm's run as solo
+// replay does: the two recipes of one binary still share its trace
+// (captureTrace), and no bounded-replay workload aliases.
 const (
 	// gangQuantum is the round-robin step size in cycles. Large enough that
 	// a pipeline's working state stays hot for a useful burst, small enough
@@ -260,7 +263,7 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 		failAll(err)
 		return
 	}
-	ct, err := e.captureTrace(ctx, pending[0].key, pr)
+	ct, tr, err := e.captureTrace(ctx, pending[0].key, pr)
 	if err != nil {
 		failAll(err)
 		return
@@ -275,7 +278,7 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 	}
 	defer e.release()
 
-	gr := trace.NewGangReaderWindowed(ct.trace, ct.prog, trace.DefaultGangWindow, e.chunkWindow)
+	gr := trace.NewGangReaderWindowed(tr, ct.prog, trace.DefaultGangWindow, e.chunkWindow)
 	defer func() { e.noteWindow(gr.WindowStats()) }()
 	arms := make([]*gangArm, 0, len(pending))
 	for _, m := range pending {

@@ -25,6 +25,10 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"slices"
+
 	"minigraph/internal/core"
 	"minigraph/internal/isa"
 	"minigraph/internal/program"
@@ -97,13 +101,15 @@ func (j SimJob) Key() SimKey {
 	return k
 }
 
-// TraceKey identifies one captured dynamic trace: the rewritten binary's
-// identity (preparation plus extraction axes) and the record limit. The
-// machine configuration is deliberately absent — the record stream is a
-// pure function of the program and its mini-graph templates, so every arm
-// of a configuration sweep over one rewrite shares one capture. That
-// independence is what makes capture-once/replay-many sound, and the
-// golden-invariance tests enforce it.
+// TraceKey identifies one recipe for a captured dynamic trace: the
+// preparation plus extraction axes that produce the rewritten binary, and
+// the record limit. The machine configuration is deliberately absent — the
+// record stream is a pure function of the program and its mini-graph
+// templates, so every arm of a configuration sweep over one rewrite shares
+// one capture. That independence is what makes capture-once/replay-many
+// sound, and the golden-invariance tests enforce it. Recipes that produce
+// the same binary share its capture too (see BinaryID); stored segments,
+// peer transfers and serving-tier placement stay keyed by TraceKey.
 type TraceKey struct {
 	Prepare  PrepareKey
 	Baseline bool
@@ -128,6 +134,84 @@ func (k SimKey) TraceKey() TraceKey {
 		Compress: k.Compress,
 		Limit:    k.Config.MaxRecords,
 	}
+}
+
+// BinaryID is the content identity of a simulated binary: SHA-256 over a
+// canonical encoding of the program (every instruction field, the entry
+// point and the data image in address order), its mini-graph templates
+// (every field) and the record limit — everything the recorded stream and
+// a pipeline run over it depend on, and nothing else (the program's Name
+// and Symbols are presentation). Distinct recipes often produce one
+// binary: on a small benchmark an MGT of 256 and one of 512 entries, or
+// two serialization limits, select exactly the same mini-graphs. The
+// engine keys traces and pipeline runs by BinaryID, so such recipes share
+// a capture and, per machine, a run. A baseline key's binary is the
+// prepared original with no templates.
+type BinaryID [sha256.Size]byte
+
+// binaryID computes the BinaryID of prog with templates, replayed up to
+// limit records.
+func binaryID(prog *isa.Program, templates []*core.Template, limit int64) BinaryID {
+	h := sha256.New()
+	var b []byte
+	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	bit := func(v bool) {
+		if v {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	flush := func() {
+		h.Write(b)
+		b = b[:0]
+	}
+
+	u(uint64(len(prog.Insts)))
+	for _, in := range prog.Insts {
+		b = append(b, byte(in.Op), byte(in.Ra), byte(in.Rb), byte(in.Rc))
+		u(uint64(in.Imm))
+		bit(in.UseImm)
+		u(uint64(in.MGID))
+		bit(in.TextRef)
+		if len(b) >= 4096 {
+			flush()
+		}
+	}
+	u(uint64(prog.Entry))
+	addrs := make([]isa.Addr, 0, len(prog.Data))
+	for a := range prog.Data {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	u(uint64(len(addrs)))
+	for _, a := range addrs {
+		u(uint64(a))
+		u(uint64(len(prog.Data[a])))
+		flush()
+		h.Write(prog.Data[a])
+	}
+
+	u(uint64(len(templates)))
+	for _, t := range templates {
+		u(uint64(len(t.Insns)))
+		for _, ti := range t.Insns {
+			b = append(b, byte(ti.Op), byte(ti.A.Kind), byte(ti.B.Kind))
+			u(uint64(ti.A.Idx))
+			u(uint64(ti.B.Idx))
+			u(uint64(ti.Imm))
+		}
+		u(uint64(t.NumIn))
+		u(uint64(t.OutIdx))
+		u(uint64(t.MemIdx))
+		u(uint64(t.BranchIdx))
+	}
+	u(uint64(limit))
+	flush()
+
+	var id BinaryID
+	h.Sum(id[:0])
+	return id
 }
 
 // Baseline returns the job that simulates b's unrewritten binary on cfg.

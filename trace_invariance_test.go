@@ -7,6 +7,7 @@ package minigraph_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"minigraph/internal/core"
@@ -70,22 +71,31 @@ func TestReplayMatchesLiveStream(t *testing.T) {
 // TestTraceCacheEviction: the in-memory trace cache is byte-bounded. With
 // a tiny budget every new binary evicts the previous one's trace, so a
 // returning binary re-captures instead of replay-hitting — trading time
-// for bounded memory in long-lived services.
+// for bounded memory in long-lived services. The cache holds binaries, so
+// the two variants must rewrite sha into two different binaries: MaxSize
+// 2 and 4 select different mini-graphs (checked below), where MGTs of 256
+// and 512 entries would select the same ones and share a trace.
 func TestTraceCacheEviction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulations in -short mode")
 	}
 	eng := sim.New(0).WithTraceCacheBytes(1)
-	run := func(entries, memLat int) {
+	templates := make(map[int][]*core.Template)
+	run := func(maxSize, memLat int) {
 		jobs := sweepJobs([]int{memLat})
-		jobs[0].Entries = entries
-		if _, err := eng.Run(t.Context(), jobs); err != nil {
+		jobs[0].Policy.MaxSize = maxSize
+		outs, err := eng.Run(t.Context(), jobs)
+		if err != nil {
 			t.Fatal(err)
 		}
+		templates[maxSize] = outs[0].Selection.Templates
 	}
-	run(512, 0) // capture A
-	run(256, 0) // capture B, evicts A
-	run(512, 5) // new config over A: the trace was evicted, so re-capture
+	run(4, 0) // capture A
+	run(2, 0) // capture B, evicts A
+	if reflect.DeepEqual(templates[4], templates[2]) {
+		t.Fatal("MaxSize 4 and 2 select the same mini-graphs: one binary, nothing to evict between the variants")
+	}
+	run(4, 5) // new config over A: the trace was evicted, so re-capture
 	if st := eng.Stats(); st.TraceCaptures != 3 {
 		t.Fatalf("captures %d, want 3 (1-byte budget must evict between variants): %+v", st.TraceCaptures, st)
 	}
@@ -93,9 +103,9 @@ func TestTraceCacheEviction(t *testing.T) {
 	// A real budget keeps the working set: same sequence, zero re-captures.
 	roomy := sim.New(0)
 	eng = roomy
-	run(512, 0)
-	run(256, 0)
-	run(512, 5)
+	run(4, 0)
+	run(2, 0)
+	run(4, 5)
 	if st := roomy.Stats(); st.TraceCaptures != 2 {
 		t.Fatalf("captures %d, want 2 under the default budget: %+v", st.TraceCaptures, st)
 	}
