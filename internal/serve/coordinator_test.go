@@ -520,18 +520,50 @@ func TestCoordinatorAllWorkersDown(t *testing.T) {
 
 // TestCoordinatorHungWorkerTimesOut: a worker that accepts the connection
 // and never answers must not wedge the sweep — the per-call timeout marks
-// it failed and the arm re-routes to a live worker.
+// it failed and the arm re-routes to a live worker. The hung worker is one
+// whose port makes it home to an arm, and the live worker has answered
+// both arms once before the sweep, so its answers come from its memo well
+// inside the timeout however loaded the machine is: only the hung worker
+// can run into it.
 func TestCoordinatorHungWorkerTimesOut(t *testing.T) {
-	release := make(chan struct{})
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release // hold every request open until the test ends
-		panic(http.ErrAbortHandler)
-	}))
-	t.Cleanup(func() {
-		close(release)
-		hung.Close()
-	})
 	_, live := newTrackingWorker(t, 0)
+	req := SweepRequest{Name: "hang", Jobs: []JobSpec{
+		fastSpec("a", true), fastSpec("b", false),
+	}}
+	if _, err := NewClient(live.URL).Sweep(context.Background(), req); err != nil {
+		t.Fatalf("warming the live worker: %v", err)
+	}
+
+	release := make(chan struct{})
+	var hungCalls atomic.Int64
+	var hung *httptest.Server
+	for tries := 0; hung == nil; tries++ {
+		if tries == 50 {
+			t.Fatal("no listener port in 50 makes the hung worker home to an arm")
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hungCalls.Add(1)
+			<-release // hold every request open until the test ends
+			panic(http.ErrAbortHandler)
+		}))
+		t.Cleanup(ts.Close)
+		for _, js := range req.Jobs {
+			job, err := js.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, err := sim.EncodeTraceKey(job.Key().TraceKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rankByRendezvous([]string{ts.URL, live.URL}, tk)[0] == 0 {
+				hung = ts
+			}
+		}
+	}
+	// Cleanups run last-in first-out: release the held requests before
+	// the hung servers' Close waits for them.
+	t.Cleanup(func() { close(release) })
 
 	srv := mustNew(t, Options{
 		Engine:            sim.New(2),
@@ -544,9 +576,6 @@ func TestCoordinatorHungWorkerTimesOut(t *testing.T) {
 		srv.Close()
 	})
 
-	req := SweepRequest{Name: "hang", Jobs: []JobSpec{
-		fastSpec("a", true), fastSpec("b", false),
-	}}
 	start := time.Now()
 	rep, err := NewClient(ts.URL).Sweep(context.Background(), req)
 	if err != nil {
@@ -554,6 +583,9 @@ func TestCoordinatorHungWorkerTimesOut(t *testing.T) {
 	}
 	if len(rep.Rows) == 0 {
 		t.Fatal("empty report")
+	}
+	if hungCalls.Load() == 0 {
+		t.Error("no arm was routed to the hung worker, so nothing was timed out")
 	}
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("sweep took %s; hung worker was not timed out", d)

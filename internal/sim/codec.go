@@ -63,12 +63,14 @@ import (
 // every key, and with them every stored trace and the coordinator's
 // rendezvous placement, for no gain.
 //
-// Trace codec v5 (variable-width rows, a byte count per chunk in the
-// manifest) did not move it either, for the same reason: no key and no
-// outcome changed shape, and the trace codec's own version check already
-// rejects a v4 manifest or frame. A v4 segment under an unchanged key is a
-// miss, recaptured once and republished in v5 under that key
-// (TestStaleTraceSegmentIsRewritten); stored outcomes stay hits.
+// Trace codecs v5 (variable-width rows, a byte count per chunk in the
+// manifest) and v6 (rows without a pc, values as prefix varints) did not
+// move it either, for the same reason: no key and no outcome changed
+// shape, and the trace codec's own version check already rejects an
+// older manifest or frame. A segment of the previous trace codec under an
+// unchanged key is a miss, recaptured once and republished in the current
+// one under that key (TestStaleTraceSegmentIsRewritten); stored outcomes
+// stay hits.
 const CodecVersion = 8
 
 // sealPrefix opens the versioned envelope {"v":CodecVersion,"p":payload}

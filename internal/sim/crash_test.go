@@ -7,18 +7,53 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"minigraph/internal/store"
+	"minigraph/internal/trace"
 )
 
-// crashBudget holds three of the four traces crashScript captures (30 to
-// 48 KB segments) and its outcomes, so publishing the fourth evicts the
-// least recently used file.
-const crashBudget = 150 << 10
+// crashBudget measures what crashScript stores — its traces' segments
+// and its outcomes — in an unbounded store, and returns a budget half the
+// smallest segment short of all of it: it holds three of the four traces
+// and the outcomes, so publishing the last file evicts the least recently
+// used one. Measured rather than fixed, so no change to how large a trace
+// is stored can turn the budget into one that evicts nothing. It must
+// also admit the size hint a segment is opened under (its rows ×
+// MaxRecordBytes), or the store refuses every segment up front.
+func crashBudget(t *testing.T, jobs []SimJob) int64 {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{MaxBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(1).WithStore(st).WithTraceChunkRecords(testChunkRecords).WithTraceChunkWindow(testChunkWindow)
+	if _, err := eng.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	var segs []int64
+	filepath.Walk(dir, func(p string, info fs.FileInfo, err error) error {
+		if err == nil && filepath.Ext(p) == store.SegExt {
+			segs = append(segs, info.Size())
+		}
+		return nil
+	})
+	if len(segs) != 4 {
+		t.Fatalf("crashScript's jobs stored %d trace segments, want 4", len(segs))
+	}
+	budget := st.Stats().Bytes - slices.Min(segs)/2
+	for _, job := range jobs {
+		if hint := job.Config.MaxRecords * trace.MaxRecordBytes; hint > budget {
+			t.Fatalf("a budget of %d bytes refuses a %d-record segment up front (hint %d bytes)", budget, job.Config.MaxRecords, hint)
+		}
+	}
+	return budget
+}
 
 type opKind int
 
@@ -175,10 +210,17 @@ func tears(rng *rand.Rand, ops []fsOp) map[int]int {
 	return torn
 }
 
-// crashJobs is storeJobs plus a second arm over the mini-graph sha trace,
-// which replays that trace from its stored segment.
+// crashJobs is storeJobs cut to 1000 records (four 256-record chunks a
+// trace) plus a second arm over the mini-graph sha trace, which replays
+// that trace from its stored segment. A segment is opened under a size
+// hint of its rows × MaxRecordBytes, several times what rows take, so the
+// traces are short enough that their fixed cost — the manifest's static
+// table — lets four of them outweigh one hint (see crashBudget).
 func crashJobs() []SimJob {
 	jobs := storeJobs()
+	for i := range jobs {
+		jobs[i].Config.MaxRecords = 1000
+	}
 	arm := jobs[1]
 	arm.Config.MemLatency += 40
 	return append(jobs, arm)
@@ -230,11 +272,11 @@ func rotOutcome(t *testing.T, fsys store.FS, root string, job SimJob) {
 // that evicts; bit rot then damages one stored outcome and a scrub deletes
 // it; a fresh store and engine then reopen the directory and answer the
 // sweep from what is left, recomputing the rest.
-func crashScript(t *testing.T, fsys store.FS, dir string, jobs []SimJob) {
+func crashScript(t *testing.T, fsys store.FS, dir string, jobs []SimJob, budget int64) {
 	t.Helper()
 	ctx := context.Background()
 	open := func() (*store.Store, *Engine) {
-		st, err := store.Open(dir, store.Options{MaxBytes: crashBudget, FS: fsys})
+		st, err := store.Open(dir, store.Options{MaxBytes: budget, FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,8 +326,9 @@ func TestCrashAtEveryWrite(t *testing.T) {
 		}
 	}
 
+	budget := crashBudget(t, jobs)
 	rec := &recorder{root: t.TempDir()}
-	crashScript(t, rec, rec.root, jobs)
+	crashScript(t, rec, rec.root, jobs, budget)
 	ops := rec.ops
 
 	dir := filepath.Join(t.TempDir(), "state")
@@ -295,7 +338,7 @@ func TestCrashAtEveryWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		rebuild(t, dir, ops[:n], torn)
-		st, err := store.Open(dir, store.Options{MaxBytes: crashBudget})
+		st, err := store.Open(dir, store.Options{MaxBytes: budget})
 		if err != nil {
 			t.Fatal(err)
 		}

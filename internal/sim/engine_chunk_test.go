@@ -70,8 +70,9 @@ func TestBoundedMemorySweep(t *testing.T) {
 	if st.TraceChunkEvictions == 0 {
 		t.Error("no chunk evictions although traces exceed the window")
 	}
-	// A window chunk holds its rows, at most MaxRecordBytes each, and an
-	// offset index of 4 bytes every 64 rows.
+	// A window chunk holds its first pc (≤ 9 bytes) and rows, at most
+	// MaxRecordBytes each, 7 spare bytes and an index of 8 bytes every 64
+	// rows: under one byte a row more.
 	capBytes := int64(testChunkWindow) * testChunkRecords * (trace.MaxRecordBytes + 1)
 	if st.TraceChunkWindowPeakBytes == 0 || st.TraceChunkWindowPeakBytes > capBytes {
 		t.Errorf("peak resident window bytes %d, want in (0, %d]", st.TraceChunkWindowPeakBytes, capBytes)
@@ -420,11 +421,13 @@ func TestSegmentLostUnderReader(t *testing.T) {
 	}
 }
 
-// putV4Segment publishes tr under tk's key as trace codec v4 stored it:
-// frames of fixed 28-byte rows (pcWord | ea | destVal | storeVal) whose
-// header counts rows, then a manifest whose chunk table has no byte
-// counts. It is what a store written before variable-width rows holds.
-func putV4Segment(t *testing.T, st *store.Store, tk TraceKey, tr *trace.Trace, prog *isa.Program) {
+// putV5Segment publishes tr under tk's key as trace codec v5 stored it:
+// frames whose rows each store a pcWord (pc, Taken in bit 31) and then
+// the full 8-byte values their pc produces (ea for a load or store,
+// destVal for a writable Dest, storeVal for a store), under a manifest of
+// today's layout whose chunk table counts those bytes. It is what a store
+// written before rows dropped their pc and shrank their values holds.
+func putV5Segment(t *testing.T, st *store.Store, tk TraceKey, tr *trace.Trace, prog *isa.Program) {
 	t.Helper()
 	kb, err := EncodeTraceKey(tk)
 	if err != nil {
@@ -434,7 +437,6 @@ func putV4Segment(t *testing.T, st *store.Store, tk TraceKey, tr *trace.Trace, p
 	w := st.BeginSegment(kb, 0)
 	rd := trace.NewReader(tr, prog, 0)
 	var rec emu.Record
-	var table []byte
 	for ci, c := range m.Chunks {
 		var raw []byte
 		for i := int64(0); i < c.Rows && rd.NextInto(&rec); i++ {
@@ -443,15 +445,21 @@ func putV4Segment(t *testing.T, st *store.Store, tk TraceKey, tr *trace.Trace, p
 				word |= 1 << 31
 			}
 			raw = binary.LittleEndian.AppendUint32(raw, word)
-			raw = binary.LittleEndian.AppendUint64(raw, uint64(rec.EA))
-			raw = binary.LittleEndian.AppendUint64(raw, rec.DestVal)
-			raw = binary.LittleEndian.AppendUint64(raw, rec.StoreVal)
+			if rec.IsLoad || rec.IsStore {
+				raw = binary.LittleEndian.AppendUint64(raw, uint64(rec.EA))
+			}
+			if !rec.Dest.IsZero() && int(rec.Dest) < isa.TotalRegs {
+				raw = binary.LittleEndian.AppendUint64(raw, rec.DestVal)
+			}
+			if rec.IsStore {
+				raw = binary.LittleEndian.AppendUint64(raw, rec.StoreVal)
+			}
 		}
 		crc := crc32.ChecksumIEEE(raw)
 		frame := []byte("MGTC")
-		frame = binary.LittleEndian.AppendUint16(frame, 4) // version
+		frame = binary.LittleEndian.AppendUint16(frame, 5) // version
 		frame = binary.LittleEndian.AppendUint16(frame, 0) // flags
-		for _, v := range []uint32{uint32(ci), uint32(c.Rows), crc, uint32(len(raw))} {
+		for _, v := range []uint32{uint32(ci), uint32(len(raw)), crc, uint32(len(raw))} {
 			frame = binary.LittleEndian.AppendUint32(frame, v)
 		}
 		ck, err := EncodeTraceChunkKey(tk, int64(ci))
@@ -461,16 +469,12 @@ func putV4Segment(t *testing.T, st *store.Store, tk TraceKey, tr *trace.Trace, p
 		if err := w.Append(ck, append(frame, raw...)); err != nil {
 			t.Fatal(err)
 		}
-		table = binary.LittleEndian.AppendUint32(table, uint32(c.Rows))
-		table = binary.LittleEndian.AppendUint32(table, crc)
-		table = binary.LittleEndian.AppendUint64(table, uint64(c.NextPC))
+		m.Chunks[ci].Bytes, m.Chunks[ci].CRC = int64(len(raw)), crc
 	}
-	// Header, error message and static table are as in v5; the chunk table
-	// is not, and the checksum covers it.
-	v5 := trace.EncodeManifest(m)
-	man := append(append([]byte{}, v5[:len(v5)-20*len(m.Chunks)]...), table...)
-	binary.LittleEndian.PutUint16(man[4:], 4)
-	binary.LittleEndian.PutUint32(man[36:], crc32.ChecksumIEEE(man[40:]))
+	// The layout is today's; only the version differs, and the header the
+	// manifest checksum does not cover holds it.
+	man := trace.EncodeManifest(m)
+	binary.LittleEndian.PutUint16(man[4:], 5)
 	if err := w.Append(kb, man); err != nil {
 		t.Fatal(err)
 	}
@@ -480,9 +484,9 @@ func putV4Segment(t *testing.T, st *store.Store, tk TraceKey, tr *trace.Trace, p
 }
 
 // TestStaleTraceSegmentIsRewritten: the trace codec version moved without
-// moving sim.CodecVersion, so a store can hold a v4 segment under exactly
-// the key a v5 engine asks for. A cold engine reads it as a miss, captures
-// once and republishes the segment in v5; a second cold engine then
+// moving sim.CodecVersion, so a store can hold a v5 segment under exactly
+// the key a v6 engine asks for. A cold engine reads it as a miss, captures
+// once and republishes the segment in v6; a second cold engine then
 // replays a new arm from the store with no capture at all. Outcomes are
 // byte-identical to a fresh run throughout.
 func TestStaleTraceSegmentIsRewritten(t *testing.T) {
@@ -499,14 +503,14 @@ func TestStaleTraceSegmentIsRewritten(t *testing.T) {
 	fresh.mu.Unlock()
 
 	dir := t.TempDir()
-	putV4Segment(t, openStore(t, dir), tk, tr, prog)
+	putV5Segment(t, openStore(t, dir), tk, tr, prog)
 
 	cold := chunkedEngine(t, dir)
 	if got := outcomeBytes(t, cold, job); !bytes.Equal(got, want) {
 		t.Error("outcome over a stale segment differs from a fresh run")
 	}
 	if cs := cold.Stats(); cs.TraceStoreHits != 0 || cs.TraceCaptures != 1 {
-		t.Errorf("a v4 segment was not a miss recaptured once: %+v", cs)
+		t.Errorf("a v5 segment was not a miss recaptured once: %+v", cs)
 	}
 	kb, err := EncodeTraceKey(tk)
 	if err != nil {

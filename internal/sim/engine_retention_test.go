@@ -17,8 +17,8 @@ import (
 // of the trace cache is only a bound on trace memory if an evicted trace
 // really is garbage once its replays have finished.
 func TestOutcomesDoNotPinTraces(t *testing.T) {
-	// 12 trace identities of 60,000 records (~0.6 MB each) through a 2 MiB
-	// cache, two machines per identity.
+	// 12 trace identities of 60,000 records, two machines per identity,
+	// through a cache a quarter the size of all 12 traces.
 	const maxRecords = 60_000
 	var jobs []SimJob
 	for _, bench := range workload.BenchSubset() {
@@ -36,13 +36,21 @@ func TestOutcomesDoNotPinTraces(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
+	// The budget is measured, not fixed, so no change to how large a trace
+	// is held can turn it into one that evicts nothing.
+	probe := New(2)
+	if _, err := probe.Run(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	budget := probe.Stats().TraceResidentBytes / 4
+	probe = nil // collectable before the heap is measured
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	e := New(2).WithTraceCacheBytes(2 << 20)
+	e := New(2).WithTraceCacheBytes(budget)
 	// Capture the first identity alone and watch its trace; the eleven that
 	// follow push it out of the cache.
 	first, err := e.Simulate(ctx, jobs[0])
@@ -70,8 +78,8 @@ func TestOutcomesDoNotPinTraces(t *testing.T) {
 	st := e.Stats()
 	const slack = 16 << 20 // preparations, programs, selections, outcomes
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > st.TraceResidentBytes+slack {
-		t.Errorf("heap grew by %d MiB over a run whose trace cache holds %d MiB (budget 2 MiB, %d MiB captured in all)",
-			grown>>20, st.TraceResidentBytes>>20, st.TraceBytes>>20)
+		t.Errorf("heap grew by %d MiB over a run whose trace cache holds %d KiB (budget %d KiB, %d KiB captured in all)",
+			grown>>20, st.TraceResidentBytes>>10, budget>>10, st.TraceBytes>>10)
 	}
 	for i := 0; i < 20 && !collected.Load(); i++ {
 		runtime.GC()

@@ -252,35 +252,60 @@ func TestEngineStoreKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// segmentBytes returns the size of the segment job's trace is stored as,
+// spilled at the test chunk geometry into an unbounded store.
+func segmentBytes(t *testing.T, job SimJob) int64 {
+	t.Helper()
+	dir := t.TempDir()
+	e := New(1).WithStore(openStore(t, dir)).WithTraceChunkRecords(testChunkRecords).WithTraceChunkWindow(testChunkWindow)
+	if _, err := e.Simulate(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	var segs []int64
+	filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+		if err == nil && filepath.Ext(p) == store.SegExt {
+			segs = append(segs, info.Size())
+		}
+		return nil
+	})
+	if len(segs) != 1 {
+		t.Fatalf("job stored %d segments, want 1", len(segs))
+	}
+	return segs[0]
+}
+
 // TestOversizedTraceRefusedByStore: a trace larger than the store's budget
 // is refused as the unit it is stored as — one RejectedPuts, however many
 // chunks it has and however small each is — rather than admitted chunk by
 // chunk until it has evicted the whole store, its own head included. The
 // much smaller outcome entries still persist, nothing is evicted, no
 // staging file is left, and a cold engine answers from the outcomes without
-// recapturing. 3000 records are ~37 KB of rows in twelve ~3 KB chunks,
-// under an up-front hint of 3000 × MaxRecordBytes = 84 KB; the manifest
-// adds sha's ~5 KB static table.
+// recapturing. Each budget is derived from the size the trace's segment
+// measures in an unbounded store (sha's ~5 KB static table in the manifest
+// plus the rows) and the up-front hint it is opened under (records ×
+// MaxRecordBytes), and the case's premise about the three is checked, so
+// no change to how large a trace is stored can quietly make it fit.
 func TestOversizedTraceRefusedByStore(t *testing.T) {
 	ctx := context.Background()
 	pk := PrepareKey{Bench: "sha", Input: workload.InputTrain}
 	for _, tc := range []struct {
 		name     string
 		records  int64
-		max      int64
+		max      func(seg, hint int64) int64
 		window   int
 		captures int64
 	}{
-		// Resident: the whole trace is offered at once, at its exact size.
-		{"resident", 3000, 24 << 10, 0, 1},
+		// Resident: the whole trace is offered at once, at its exact size,
+		// twice what the budget holds.
+		{"resident", 3000, func(seg, _ int64) int64 { return seg / 2 }, 0, 1},
 		// Spilling: the hint says up front that it cannot fit.
-		{"spilling", 3000, 24 << 10, testChunkWindow, 1},
+		{"spilling", 3000, func(seg, _ int64) int64 { return seg / 2 }, testChunkWindow, 1},
 		// Spilling into a budget the hint fits but the segment does not:
-		// 64 records are at most 1.8 KB of rows, but the manifest carries the
+		// 64 records are at most 2.3 KB of rows, but the manifest carries the
 		// static table. Only the appends find out, after the capture has let
 		// go of the chunk the dead segment held — so it captures again,
 		// resident.
-		{"spilling, found out late", 64, 64*trace.MaxRecordBytes + 2<<10, testChunkWindow, 2},
+		{"spilling, found out late", 64, func(seg, hint int64) int64 { return (seg + hint) / 2 }, testChunkWindow, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := uarch.Baseline()
@@ -290,8 +315,16 @@ func TestOversizedTraceRefusedByStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			seg, hint := segmentBytes(t, job), tc.records*trace.MaxRecordBytes
+			// The premise: the segment does not fit, and a spilling capture
+			// is refused up front (one capture) exactly when its hint does
+			// not fit either.
+			budget := tc.max(seg, hint)
+			if seg <= budget || (tc.window > 0 && (hint > budget) != (tc.captures == 1)) {
+				t.Fatalf("a %d-byte segment opened under a %d-byte hint against a %d-byte budget is not this case", seg, hint, budget)
+			}
 			dir := t.TempDir()
-			st, err := store.Open(dir, store.Options{MaxBytes: tc.max})
+			st, err := store.Open(dir, store.Options{MaxBytes: budget})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,7 +36,8 @@ import (
 //     the window merely re-faults old chunks, it never clamps.
 const (
 	// DefaultChunkRecords is the records-per-chunk default (~64Ki rows,
-	// at most 1.75 MiB of packed rows per chunk).
+	// at most 2.25 MiB of packed rows per chunk, ~150 KiB at the ~2.4
+	// bytes a row the mini-graph binaries average).
 	DefaultChunkRecords = 1 << 16
 
 	// minChunkRecords floors the records-per-chunk override. Tiny chunks
@@ -46,11 +47,11 @@ const (
 
 	// maxChunkRecords caps it so that a chunk of the widest rows still
 	// counts its bytes in the u32 the frame and the manifest give them.
-	maxChunkRecords = 1 << 27
+	maxChunkRecords = 1 << 26
 
 	// indexStride is the row distance between a resident chunk's indexed
-	// offsets: reaching any row is one lookup and fewer than indexStride
-	// row steps.
+	// rows: reaching any row is one lookup and fewer than indexStride row
+	// steps.
 	indexStride = 64
 )
 
@@ -100,10 +101,11 @@ type ChunkSource interface {
 }
 
 // ChunkInfo is one manifest entry: the row count, payload byte count and
-// payload CRC of one sealed chunk, and the NextPC of its last row — the
-// one NextPC the rows themselves cannot supply, since a row's successor is
-// the next row. It is full width because the trace's last record may leave
-// the program entirely (the step after it faults at fetch).
+// payload CRC of one sealed chunk, and the NextPC of its last row — which
+// the rows also say (a row's continuation is the next row's pc), so a
+// chunk becomes resident only if the two agree, and the next chunk only
+// if it opens at this pc. It is full width because the trace's last record
+// may leave the program entirely (the step after it faults at fetch).
 type ChunkInfo struct {
 	Rows   int64
 	Bytes  int64
@@ -143,10 +145,11 @@ type Manifest struct {
 
 // check rejects a static table or a chunk table no capture writes:
 // unknown flags, more than two sources, an unexecuted entry that is not
-// all zero, a chunk whose byte count no rows of its row count can have,
-// or a chunk other than the last whose NextPC — the pc of the row that
-// follows it — is not an executed entry. Only the last chunk can point
-// outside the program.
+// all zero, a chunk whose byte count no rows of its row count can have —
+// at least the first pc's one byte (a row can be none), at most the widest
+// first pc and rows — or a chunk other than the last whose NextPC — the pc
+// of the row that follows it — is not an executed entry. Only the last
+// chunk can point outside the program.
 func (m Manifest) check() error {
 	for pc, s := range m.Static {
 		switch {
@@ -159,7 +162,7 @@ func (m Manifest) check() error {
 		}
 	}
 	for i, c := range m.Chunks {
-		if c.Bytes < c.Rows*pcWordBytes || c.Bytes > c.Rows*MaxRecordBytes {
+		if c.Bytes < 1 || c.Bytes > maxVarintBytes+c.Rows*MaxRecordBytes {
 			return fmt.Errorf("trace: manifest chunk %d claims %d bytes for %d rows", i, c.Bytes, c.Rows)
 		}
 	}
@@ -351,7 +354,8 @@ func EncodeChunk(index int64, raw []byte, compress bool) []byte {
 // DecodeChunk parses a chunk frame, decompressing if needed, and verifies
 // it end to end: magic, version, frame length, raw length, and the
 // raw-payload CRC. The returned slice is freshly allocated (never aliases
-// data).
+// data), with the spare capacity a resident chunk keeps, so making it
+// resident copies nothing.
 func DecodeChunk(data []byte) (index int64, raw []byte, err error) {
 	if len(data) < chunkHeaderBytes {
 		return 0, nil, fmt.Errorf("trace: short chunk header (%d bytes)", len(data))
@@ -383,7 +387,7 @@ func DecodeChunk(data []byte) (index int64, raw []byte, err error) {
 			return 0, nil, fmt.Errorf("trace: chunk claims %d bytes from %d compressed bytes", rawLen, encLen)
 		}
 		zr := flate.NewReader(bytes.NewReader(payload))
-		raw = make([]byte, 0, rawLen)
+		raw = make([]byte, 0, rawLen+loadSlack)
 		var rerr error
 		raw, rerr = appendAll(raw, zr, rawLen)
 		_ = zr.Close()
@@ -391,7 +395,7 @@ func DecodeChunk(data []byte) (index int64, raw []byte, err error) {
 			return 0, nil, fmt.Errorf("trace: chunk inflate: %w", rerr)
 		}
 	} else {
-		raw = append([]byte(nil), payload...)
+		raw = append(make([]byte, 0, len(payload)+loadSlack), payload...)
 	}
 	if int64(len(raw)) != rawLen {
 		return 0, nil, fmt.Errorf("trace: chunk holds %d bytes, header claims %d", len(raw), rawLen)
@@ -422,43 +426,89 @@ func appendAll(dst []byte, r io.Reader, limit int64) ([]byte, error) {
 	}
 }
 
-// chunk is one sealed chunk as memory holds it: its packed rows and, once
-// resident, the byte offset of every indexStride-th row. The index is
-// derived from the rows when the chunk becomes resident — never stored or
-// sent — so no stored index can disagree with the rows it indexes.
+// chunk is one sealed chunk as memory holds it: its packed rows, with at
+// least loadSlack bytes of spare capacity past them, and, once resident,
+// the offset and pc of every indexStride-th row. The index is derived from
+// the rows when the chunk becomes resident — never stored or sent — so no
+// stored index can disagree with the rows it indexes.
 type chunk struct {
 	rows  []byte
-	index []uint32
+	index []indexEntry
 }
 
-// heldBytes is the memory c pins.
-func (c chunk) heldBytes() int64 { return int64(cap(c.rows)) + 4*int64(cap(c.index)) }
+// indexEntry locates one indexed row: its byte offset in the payload and
+// its pc (an executed pc, so an int32 holds it).
+type indexEntry struct {
+	off uint32
+	pc  int32
+}
 
-// resident checks data as chunk ci's rows and indexes them, in one pass:
-// every row names a pc the trace executed, and the rows, each as wide as
-// its pc's static entry says, tile data exactly in the manifest's row
-// count. Data that passes can be decoded with no further check; data that
-// does not is damage its CRC did not see — the CRC only says the bytes
-// are the ones the manifest's author checksummed — and the chunk reads as
-// ErrChunkUnavailable as a whole.
+// indexEntryBytes is the memory one indexEntry takes.
+const indexEntryBytes = 8
+
+// heldBytes is the memory c pins.
+func (c chunk) heldBytes() int64 {
+	return int64(cap(c.rows)) + indexEntryBytes*int64(cap(c.index))
+}
+
+// resident checks data as chunk ci's rows and indexes them, in one pass
+// that reads every field with the decoder's own varint and checks what the
+// decoder takes on trust: the first pc is executed and, past chunk 0, is
+// the previous chunk's manifest NextPC; every field is a minimal varint
+// inside the payload; every row's continuation is an executed pc, the last
+// row's the manifest's NextPC; and the rows tile data exactly in the
+// manifest's row count. Data that passes can be decoded with no further
+// check; data that does not is damage its CRC did not see — the CRC only
+// says the bytes are the ones the manifest's author checksummed — and the
+// chunk reads as ErrChunkUnavailable as a whole. data without loadSlack
+// spare bytes of capacity is copied once into a buffer that has them.
 func (t *Trace) resident(ci int64, data []byte) (chunk, error) {
-	rows := t.info[ci].Rows
-	index := make([]uint32, (rows+indexStride-1)/indexStride)
-	off := 0
+	if cap(data)-len(data) < loadSlack {
+		data = append(make([]byte, 0, len(data)+loadSlack), data...)
+	}
+	b, rows := data[:len(data)+loadSlack], t.info[ci].Rows
+	index := make([]indexEntry, (rows+indexStride-1)/indexStride)
+	// field reads one varint at off, which must lie inside the payload and
+	// be minimal.
+	off, bad := 0, false
+	field := func() uint64 {
+		if off >= len(data) || off+1+bits.TrailingZeros8(^data[off]) > len(data) {
+			bad = true
+			return 0
+		}
+		v, next := varint(b, off)
+		bad = bad || !varintFits(v, next-off)
+		off = next
+		return v
+	}
+	pc := isa.PC(field())
+	if bad {
+		return chunk{}, fmt.Errorf("%w: chunk %d does not open with a pc", ErrChunkUnavailable, ci)
+	}
+	if ci > 0 && int64(pc) != t.info[ci-1].NextPC {
+		return chunk{}, fmt.Errorf("%w: chunk %d opens at pc %d, chunk %d continues at %d", ErrChunkUnavailable, ci, pc, ci-1, t.info[ci-1].NextPC)
+	}
 	for r := int64(0); r < rows; r++ {
-		if r%indexStride == 0 {
-			index[r/indexStride] = uint32(off)
-		}
-		if len(data)-off < pcWordBytes {
-			return chunk{}, fmt.Errorf("%w: chunk %d ends inside row %d of %d", ErrChunkUnavailable, ci, r, rows)
-		}
-		pc := isa.PC(binary.LittleEndian.Uint32(data[off:]) &^ takenBit)
 		if !t.executed(pc) {
-			return chunk{}, fmt.Errorf("%w: chunk %d row %d names pc %d, which the static table does not hold", ErrChunkUnavailable, ci, r, pc)
+			return chunk{}, fmt.Errorf("%w: chunk %d row %d is at pc %d, which the static table does not hold", ErrChunkUnavailable, ci, r, pc)
 		}
-		if off += int(rowWidth[t.fields[pc]]); off > len(data) {
-			return chunk{}, fmt.Errorf("%w: chunk %d row %d (pc %d) claims values past the end of the payload", ErrChunkUnavailable, ci, r, pc)
+		if r%indexStride == 0 {
+			index[r/indexStride] = indexEntry{uint32(off), int32(pc)}
 		}
+		f, next := t.fields[pc], pc+1
+		if f&fieldCtrl != 0 {
+			next = continuation(pc, field())
+		}
+		for v := f &^ fieldCtrl; v != 0; v &= v - 1 {
+			field()
+		}
+		if bad {
+			return chunk{}, fmt.Errorf("%w: chunk %d row %d (pc %d) has a field that is truncated, not minimal or past the end of the payload", ErrChunkUnavailable, ci, r, pc)
+		}
+		pc = next
+	}
+	if int64(pc) != t.info[ci].NextPC {
+		return chunk{}, fmt.Errorf("%w: chunk %d's last row continues at pc %d, the manifest says %d", ErrChunkUnavailable, ci, pc, t.info[ci].NextPC)
 	}
 	if off != len(data) {
 		return chunk{}, fmt.Errorf("%w: chunk %d has %d bytes after its %d rows", ErrChunkUnavailable, ci, len(data)-off, rows)
@@ -523,17 +573,19 @@ func (w *chunkWindow) open(limit int64) (serve int64, err error) {
 }
 
 // decoder is one cursor's row decoder over a window: the chunk under the
-// cursor — rows [base, end) and the NextPC of the last of them — and the
-// position in it: the row of record at starts at byte off. Sequential
-// decoding reads the next row where the last one ended, so the per-record
-// path is no lookup at all.
+// cursor — rows [base, end), its payload extended to its spare capacity,
+// and its index — and the position in it: the row of record at starts at
+// byte off and is at pc. Sequential decoding reads the next row where the
+// last one ended, at the pc it continued to, so the per-record path is no
+// lookup at all.
 type decoder struct {
 	w         *chunkWindow
-	cur       chunk
+	rows      []byte
+	index     []indexEntry
 	base, end int64
-	next      isa.PC
 	at        int64
 	off       int
+	pc        isa.PC
 	held      bool // cur came from the window, not from this cursor's fault
 }
 
@@ -550,35 +602,33 @@ func (d *decoder) fill(dst *emu.Record, seq int64) error {
 			return err
 		}
 	}
-	t, rows := d.w.t, d.cur.rows
-	word := binary.LittleEndian.Uint32(rows[d.off:])
-	pc := isa.PC(word &^ takenBit)
+	t, rows, pc, off := d.w.t, d.rows, d.pc, d.off
 	f := t.fields[pc]
 	*dst = t.static[pc]
 	dst.Seq = seq
 	dst.Inst = &d.w.prog.Insts[pc]
-	dst.Taken = word&takenBit != 0
-	off := d.off + pcWordBytes
+	next := pc + 1
+	if f&fieldCtrl != 0 {
+		var w uint64
+		w, off = varint(rows, off)
+		dst.Taken, next = w != 0, continuation(pc, w)
+	}
 	if f&fieldEA != 0 {
-		dst.EA = isa.Addr(binary.LittleEndian.Uint64(rows[off:]))
-		off += valueBytes
+		var v uint64
+		v, off = varint(rows, off)
+		dst.EA = isa.Addr(v)
 	}
 	if f&fieldDest != 0 {
-		dst.DestVal = binary.LittleEndian.Uint64(rows[off:])
-		off += valueBytes
+		dst.DestVal, off = varint(rows, off)
 	}
 	if f&fieldStore != 0 {
-		dst.StoreVal = binary.LittleEndian.Uint64(rows[off:])
-		off += valueBytes
+		dst.StoreVal, off = varint(rows, off)
 	}
-	dst.NextPC = d.next
-	if off < len(rows) {
-		dst.NextPC = isa.PC(binary.LittleEndian.Uint32(rows[off:]) &^ takenBit)
-	}
+	dst.NextPC = next
 	if d.held {
 		d.w.shared++
 	}
-	d.at, d.off = seq+1, off
+	d.at, d.off, d.pc = seq+1, off, next
 	return nil
 }
 
@@ -593,14 +643,23 @@ func (d *decoder) seek(seq int64) error {
 		if err != nil {
 			return err
 		}
-		info := &t.info[ci]
-		d.cur, d.held, d.base, d.next = c, held, ci<<t.chunkShift, isa.PC(info.NextPC)
-		d.end = d.base + info.Rows
+		d.rows, d.index, d.held, d.base = c.rows[:len(c.rows)+loadSlack], c.index, held, ci<<t.chunkShift
+		d.end = d.base + t.info[ci].Rows
 	}
 	k := (seq - d.base) / indexStride
-	d.at, d.off = d.base+k*indexStride, int(d.cur.index[k])
+	e := d.index[k]
+	d.at, d.off, d.pc = d.base+k*indexStride, int(e.off), isa.PC(e.pc)
 	for ; d.at < seq; d.at++ {
-		d.off += int(rowWidth[t.fields[binary.LittleEndian.Uint32(d.cur.rows[d.off:])&^takenBit]])
+		f, next := t.fields[d.pc], d.pc+1
+		if f&fieldCtrl != 0 {
+			var w uint64
+			w, d.off = varint(d.rows, d.off)
+			next = continuation(d.pc, w)
+		}
+		for v := f &^ fieldCtrl; v != 0; v &= v - 1 {
+			d.off += 1 + bits.TrailingZeros8(^d.rows[d.off])
+		}
+		d.pc = next
 	}
 	return nil
 }

@@ -39,4 +39,19 @@ package trace
 //	   A resident chunk's offset index (every 64th row) is derived from
 //	   its rows and never stored. There is no v4 reader: a v4 manifest or
 //	   frame is a version error, a miss, and one re-capture.
-const CodecVersion = 5
+//	6: a row keeps only what replay cannot derive. A chunk payload opens
+//	   with its first pc, and no row stores one: a row's pc is the previous
+//	   row's continuation, which is p+1 unless the row is a control
+//	   transfer, whose row leads with a control word (0 not taken, else
+//	   taken to p+1+unzigzag(w−1)). The control word, ea, destVal and
+//	   storeVal are minimal prefix varints, so rows are 0 to 36 bytes
+//	   (about 2 on average over the mini-graph binaries, 11 at v5) and a
+//	   chunk's byte count lies in [1, 9 + rows × 36]; chunks are capped at
+//	   2^26 rows so that still fits a u32. Residency checks the first pc
+//	   against the previous chunk's manifest NextPC and the last row's
+//	   continuation against the chunk's own, rejects a truncated or
+//	   non-minimal varint, and indexes the offset and pc of every 64th row.
+//	   The manifest and frame layouts did not change. There is no v5
+//	   reader: a v5 manifest or frame is a version error, a miss, and one
+//	   re-capture.
+const CodecVersion = 6

@@ -120,9 +120,9 @@ func (c chunkMap) FetchChunk(i int64) ([]byte, error) {
 // rewind all the way to record zero — so unbounded Rewind can never
 // silently clamp to a retention window. The seeds in testdata/fuzz rewind
 // onto the last row of a chunk and the first row of the next (127 and
-// 128: the two rows whose NextPC does not come from the row after them in
-// the chunk, and the last and first row of an index stride), onto the
-// last row of the trace, and from one chunk back into the previous onto
+// 128: the row whose continuation the manifest's NextPC checks and the
+// row whose pc the payload opens with, and the last and first row of an
+// index stride), onto the last row of the trace, and from one chunk back into the previous onto
 // the first and the last row of an index stride (192 and 191), so a seek
 // lands on an indexed row and on the row 63 steps past one. One more
 // (two-cursors-two-chunks-apart) runs the first cursor two chunks ahead
@@ -203,9 +203,13 @@ func FuzzReaderRewind(f *testing.F) {
 // and CRC: either reads as records or as a miss, never as a panic, and a
 // vouched chunk whose rows do not read serves none of them. The seeds in
 // testdata/fuzz add damaged static tables, a flipped per-chunk NextPC, a
-// lying byte count, and vouched frames with a row past the table, a last
-// row short of the values its pc claims, a trailing byte, and rows that
-// tile a count other than the manifest's.
+// lying byte count, and vouched frames whose rows do not read: a first pc
+// past the table, a control word continuing past it, a chunk opening at a
+// pc other than the previous chunk's NextPC, a last row continuing where
+// the manifest's NextPC does not, a value that is not a minimal varint, a
+// value truncated at the chunk end, a last row short of the value its pc
+// claims, a trailing byte, and rows that tile a count other than the
+// manifest's.
 func FuzzChunkCodec(f *testing.F) {
 	prog, tr, _, _ := seedTrace(f)
 	f.Add(trace.EncodeManifest(tr.Manifest()))

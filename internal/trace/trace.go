@@ -7,15 +7,17 @@
 // every machine configuration swept over the same binary, which is where
 // multi-arm experiment sweeps spend most of their time.
 //
-// A trace stores only what the program text does not. Each record is a
-// dynamic row: which pc executed, whether it was taken, and those of the
-// three values it produced (effective address, destination value, store
-// value) that its pc can produce at all. Everything that is a function of
-// the pc — opcode, operand registers, access size, the load/store/control
-// flags, the mini-graph id, and so which values a row carries — lives once
-// per static instruction in the trace's static table, filled the first
-// time a pc executes and carried in the Manifest, so a trace adopted from
-// a store or a peer replays without the mini-graph table that shaped it.
+// A trace stores only what neither the program text nor the row before
+// it does. Each record is a dynamic row: where control went, and those of
+// the three values it produced (effective address, destination value,
+// store value) that its pc can produce at all. Everything that is a
+// function of the pc — opcode, operand registers, access size, the
+// load/store/control flags, the mini-graph id, and so which fields a row
+// carries — lives once per static instruction in the trace's static
+// table, filled the first time a pc executes and carried in the Manifest,
+// so a trace adopted from a store or a peer replays without the mini-graph
+// table that shaped it. The pc itself is not stored per row: it is where
+// the row before went.
 //
 // The rows are held as chunks of a fixed row count (DefaultChunkRecords
 // rows per chunk; see chunk.go), which are the unit of capture spill, CRC
@@ -53,50 +55,107 @@ import (
 	"minigraph/internal/isa"
 )
 
-// A row is a little-endian pcWord followed by exactly the values its
-// pc's static entry says a record there produces:
+// A chunk's payload opens with the pc of its first row; after that no row
+// stores a pc. A row at pc p holds, in order, only the fields p's static
+// entry says a record there has:
 //
-//	pcWord u32 | ea u64 (load or store) | destVal u64 (writable Dest) | storeVal u64 (store)
+//	ctrl (control transfer) | ea (load or store) | destVal (writable Dest) | storeVal (store)
 //
-// where pcWord is the record's pc with Taken in bit 31 (a stored pc is
-// always inside the program, so the bit is free, and Taken is a stored
-// bit because it is not derivable: a conditional branch to its own
-// fall-through is taken or not with the same NextPC). A value a pc cannot
+// and every field is a prefix varint (see appendVarint). ctrl is 0 for a
+// not-taken transfer, which continues at p+1; otherwise the row is taken
+// and continues at p+1+unzigzag(ctrl−1) — Taken is stored, not derived,
+// because a conditional branch to its own fall-through is taken or not
+// with the same NextPC. A row without ctrl continues at p+1 and is never
+// taken (capture panics on a record that breaks this). A value a pc cannot
 // produce is zero in every live record (TestStaticFieldsAreStatic checks
-// it), so leaving it out loses nothing. Rows are packed back to back
-// within a chunk, so a row's offset is the sum of the widths before it;
-// each resident chunk keeps the offset of every indexStride-th row (see
-// chunk.go), which keeps Rewind to one lookup and a few row steps.
+// it), so leaving it out loses nothing. Rows are packed back to back, so
+// a row's offset is the sum of the widths before it and its pc the
+// continuation of the row before it; each resident chunk keeps the offset
+// and pc of every indexStride-th row (see chunk.go), which keeps Rewind to
+// one lookup and a few row steps.
 //
 // Nothing else is stored per record. The static fields come from the
-// static table entry of the row's pc (see StaticInst). NextPC is where the
-// stream went next: the pc of the following row, or — for the last row of
-// a chunk — the chunk's NextPC in the manifest, which is also the one place
-// a NextPC outside the program can live (only a trace's last record can
-// have one: the step after it faults at fetch). Seq is the row index,
-// FallPC is pc+1 and Inst is the bound program's instruction at pc.
+// static table entry of the row's pc (see StaticInst). NextPC is the row's
+// continuation; the last row's is the chunk's NextPC in the manifest, and
+// a chunk becomes resident only if the two agree — the manifest's entry is
+// also the one place a NextPC outside the program is checked against
+// (only a trace's last record can have one: the step after it faults at
+// fetch). Seq is the row index, FallPC is pc+1 and Inst is the bound
+// program's instruction at pc.
 const (
-	pcWordBytes = 4
-	valueBytes  = 8
+	// maxVarintBytes is the widest prefix varint: 0xff and 8 raw bytes.
+	maxVarintBytes = 9
+
+	// loadSlack is the spare capacity every resident payload (and the
+	// capture scratch buffer) keeps past its last byte, so a varint is
+	// read, and written, as one 8-byte little-endian access wherever it
+	// starts.
+	loadSlack = 7
 )
 
-// MaxRecordBytes is the widest row: a pc that produces all three values.
-// It bounds a trace's bytes from its record count before it is captured
-// (store budget hints); a captured trace knows its real size (SizeBytes).
-const MaxRecordBytes = pcWordBytes + 3*valueBytes
+// MaxRecordBytes is the widest row: a control transfer that produces all
+// three values, each field a full-width varint. It bounds a trace's bytes
+// from its record count before it is captured (store budget hints); a
+// captured trace knows its real size (SizeBytes).
+const MaxRecordBytes = 4 * maxVarintBytes
 
-// takenBit is bit 31 of a row's pcWord.
-const takenBit uint32 = 1 << 31
-
-// Row field bits: which values the rows of a pc carry, in row order.
+// Row field bits: which fields the rows of a pc carry, in row order.
 const (
-	fieldEA uint8 = 1 << iota
+	fieldCtrl uint8 = 1 << iota
+	fieldEA
 	fieldDest
 	fieldStore
 )
 
-// rowWidth is the byte width of a row carrying the given fields.
-var rowWidth = [8]uint8{4, 12, 12, 20, 12, 20, 20, 28}
+// appendVarint appends v as a prefix varint: the count of trailing one
+// bits in the first byte is the number of bytes that follow, and the value
+// takes the 7 bits a byte above that count — up to 8 bytes (56 bits); a
+// first byte of 0xff is followed by the 8 raw bytes of a wider value. The
+// encoding is the shortest that holds v: a decoder rejects any other.
+// It writes 8 bytes and keeps v's, so a buffer with loadSlack spare bytes
+// past the varint never grows for it.
+func appendVarint(b []byte, v uint64) []byte {
+	n := (bits.Len64(v) - 1) / 7 // bytes after the first
+	if n >= 8 {
+		return binary.LittleEndian.AppendUint64(append(b, 0xff), v)
+	}
+	b = binary.LittleEndian.AppendUint64(b, v<<(n+1)|(1<<n-1))
+	return b[:len(b)-7+n]
+}
+
+// varint decodes the prefix varint at b[off:] and returns it with the
+// offset just past it. b must hold 8 readable bytes from off (a resident
+// payload extended to its loadSlack); whether the varint fits the payload
+// and is minimal is for the caller to check (see varintFits).
+func varint(b []byte, off int) (uint64, int) {
+	x := binary.LittleEndian.Uint64(b[off:])
+	n := uint(bits.TrailingZeros8(^uint8(x)))
+	if n == 8 {
+		return binary.LittleEndian.Uint64(b[off+1:]), off + 9
+	}
+	return x << (56 - 8*n) >> (57 - 7*n), off + int(n) + 1
+}
+
+// varintFits reports whether a varint decoding to v over width bytes is
+// the minimal encoding of v.
+func varintFits(v uint64, width int) bool {
+	return width == 1 || v >= 1<<(7*(width-1))
+}
+
+// zigzag maps a signed displacement onto the unsigned values small
+// magnitudes first (0, −1, 1, −2, …), so a short branch is a short varint.
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// continuation is where a control transfer at pc with control word w
+// continues: pc+1 when w is 0 (not taken), else the taken displacement.
+func continuation(pc isa.PC, w uint64) isa.PC {
+	if w == 0 {
+		return pc + 1
+	}
+	return pc + 1 + isa.PC(unzigzag(w-1))
+}
 
 // StaticInst is one static-table entry: everything about a record that is
 // a function of its pc alone, under the program and mini-graph table the
@@ -153,11 +212,15 @@ func staticOf(rec *emu.Record) StaticInst {
 	}
 }
 
-// fields is the set of values a row at this entry's pc carries: an
-// address for a memory access, the destination value for a writable Dest,
-// the stored value for a store. Meaningless for an unexecuted entry.
+// fields is the set of fields a row at this entry's pc carries: a
+// control word for a control transfer, an address for a memory access,
+// the destination value for a writable Dest, the stored value for a
+// store. Meaningless for an unexecuted entry.
 func (s StaticInst) fields() uint8 {
 	var f uint8
+	if s.Flags&staticCtrl != 0 {
+		f |= fieldCtrl
+	}
 	if s.Flags&(staticLoad|staticStore) != 0 {
 		f |= fieldEA
 	}
@@ -437,7 +500,9 @@ func (t *Trace) ChunkPayload(ci int64) ([]byte, error) {
 		return nil, fmt.Errorf("trace: chunk %d out of range (%d chunks)", ci, t.NumChunks())
 	}
 	if data := t.chunks[ci].rows; data != nil {
-		return data, nil
+		// Capped, so a caller's append cannot write the spare bytes that
+		// readers load.
+		return data[:len(data):len(data)], nil
 	}
 	if t.source == nil {
 		return nil, fmt.Errorf("%w: chunk %d is not resident and the trace has no source", ErrChunkUnavailable, ci)
@@ -462,8 +527,9 @@ func (t *Trace) fault(ci int64) (chunk, error) {
 	return t.resident(ci, data)
 }
 
-// appendRecord packs one record's dynamic row into the open chunk and, the
-// first time its pc executes, files its static half in the static table.
+// appendRecord packs one record's dynamic row into the open chunk — after
+// the chunk's first pc, if the row opens it — and, the first time its pc
+// executes, files its static half in the static table.
 func (t *Trace) appendRecord(rec *emu.Record) {
 	if tm := &t.static[rec.PC]; tm.PC != rec.PC {
 		// Through the wire form, so the template a capture replays from is
@@ -471,29 +537,37 @@ func (t *Trace) appendRecord(rec *emu.Record) {
 		s := staticOf(rec)
 		*tm, t.fields[rec.PC] = s.template(rec.PC), s.fields()
 	}
-	w := uint32(rec.PC)
-	if rec.Taken {
-		w |= takenBit
+	if t.n&(t.chunkRecords-1) == 0 {
+		t.cur = appendVarint(t.cur, uint64(rec.PC))
 	}
-	t.cur = binary.LittleEndian.AppendUint32(t.cur, w)
 	f := t.fields[rec.PC]
+	switch {
+	case f&fieldCtrl != 0 && rec.Taken:
+		t.cur = appendVarint(t.cur, 1+zigzag(int64(rec.NextPC-rec.PC-1)))
+	case rec.Taken || rec.NextPC != rec.PC+1:
+		panic(fmt.Sprintf("trace: record %d at pc %d (taken=%v) continues at %d, which its row cannot say",
+			t.n, rec.PC, rec.Taken, rec.NextPC))
+	case f&fieldCtrl != 0:
+		t.cur = append(t.cur, 0)
+	}
 	if f&fieldEA != 0 {
-		t.cur = binary.LittleEndian.AppendUint64(t.cur, uint64(rec.EA))
+		t.cur = appendVarint(t.cur, uint64(rec.EA))
 	}
 	if f&fieldDest != 0 {
-		t.cur = binary.LittleEndian.AppendUint64(t.cur, rec.DestVal)
+		t.cur = appendVarint(t.cur, rec.DestVal)
 	}
 	if f&fieldStore != 0 {
-		t.cur = binary.LittleEndian.AppendUint64(t.cur, rec.StoreVal)
+		t.cur = appendVarint(t.cur, rec.StoreVal)
 	}
 	t.next = rec.NextPC
 	t.n++
 }
 
 // seal closes the open chunk: records it in the manifest's chunk table
-// and either spills it through sink or retains a copy of its own size,
-// indexed. A sink error keeps the chunk resident — spilling is an
-// optimization, so its failure can cost memory but never the capture.
+// and either spills it through sink or retains a copy of its own size
+// plus loadSlack, indexed. A sink error keeps the chunk resident —
+// spilling is an optimization, so its failure can cost memory but never
+// the capture.
 // Either way the scratch buffer is emptied for the next chunk.
 func (t *Trace) seal(sink ChunkSink) {
 	if len(t.cur) == 0 {
@@ -505,7 +579,7 @@ func (t *Trace) seal(sink ChunkSink) {
 	var c chunk
 	if sink == nil || sink.SealChunk(idx, info.Rows, t.cur, info.CRC) != nil {
 		var err error
-		if c, err = t.resident(idx, append(make([]byte, 0, len(t.cur)), t.cur...)); err != nil {
+		if c, err = t.resident(idx, append(make([]byte, 0, len(t.cur)+loadSlack), t.cur...)); err != nil {
 			panic(fmt.Sprintf("trace: capture sealed a chunk it cannot read back: %v", err))
 		}
 	}
@@ -567,8 +641,9 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 
 	// One scratch buffer holds the open chunk, sized for the widest chunk
 	// the capture can produce — the hint and the limit can only shrink
-	// that — so every chunk is written without growing it; a sealed chunk
-	// that stays resident is copied out at its own size.
+	// that — plus the slack a varint's 8-byte write needs, so every chunk
+	// is written without growing it; a sealed chunk that stays resident is
+	// copied out at its own size.
 	rows := cr
 	if opts.Hint > 0 && opts.Hint < rows {
 		rows = opts.Hint
@@ -576,7 +651,7 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 	if limit < rows {
 		rows = limit
 	}
-	t.cur = make([]byte, 0, rows*MaxRecordBytes)
+	t.cur = make([]byte, 0, maxVarintBytes+rows*MaxRecordBytes+loadSlack)
 
 	m := emu.NewMachine(prog, mgt)
 	var rec emu.Record

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -407,6 +408,32 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowBytesPerRecord guards the row format's size: over the full
+// traces of the four subset mini-graph binaries a row averages at most 3
+// bytes (weighted by rows; about 2 at v6, 10.5 when every row stored its
+// pc and full-width values), so a change that makes rows store what replay
+// can derive, or values wider than they are, fails by name.
+func TestRowBytesPerRecord(t *testing.T) {
+	var rows, size int64
+	for _, name := range workload.BenchSubset() {
+		prog, mgt, _ := rewritten(t, name)
+		tr, err := trace.Capture(context.Background(), prog, mgt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Halted() {
+			t.Fatalf("%s did not halt during capture", name)
+		}
+		t.Logf("%s: %d rows in %d bytes, %.2f a row", name, tr.Len(), tr.SizeBytes(), float64(tr.SizeBytes())/float64(tr.Len()))
+		rows, size = rows+tr.Len(), size+tr.SizeBytes()
+	}
+	if mean := float64(size) / float64(rows); mean > 3.0 {
+		t.Errorf("%d rows take %d bytes, %.2f a row: want at most 3", rows, size, mean)
+	} else {
+		t.Logf("%d rows in %d bytes, %.2f a row", rows, size, mean)
+	}
+}
+
 // vouch replaces chunk ci's payload with damage(payload) under a manifest
 // that vouches for the result — its byte count and CRC — the way a peer can
 // checksum whatever rows it likes: only the rows themselves can give it
@@ -454,6 +481,36 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if short < 0 {
 		t.Fatal("no full chunk ends in a row that carries a value")
 	}
+	// loose is chunk 1 with its first value re-encoded one byte wider
+	// than it has to be (the count of trailing ones in a varint's first
+	// byte is the bytes after it, 7 value bits a byte; 0xff is followed by
+	// 8 raw bytes): the same rows, one varint that is not minimal.
+	var loose []byte
+	for _, f := range payloadFields(t, tr, prog, 1) {
+		if f.value && f.width < 9 {
+			_, raw, _ := trace.DecodeChunk(good.frames[1])
+			wide := binary.LittleEndian.AppendUint64([]byte{0xff}, f.v)
+			if f.width < 8 {
+				wide = binary.LittleEndian.AppendUint64(nil, f.v<<(f.width+1)|(1<<f.width-1))[:f.width+1]
+			}
+			loose = slices.Concat(raw[:f.off], wide, raw[f.off+f.width:])
+			break
+		}
+	}
+	if loose == nil {
+		t.Fatal("chunk 1 has no value narrower than 9 bytes")
+	}
+	// cut is chunk short with its last value replaced by a first byte of
+	// 0xff, which claims the 8 bytes after it that the payload ends before.
+	fs := payloadFields(t, tr, prog, int64(short))
+	_, raw, _ := trace.DecodeChunk(good.frames[short])
+	cut := append(raw[:fs[len(fs)-1].off:fs[len(fs)-1].off], 0xff)
+	// Chunk 2's rows open where chunk 1's end: vouched as chunk 1 under a
+	// manifest that has chunk 1 end where chunk 2 does, they differ from
+	// chunk 1 only in where they open.
+	if m := tr.Manifest(); m.Chunks[0].NextPC == m.Chunks[1].NextPC {
+		t.Fatalf("chunks 1 and 2 both open at pc %d", m.Chunks[0].NextPC)
+	}
 	badMagic := func(b []byte) []byte { return append([]byte{'X'}, b[1:]...) }
 	badVersion := func(b []byte) []byte {
 		return append(append(append([]byte{}, b[:4]...), 0xff, 0xff), b[6:]...)
@@ -488,6 +545,24 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			_, full, _ := trace.DecodeChunk(w.frames[2])
 			vouch(t, w, 3, func([]byte) []byte { return full }) // 256 rows where the manifest says 232
 		}},
+		{name: "a value that is not minimal", unavailable: true, bytes: func(w *wire) {
+			vouch(t, w, 1, func([]byte) []byte { return loose })
+		}},
+		{name: "a value truncated at the chunk end", unavailable: true, bytes: func(w *wire) {
+			vouch(t, w, short, func([]byte) []byte { return cut })
+		}},
+		{name: "a chunk opening where the previous one does not continue", unavailable: true, bytes: func(w *wire) {
+			_, next, _ := trace.DecodeChunk(w.frames[2])
+			vouch(t, w, 1, func([]byte) []byte { return next })
+			m, _ := trace.DecodeManifest(w.manifest)
+			m.Chunks[1].NextPC = m.Chunks[2].NextPC
+			w.manifest = trace.EncodeManifest(m)
+		}},
+		{name: "last row continuing where the manifest does not", unavailable: true, bytes: func(w *wire) {
+			m, _ := trace.DecodeManifest(w.manifest)
+			m.Chunks[3].NextPC++
+			w.manifest = trace.EncodeManifest(m)
+		}},
 		{name: "manifest byte count lies", unavailable: true, bytes: func(w *wire) {
 			m, _ := trace.DecodeManifest(w.manifest)
 			m.Chunks[1].Bytes += 8
@@ -513,11 +588,13 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		}},
 		{name: "manifest chunk continues outside the table", manifest: func(m *trace.Manifest) { m.Chunks[0].NextPC = int64(len(m.Static)) }},
 		{name: "manifest chunk continues at a negative pc", manifest: func(m *trace.Manifest) { m.Chunks[1].NextPC = -3 }},
+		// A payload is the first pc (1 to 9 bytes) and rows of 0 to
+		// MaxRecordBytes each.
 		{name: "manifest chunk bytes wider than its rows can be", manifest: func(m *trace.Manifest) {
-			m.Chunks[0].Bytes = m.Chunks[0].Rows*trace.MaxRecordBytes + 1
+			m.Chunks[0].Bytes = 9 + m.Chunks[0].Rows*trace.MaxRecordBytes + 1
 		}},
 		{name: "manifest chunk bytes narrower than its rows can be", manifest: func(m *trace.Manifest) {
-			m.Chunks[2].Bytes = m.Chunks[2].Rows*4 - 1
+			m.Chunks[2].Bytes = 0
 		}},
 		{name: "manifest row count", manifest: func(m *trace.Manifest) { m.Rows++ }},
 		{name: "manifest chunk count", manifest: func(m *trace.Manifest) { m.Chunks = m.Chunks[:len(m.Chunks)-1] }},
@@ -549,13 +626,75 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
+// payloadField is one varint of a chunk payload: where it starts, how wide
+// it is, what it holds, and whether it is a value (ea, destVal or
+// storeVal) rather than the first pc or a control word.
+type payloadField struct {
+	off, width int
+	v          uint64
+	value      bool
+}
+
+// payloadFields lays chunk ci of tr out the way the row format does — the
+// chunk's first pc, then for each record the control word, ea, destVal and
+// storeVal its pc carries — from the records a Reader serves, and checks
+// the layout adds up to the chunk's payload.
+func payloadFields(t *testing.T, tr *trace.Trace, prog *isa.Program, ci int64) []payloadField {
+	t.Helper()
+	var fs []payloadField
+	off := 0
+	add := func(v uint64, value bool) {
+		w := len(trace.AppendVarint(nil, v))
+		fs = append(fs, payloadField{off, w, v, value})
+		off += w
+	}
+	first, end := ci*tr.ChunkRecords(), (ci+1)*tr.ChunkRecords()
+	var rec emu.Record
+	for rd := trace.NewReader(tr, prog, end); rd.NextInto(&rec); {
+		switch {
+		case rec.Seq < first:
+			continue
+		case rec.Seq == first:
+			add(uint64(rec.PC), false)
+		}
+		if rec.IsCtrl {
+			var w uint64
+			if rec.Taken {
+				w = ctrlWord(int64(rec.PC), int64(rec.NextPC))
+			}
+			add(w, false)
+		}
+		if rec.IsLoad || rec.IsStore {
+			add(uint64(rec.EA), true)
+		}
+		if !rec.Dest.IsZero() && int(rec.Dest) < isa.TotalRegs {
+			add(rec.DestVal, true)
+		}
+		if rec.IsStore {
+			add(rec.StoreVal, true)
+		}
+	}
+	if raw, err := tr.ChunkPayload(ci); err != nil || len(raw) != off {
+		t.Fatalf("chunk %d: the row format lays out %d bytes, the payload has %d (%v)", ci, off, len(raw), err)
+	}
+	return fs
+}
+
+// ctrlWord is the control word of a taken transfer at pc continuing at
+// next: 1 + the zigzag of its displacement from pc+1.
+func ctrlWord(pc, next int64) uint64 {
+	d := next - pc - 1
+	return 1 + (uint64(d<<1) ^ uint64(d>>63))
+}
+
 // TestRowOutsideStaticTableIsAMiss: a row is trusted no further than its
 // chunk's CRC, and a CRC only says the bytes are the ones the manifest's
-// author checksummed. A row naming a pc past the static table, or one the
-// trace never executed, makes its whole chunk a miss: adopting the trace
-// fails, and replaying it spilled cuts the stream at the chunk's first
-// record with ErrChunkUnavailable — through a solo reader and a gang
-// cursor alike — so not one of its rows decodes into a record.
+// author checksummed. A chunk that opens at a pc past the static table, or
+// a control word that continues past it, before pc 0, or at a pc the trace
+// never executed, makes its whole chunk a miss: adopting the trace fails,
+// and replaying it spilled cuts the stream at the chunk's first record
+// with ErrChunkUnavailable — through a solo reader and a gang cursor alike
+// — so not one of its rows decodes into a record.
 func TestRowOutsideStaticTableIsAMiss(t *testing.T) {
 	prog := asm.MustAssemble("skip", `
         .text
@@ -575,26 +714,30 @@ done:   halt
 	if err != nil {
 		t.Fatal(err)
 	}
-	// li writes r1 (pc and destVal), bne and halt write nothing (pc only).
-	offsets := []int{0, 12, 16}
-	if len(good) != 20 {
-		t.Fatalf("the three rows are %d bytes, want 12+4+4", len(good))
+	// The chunk opens at pc 0; li writes r1 (its destVal, 1), bne is taken
+	// one instruction past its fall-through (control word 1+zigzag(1) = 3)
+	// and halt stores nothing: one byte each.
+	varint := func(v uint64) []byte { return trace.AppendVarint(nil, v) }
+	if want := slices.Concat(varint(0), varint(1), varint(3)); !bytes.Equal(good, want) {
+		t.Fatalf("the three rows are % x, want % x", good, want)
 	}
+	// ctrl is the bne's control word continuing at pc to (the manifest's
+	// NextPC is left alone: the row check fails before the last row's).
+	ctrl := func(to int64) uint64 { return ctrlWord(1, to) }
 	for _, c := range []struct {
 		name string
-		row  int
-		pc   uint32
+		raw  []byte
 	}{
-		{"past the table", 1, uint32(prog.Len())},
-		{"far past the table", 2, 1<<31 - 1},
-		{"unexecuted", 2, 2},
-		{"first row, taken bit set", 0, uint32(prog.Len()) | 1<<31},
+		{"first pc past the table", slices.Concat(varint(uint64(prog.Len())), good[1:])},
+		{"first pc far past the table", slices.Concat(varint(1<<63), good[1:])},
+		{"control word continues past the table", slices.Concat(good[:2], varint(ctrl(int64(prog.Len()))))},
+		{"control word continues far past the table", slices.Concat(good[:2], varint(ctrl(1<<40)))},
+		{"control word continues before pc 0", slices.Concat(good[:2], varint(ctrl(-1)))},
+		{"control word continues at an unexecuted pc", slices.Concat(good[:2], varint(ctrl(2)))},
 	} {
-		raw := append([]byte{}, good...)
-		binary.LittleEndian.PutUint32(raw[offsets[c.row]:], c.pc)
 		m := tr.Manifest()
-		m.Chunks[0].CRC = crc32.ChecksumIEEE(raw)
-		w := wire{manifest: trace.EncodeManifest(m), frames: [][]byte{trace.EncodeChunk(0, raw, false)}}
+		m.Chunks[0].Bytes, m.Chunks[0].CRC = int64(len(c.raw)), crc32.ChecksumIEEE(c.raw)
+		w := wire{manifest: trace.EncodeManifest(m), frames: [][]byte{trace.EncodeChunk(0, c.raw, false)}}
 		if _, err := w.adopt(); !errors.Is(err, trace.ErrChunkUnavailable) {
 			t.Errorf("%s: adopting a chunk with a row outside the table gave %v, want ErrChunkUnavailable", c.name, err)
 		}
