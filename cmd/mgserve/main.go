@@ -24,11 +24,12 @@
 // coordinator mode workers see arms one at a time, so nothing gangs.
 //
 // With -workers (static members) or -coordinator (dynamic membership) the
-// process runs as a coordinator: sweep arms shard across the worker
-// mgserve processes by trace-key affinity (rendezvous hashing), so every
-// arm lands on the worker that already holds its captured trace; worker
-// failures re-route automatically and the merged report is byte-identical
-// to single-process execution. Under -coordinator, workers join the tier
+// process runs as a coordinator: sweep arms are placed on the worker
+// mgserve processes by trace key (rendezvous hashing). The home captures
+// and keeps the trace; the second choice borrows it and releases it, so a
+// sweep's arms over one trace run on two workers. Worker failures re-route
+// automatically and the merged report is byte-identical to single-process
+// execution. Under -coordinator, workers join the tier
 // by registering (and drop out when their heartbeat TTL lapses); a worker
 // started with -register COORD -advertise SELF does that itself. Arms
 // re-routed by membership changes fetch their captured traces from the

@@ -37,10 +37,14 @@ import (
 // milliseconds. HTTP does not propagate the caller's deadline, so the
 // coordinator ships the budget explicitly — a worker must never spend
 // more of the arm's call timeout on one peer than the coordinator can
-// afford before the capture fallback no longer fits.
+// afford before the capture fallback no longer fits. borrowHeader marks
+// an outcome call to a worker that is not the arm's trace home: the
+// worker releases the trace once no borrowed arm of it is in flight, so a
+// trace stays resident on its home only.
 const (
 	blobPeersHeader  = "X-Minigraph-Blob-Peers"
 	blobBudgetHeader = "X-Minigraph-Blob-Budget"
+	borrowHeader     = "X-Minigraph-Borrow"
 )
 
 // maxBlobPeers caps how many previous owners the coordinator names (and a

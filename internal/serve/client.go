@@ -87,7 +87,7 @@ func (c *Client) doRawHeaders(ctx context.Context, method, path string, body any
 		return nil, fmt.Errorf("serve: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %s %s: read: %w", method, path, err)
 	}
@@ -102,6 +102,20 @@ func (c *Client) doRawHeaders(ctx context.Context, method, path string, body any
 		return nil, &StatusError{Status: resp.StatusCode, Msg: msg}
 	}
 	return data, nil
+}
+
+// readBody reads a response body whole. A body of announced length (a
+// trace chunk frame, hundreds of KB) is read into one buffer of that size:
+// io.ReadAll's growth would allocate it about five times over.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= DefaultMaxBodyBytes {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // do is doRaw plus JSON-decoding the response into out (when non-nil).
@@ -147,15 +161,20 @@ func (c *Client) Outcome(ctx context.Context, js JobSpec) (*sim.Outcome, error) 
 
 // OutcomeFrom is Outcome plus a ranked list of peer workers the serving
 // engine may fetch the job's captured trace blob from, each attempt
-// bounded by perPeer (0 = the server's default; see blobs.go). An empty
-// peers list is plain Outcome.
-func (c *Client) OutcomeFrom(ctx context.Context, js JobSpec, peers []string, perPeer time.Duration) (*sim.Outcome, error) {
-	var hdr http.Header
+// bounded by perPeer (0 = the server's default; see blobs.go). borrow
+// tells the worker it is not the trace's home: it releases the trace once
+// the arm is done (see Coordinator.Run). Empty peers and no borrow is
+// plain Outcome.
+func (c *Client) OutcomeFrom(ctx context.Context, js JobSpec, peers []string, perPeer time.Duration, borrow bool) (*sim.Outcome, error) {
+	hdr := http.Header{}
 	if len(peers) > 0 {
-		hdr = http.Header{blobPeersHeader: []string{strings.Join(peers, ",")}}
+		hdr.Set(blobPeersHeader, strings.Join(peers, ","))
 		if perPeer > 0 {
 			hdr.Set(blobBudgetHeader, strconv.FormatInt(perPeer.Milliseconds(), 10))
 		}
+	}
+	if borrow {
+		hdr.Set(borrowHeader, "1")
 	}
 	data, err := c.doRawHeaders(ctx, http.MethodPost, "/v1/outcome", js, hdr)
 	if err != nil {

@@ -221,11 +221,33 @@ func newCoordinator(t *testing.T, workerURLs ...string) *Client {
 	return NewClient(ts.URL)
 }
 
+// homeCaptures runs, for each of two workers, the arms of req whose trace
+// identity is homed on it in a lone engine, and returns the captures each
+// engine made: what that worker captures when it captures only for its
+// home keys.
+func homeCaptures(t *testing.T, req SweepRequest, url1, url2 string) [2]int64 {
+	t.Helper()
+	var parts [2][]JobSpec
+	for _, js := range req.Jobs {
+		home := rankByRendezvous([]string{url1, url2}, traceKeyOf(t, js))[0]
+		parts[home] = append(parts[home], js)
+	}
+	var caps [2]int64
+	for i, specs := range parts {
+		e := sim.New(2)
+		if _, err := e.Run(context.Background(), resolveJobs(t, specs)); err != nil {
+			t.Fatal(err)
+		}
+		caps[i] = e.Stats().TraceCaptures
+	}
+	return caps
+}
+
 // TestCoordinatorEquivalence is the tentpole acceptance test: the same
-// 32-arm benchSubset sweep run (a) in one process, (b) sharded across two
+// 32-arm benchSubset sweep run (a) in one process, (b) dealt across two
 // workers, and (c) with one worker killed mid-sweep yields byte-identical
-// Report JSON in all three — and in (b) the shards respect trace-key
-// affinity (no trace identity is computed on both workers).
+// Report JSON in all three — and in (b) each trace identity is captured on
+// one worker only, its home.
 func TestCoordinatorEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-engine sweep; skipped in -short")
@@ -265,10 +287,13 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	if len(set1) == 0 || len(set2) == 0 {
 		t.Errorf("degenerate sharding: worker trace sets %d/%d", len(set1), len(set2))
 	}
-	for k := range set1 {
-		if set2[k] {
-			t.Errorf("trace identity served by both workers — affinity broken")
-			break
+	// A key's arms are dealt over both workers, but only its home captures:
+	// the other borrows the trace. So no worker captures more than a lone
+	// engine does for the identities homed on it.
+	homeCaps := homeCaptures(t, req, ts1.URL, ts2.URL)
+	for i, w := range []*trackingWorker{w1, w2} {
+		if got := w.srv.eng.Stats().TraceCaptures; got > homeCaps[i] {
+			t.Errorf("worker %d captured %d traces, but its home identities need %d — a borrower captured", i+1, got, homeCaps[i])
 		}
 	}
 

@@ -29,9 +29,10 @@
 // across requests, across endpoints, and across concurrent callers — run
 // at most once per process, and at most once ever when a store is
 // attached. With Options.Workers set the server instead runs as a
-// coordinator: sweep arms are sharded across worker mgserve processes by
-// rendezvous hashing on each arm's TraceKey, so every arm lands on the
-// worker that already holds its captured trace (see Coordinator).
+// coordinator: sweep arms are placed on worker mgserve processes by
+// rendezvous hashing on each arm's TraceKey. The home captures and keeps
+// the trace; the second choice borrows it and releases it, so a sweep's
+// arms over one trace run on two workers (see Coordinator).
 //
 // Every error response carries Content-Type application/json and a
 // structured {"error": ...} body — including mux-level 404/405s.
@@ -45,6 +46,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"minigraph/internal/core"
@@ -80,9 +82,9 @@ type Options struct {
 
 	// Workers are base URLs of worker mgserve processes. When non-empty
 	// the server runs in coordinator mode: /v1/simulate, /v1/sweep and
-	// async jobs shard their arms across the workers by trace-key
-	// affinity instead of running on the local engine. /v1/experiments
-	// still runs locally.
+	// async jobs place their arms on the workers by trace key (see
+	// Coordinator.Run) instead of running on the local engine.
+	// /v1/experiments still runs locally.
 	Workers []string
 	// Coordinator forces coordinator mode even with no static workers —
 	// the tier then starts empty and workers join by registering. When
@@ -132,6 +134,9 @@ type Server struct {
 	adm      *admission
 	jobs     *JobManager
 	scrub    *store.ScrubReport // nil unless a startup scrub ran
+
+	bmu      sync.Mutex
+	borrowed map[sim.TraceKey]int // borrowed arms in flight per trace
 }
 
 // New builds the handler. Close it when done to stop the async job
@@ -157,6 +162,7 @@ func New(o Options) (*Server, error) {
 		mux:      http.NewServeMux(),
 		adm:      newAdmission(o.RateLimit, o.RateBurst, o.MaxInflightSweeps),
 		scrub:    o.Scrub,
+		borrowed: make(map[sim.TraceKey]int),
 	}
 	if len(o.Workers) > 0 || o.Coordinator {
 		coord, err := NewCoordinator(CoordinatorOptions{
@@ -520,7 +526,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	outs, err := s.runSweep(r.Context(), []JobSpec{js}, []sim.SimJob{job}, nil)
 	if err != nil {
-		httpAbortOrError(w, r, http.StatusInternalServerError, err)
+		httpAbortOrError(w, r, computeStatus(err), err)
 		return
 	}
 	writeJSON(w, jobResult(js, outs[0]))
@@ -535,7 +541,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // When the coordinator names blob peers for the arm (the
 // X-Minigraph-Blob-Peers header), they ride the context into the engine's
 // trace fetcher: a worker that lacks the capture pulls the blob from the
-// key's previous owner instead of re-emulating.
+// key's home or previous owner instead of re-emulating. A call that borrows
+// the trace (the X-Minigraph-Borrow header) releases it afterwards.
 func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	var js JobSpec
 	if err := s.decodeBody(w, r, &js); err != nil {
@@ -547,9 +554,14 @@ func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	end := func() {}
+	if r.Header.Get(borrowHeader) != "" {
+		end = s.borrowTrace(job.Key().TraceKey())
+	}
 	out, err := s.eng.Simulate(withBlobPeers(r.Context(), parseBlobPeers(r)), job)
+	end() // before the answer: once the caller has it, the trace is gone
 	if err != nil {
-		httpAbortOrError(w, r, http.StatusInternalServerError, err)
+		httpAbortOrError(w, r, computeStatus(err), err)
 		return
 	}
 	data, err := sim.EncodeOutcome(out)
@@ -559,6 +571,37 @@ func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data)
+}
+
+// borrowTrace counts one more borrowed arm in flight over key's trace and
+// returns the call that ends it: the last borrowed arm to end releases the
+// trace from the engine's memo (sim.Engine.ReleaseTrace), so a worker that
+// is not a trace's home holds it only while it serves arms of it.
+func (s *Server) borrowTrace(key sim.TraceKey) (end func()) {
+	s.bmu.Lock()
+	s.borrowed[key]++
+	s.bmu.Unlock()
+	return func() {
+		s.bmu.Lock()
+		defer s.bmu.Unlock()
+		if s.borrowed[key]--; s.borrowed[key] == 0 {
+			delete(s.borrowed, key)
+			s.eng.ReleaseTrace(key)
+		}
+	}
+}
+
+// computeStatus is the status of a failed simulation: 400 when the arm
+// asks for a machine that can never issue its mini-graphs — refused by the
+// local engine or, through the coordinator, with a 400 by a worker — and
+// 500 otherwise.
+func computeStatus(err error) int {
+	var ue *uarch.UnissuableError
+	var se *StatusError
+	if errors.As(err, &ue) || errors.As(err, &se) && se.Status == http.StatusBadRequest {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -585,7 +628,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	outs, err := s.runSweep(r.Context(), req.Jobs, jobs, nil)
 	if err != nil {
-		httpAbortOrError(w, r, http.StatusInternalServerError, err)
+		httpAbortOrError(w, r, computeStatus(err), err)
 		return
 	}
 	writeReport(w, SweepReport(req, outs))

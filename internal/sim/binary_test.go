@@ -223,3 +223,27 @@ func TestEvictBinaryDropsAliases(t *testing.T) {
 		t.Error("the re-sourced binary is not served under the key that asked")
 	}
 }
+
+// TestReleaseTraceKeepsAnotherAliasesBinary: a worker that borrowed one
+// recipe's trace gives it back with ReleaseTrace, but a binary another of
+// its recipes aliases stays resident; releasing the last alias drops it.
+func TestReleaseTraceKeepsAnotherAliasesBinary(t *testing.T) {
+	a, b := aliasJobs()
+	e := New(2)
+	if _, err := e.Run(context.Background(), []SimJob{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	ta, tb := a.Key().TraceKey(), b.Key().TraceKey()
+	held := e.Stats().TraceResidentBytes
+	e.ReleaseTrace(ta)
+	if _, ok := e.memoTrace(ta); ok {
+		t.Error("the released alias still resolves to a trace")
+	}
+	if _, ok := e.memoTrace(tb); !ok || e.Stats().TraceResidentBytes != held {
+		t.Fatalf("releasing one alias dropped the binary another holds (resident %d, was %d)", e.Stats().TraceResidentBytes, held)
+	}
+	e.ReleaseTrace(tb)
+	if got := e.Stats().TraceResidentBytes; got != 0 {
+		t.Errorf("%d bytes resident after releasing every alias", got)
+	}
+}

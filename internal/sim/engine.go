@@ -733,12 +733,14 @@ func buildProgram(pr *Prepared, key TraceKey) (*isa.Program, []*core.Template, *
 // captureTrace returns key's alias of its binary and the binary's
 // memoized trace, rewriting the program at most once per TraceKey and
 // sourcing the trace at most once per binary (see sourceTrace for where it
-// comes from) no matter how many arms ask. Like Prepare, the computes take
-// a worker slot and callers must not hold one. The slot a rewrite took
-// passes straight to the capture of its binary when this caller leads
-// that too: queueing for a second slot would start every capture behind
-// the replays already waiting, and lengthen the sweep. No slot is held
-// while waiting on another key's capture.
+// comes from) no matter how many arms ask. An arm whose machine can never
+// issue one of the rewrite's mini-graphs is refused between the two (see
+// issuable), so it costs an extraction, never a capture. Like Prepare, the
+// computes take a worker slot and callers must not hold one. The slot a
+// rewrite took passes straight to the capture of its binary when this
+// caller leads that too: queueing for a second slot would start every
+// capture behind the replays already waiting, and lengthen the sweep. No
+// slot is held while waiting on another key's capture.
 func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*capturedTrace, *trace.Trace, error) {
 	tk := key.TraceKey()
 	held := false
@@ -762,6 +764,9 @@ func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*c
 			return &capturedTrace{prog: prog, templates: templates, sel: sel, id: binaryID(prog, templates, tk.Limit)}, nil
 		})
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := issuable(key, ct.templates); err != nil {
 		return nil, nil, err
 	}
 	tr, err := singleflight(e, ctx, e.bins, ct.id, &e.traceHits, release,
@@ -790,10 +795,43 @@ func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*c
 	return ct, tr, nil
 }
 
+// issuable refuses an arm whose machine can never issue one of its
+// binary's mini-graphs (uarch.Config.CheckIssuable): its pipeline would
+// spin until the context expired. The error wraps *uarch.UnissuableError.
+func issuable(key SimKey, templates []*core.Template) error {
+	if key.Baseline {
+		return nil
+	}
+	if err := key.Config.CheckIssuable(newMGT(key, templates)); err != nil {
+		return fmt.Errorf("sim: %s: %w", key.Prepare.Bench, err)
+	}
+	return nil
+}
+
+// ReleaseTrace lets go of key's trace where this engine only borrowed it
+// for a few arms: key's alias is forgotten, and so is its binary's trace
+// unless another recipe this engine holds aliases the same binary (see
+// evictTrace). A later arm re-sources the trace from the store or a peer.
+// In-flight replays keep the trace they hold.
+func (e *Engine) ReleaseTrace(key TraceKey) {
+	e.mu.Lock()
+	if a, ok := e.traces[key]; ok && isDone(a) && a.err == nil {
+		id := a.val.id
+		if others := slices.DeleteFunc(slices.Clone(e.aliases[id]), func(k TraceKey) bool { return k == key }); len(others) > 0 {
+			delete(e.traces, key)
+			e.aliases[id] = others
+			e.mu.Unlock()
+			return
+		}
+	}
+	e.mu.Unlock()
+	e.evictTrace(key)
+}
+
 // evictTrace drops the completed trace of key's binary, and every alias
 // of that binary, from the in-memory cache so the next captureTrace
 // re-sources (or reloads) it — the recovery path after a replay lost a
-// chunk mid-flight.
+// chunk mid-flight, and how ReleaseTrace gives a borrowed trace back.
 func (e *Engine) evictTrace(key TraceKey) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1195,6 +1233,9 @@ func (e *Engine) simulateLive(ctx context.Context, key SimKey, cfgName string, p
 	defer e.release()
 	prog, templates, sel, err := buildProgram(pr, key.TraceKey())
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := issuable(key, templates); err != nil {
 		return nil, nil, err
 	}
 	res, err := uarch.New(key.Config, prog, newMGT(key, templates)).Run(ctx)

@@ -263,7 +263,21 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 		failAll(err)
 		return
 	}
-	ct, tr, err := e.captureTrace(ctx, pending[0].key, pr)
+	// captureTrace refuses an arm whose machine cannot issue the binary's
+	// mini-graphs; that fails the arm, not its gang.
+	var ct *capturedTrace
+	var tr *trace.Trace
+	for {
+		ct, tr, err = e.captureTrace(ctx, pending[0].key, pr)
+		var ue *uarch.UnissuableError
+		if !errors.As(err, &ue) {
+			break
+		}
+		e.fulfill(pending[0], nil, err)
+		if pending = pending[1:]; len(pending) == 0 {
+			return
+		}
+	}
 	if err != nil {
 		failAll(err)
 		return
@@ -282,6 +296,10 @@ func (e *Engine) runGang(ctx context.Context, g *gang) {
 	defer func() { e.noteWindow(gr.WindowStats()) }()
 	arms := make([]*gangArm, 0, len(pending))
 	for _, m := range pending {
+		if err := issuable(m.key, ct.templates); err != nil {
+			e.fulfill(m, nil, err)
+			continue
+		}
 		cur := gr.Cursor(m.key.Config.MaxRecords)
 		arms = append(arms, &gangArm{m: m, cur: cur, p: uarch.NewWithSource(m.key.Config, newMGT(m.key, ct.templates), cur)})
 	}

@@ -226,14 +226,7 @@ func NewWithSource(cfg Config, mgt *core.MGT, src TraceSource) *Pipeline {
 	p.l2 = cache.New(cfg.L2, nil, p.bus)
 	p.icache = cache.New(cfg.ICache, p.l2, nil)
 	p.dcache = cache.New(cfg.DCache, p.l2, nil)
-	p.window = sched.NewWindow(cfg.WindowHorizon, sched.Capacities{
-		sched.ResALU:    cfg.IntALUs,
-		sched.ResAP:     cfg.APs,
-		sched.ResLoad:   cfg.LoadPorts,
-		sched.ResStore:  cfg.StorePorts,
-		sched.ResFP:     cfg.FPUnits,
-		sched.ResWrPort: cfg.RFWritePorts,
-	})
+	p.window = cfg.window()
 	for i := 0; i < cfg.APs; i++ {
 		p.aps = append(p.aps, alupipe.New(cfg.APDepth))
 	}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Service smoke test: boots a coordinator + 2 workers, submits one async
 # sweep through the job API, polls it to completion, and checks the
-# report. Exercises the full trace-affinity sharding path end-to-end with
-# nothing but the built binary and curl.
+# report. Exercises the coordinator's trace placement (the home captures,
+# the second choice borrows) end-to-end with nothing but the built binary
+# and curl.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
