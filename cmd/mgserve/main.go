@@ -8,20 +8,14 @@
 //
 //	mgserve [-addr :8347] [-cache-dir DIR] [-cache-max-bytes N] [-scrub]
 //	        [-parallel N] [-max-sweep-jobs N]
-//	        [-trace-chunk-records N] [-trace-chunk-window N] [-trace-compress]
 //	        [-workers URL,URL,...] [-coordinator] [-member-ttl D] [-fanout N]
 //	        [-register URL -advertise URL [-heartbeat D]]
 //	        [-rate-limit N] [-rate-burst N] [-max-inflight-sweeps N]
 //	        [-max-body-bytes N] [-job-queue N] [-job-runners N]
 //
-// How sweep arms sharing a captured trace execute is not a flag: with
-// -cache-dir and -trace-chunk-window they replay chunks spilled to the
-// store, and execute as gangs — their pipelines interleave over one
-// traversal, so each chunk is faulted in once per gang instead of once per
-// arm; a server whose traces are resident replays every arm on its own
-// cursor, which is the faster path there. Reports are byte-identical
-// either way and /statsz's gang counters show which one ran. In
-// coordinator mode workers see arms one at a time, so nothing gangs.
+// How sweep arms sharing a captured trace execute is not a flag: every
+// trace a server holds is resident in memory, and each arm replays it on
+// its own cursor. In coordinator mode workers see arms one at a time.
 //
 // With -workers (static members) or -coordinator (dynamic membership) the
 // process runs as a coordinator: sweep arms are placed on the worker
@@ -37,10 +31,9 @@
 // (GET /v1/blobs/{traceKey}?manifest=1, then ?chunk=N) with per-chunk
 // damage rejection and resume across peers.
 //
-// Traces persist and move in fixed-size chunks (-trace-chunk-records per
-// chunk); -trace-chunk-window bounds how many chunks each replay cursor
-// keeps resident, letting traces larger than RAM replay from the store,
-// and -trace-compress flate-compresses chunks at rest and on the wire.
+// With -cache-dir a captured trace persists as one store segment: its
+// chunk frames and its manifest, published by one rename. The same frames
+// are what a peer fetches.
 //
 // -rate-limit/-rate-burst and -max-inflight-sweeps bound traffic ahead of
 // the compute endpoints (429 and 503 with Retry-After); -max-body-bytes
@@ -103,9 +96,6 @@ func main() {
 	maxBody := flag.Int64("max-body-bytes", 0, "max request body bytes before 413 (0 = 8MiB, negative = uncapped)")
 	jobQueue := flag.Int("job-queue", serve.DefaultJobQueue, "max queued async jobs")
 	jobRunners := flag.Int("job-runners", serve.DefaultJobRunners, "async jobs executed concurrently")
-	chunkRecords := flag.Int64("trace-chunk-records", 0, "records per trace chunk, rounded up to a power of two (0 = 64Ki)")
-	chunkWindow := flag.Int("trace-chunk-window", 0, "max trace chunks resident per replay cursor (0 = unbounded; bounding requires -cache-dir)")
-	traceCompress := flag.Bool("trace-compress", false, "flate-compress trace chunks at rest and on the wire (CRCs stay over raw records)")
 	flag.Parse()
 
 	usageExit := func(msg string) {
@@ -114,15 +104,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *chunkWindow > 0 && *cacheDir == "" {
-		// Captures only spill to a store: without one every trace stays
-		// fully resident and the bound would silently not be in force.
-		usageExit("-trace-chunk-window requires -cache-dir")
-	}
-	eng := sim.New(*parallel).
-		WithTraceChunkRecords(*chunkRecords).
-		WithTraceChunkWindow(*chunkWindow).
-		WithTraceCompression(*traceCompress)
+	eng := sim.New(*parallel)
 	var st *store.Store
 	if *cacheDir != "" {
 		var err error

@@ -226,7 +226,9 @@ func TestEvictBinaryDropsAliases(t *testing.T) {
 
 // TestReleaseTraceKeepsAnotherAliasesBinary: a worker that borrowed one
 // recipe's trace gives it back with ReleaseTrace, but a binary another of
-// its recipes aliases stays resident; releasing the last alias drops it.
+// its recipes aliases stays resident, and the released alias, which keeps
+// its recipe, still resolves through it; releasing the last alias drops
+// the binary's trace.
 func TestReleaseTraceKeepsAnotherAliasesBinary(t *testing.T) {
 	a, b := aliasJobs()
 	e := New(2)
@@ -236,8 +238,8 @@ func TestReleaseTraceKeepsAnotherAliasesBinary(t *testing.T) {
 	ta, tb := a.Key().TraceKey(), b.Key().TraceKey()
 	held := e.Stats().TraceResidentBytes
 	e.ReleaseTrace(ta)
-	if _, ok := e.memoTrace(ta); ok {
-		t.Error("the released alias still resolves to a trace")
+	if _, ok := e.memoTrace(ta); !ok {
+		t.Error("the released alias does not resolve while another alias holds its binary")
 	}
 	if _, ok := e.memoTrace(tb); !ok || e.Stats().TraceResidentBytes != held {
 		t.Fatalf("releasing one alias dropped the binary another holds (resident %d, was %d)", e.Stats().TraceResidentBytes, held)
@@ -245,5 +247,58 @@ func TestReleaseTraceKeepsAnotherAliasesBinary(t *testing.T) {
 	e.ReleaseTrace(tb)
 	if got := e.Stats().TraceResidentBytes; got != 0 {
 		t.Errorf("%d bytes resident after releasing every alias", got)
+	}
+	for _, tk := range []TraceKey{ta, tb} {
+		if _, ok := e.memoTrace(tk); ok {
+			t.Error("an alias resolves to a trace after every alias was released")
+		}
+	}
+}
+
+// TestReleaseTraceKeepsTheRecipe: a borrow, a release and a second borrow
+// of one key share the key's alias — one rewrite serves both borrows — and
+// the second borrow, like the first, sources the trace from the store,
+// never by capturing.
+func TestReleaseTraceKeepsTheRecipe(t *testing.T) {
+	a, _ := aliasJobs()
+	ctx := context.Background()
+	dir := t.TempDir()
+	// The trace's home captures it and publishes it to the store.
+	if _, err := New(1).WithStore(openStore(t, dir)).Simulate(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	e := New(1).WithStore(openStore(t, dir))
+	tk := a.Key().TraceKey()
+	alias := func() *call[*capturedTrace] {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.traces[tk]
+	}
+	borrow := func(latency int) {
+		t.Helper()
+		arm := a
+		arm.Config.MemLatency += latency // a machine the store has no outcome for
+		if _, err := e.Simulate(ctx, arm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	borrow(40)
+	first := alias()
+	e.ReleaseTrace(tk)
+	if alias() != first {
+		t.Fatal("the release dropped the key's alias")
+	}
+	if got := e.Stats().TraceResidentBytes; got != 0 {
+		t.Fatalf("%d bytes resident after the release", got)
+	}
+	borrow(80)
+	if alias() != first {
+		t.Error("the second borrow rewrote the binary")
+	}
+	if st := e.Stats(); st.TraceStoreHits != 2 || st.TraceCaptures != 0 {
+		t.Errorf("want both borrows sourced from the store: %+v", st)
+	}
+	if _, ok := e.memoTrace(tk); !ok {
+		t.Error("the re-borrowed trace is not served under its key")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"minigraph/internal/store"
-	"minigraph/internal/trace"
 )
 
 // crashBudget measures what crashScript stores — its traces' segments
@@ -22,9 +21,7 @@ import (
 // smallest segment short of all of it: it holds three of the four traces
 // and the outcomes, so publishing the last file evicts the least recently
 // used one. Measured rather than fixed, so no change to how large a trace
-// is stored can turn the budget into one that evicts nothing. It must
-// also admit the size hint a segment is opened under (its rows ×
-// MaxRecordBytes), or the store refuses every segment up front.
+// is stored can turn the budget into one that evicts nothing.
 func crashBudget(t *testing.T, jobs []SimJob) int64 {
 	t.Helper()
 	dir := t.TempDir()
@@ -46,13 +43,7 @@ func crashBudget(t *testing.T, jobs []SimJob) int64 {
 	if len(segs) != 4 {
 		t.Fatalf("crashScript's jobs stored %d trace segments, want 4", len(segs))
 	}
-	budget := st.Stats().Bytes - slices.Min(segs)/2
-	for _, job := range jobs {
-		if hint := job.Config.MaxRecords * trace.MaxRecordBytes; hint > budget {
-			t.Fatalf("a budget of %d bytes refuses a %d-record segment up front (hint %d bytes)", budget, job.Config.MaxRecords, hint)
-		}
-	}
-	return budget
+	return st.Stats().Bytes - slices.Min(segs)/2
 }
 
 type opKind int
@@ -210,17 +201,11 @@ func tears(rng *rand.Rand, ops []fsOp) map[int]int {
 	return torn
 }
 
-// crashJobs is storeJobs cut to 1000 records (four 256-record chunks a
-// trace) plus a second arm over the mini-graph sha trace, which replays
-// that trace from its stored segment. A segment is opened under a size
-// hint of its rows × MaxRecordBytes, several times what rows take, so the
-// traces are short enough that their fixed cost — the manifest's static
-// table — lets four of them outweigh one hint (see crashBudget).
+// crashJobs is storeJobs (3000 records, twelve 256-record chunks a trace)
+// plus a second arm over the mini-graph sha trace, which replays that
+// trace from its stored segment.
 func crashJobs() []SimJob {
 	jobs := storeJobs()
-	for i := range jobs {
-		jobs[i].Config.MaxRecords = 1000
-	}
 	arm := jobs[1]
 	arm.Config.MemLatency += 40
 	return append(jobs, arm)
@@ -267,11 +252,11 @@ func rotOutcome(t *testing.T, fsys store.FS, root string, job SimJob) {
 }
 
 // crashScript is the workload whose operations the crash test replays. A
-// cold engine captures every trace through a bounded chunk window, each
-// published as a segment, and writes every outcome through, under a budget
-// that evicts; bit rot then damages one stored outcome and a scrub deletes
-// it; a fresh store and engine then reopen the directory and answer the
-// sweep from what is left, recomputing the rest.
+// cold engine with a bounded chunk window captures every trace, publishes
+// each as a segment and replays it spilled, and writes every outcome
+// through, under a budget that evicts; bit rot then damages one stored
+// outcome and a scrub deletes it; a fresh store and engine then reopen the
+// directory and answer the sweep from what is left, recomputing the rest.
 func crashScript(t *testing.T, fsys store.FS, dir string, jobs []SimJob, budget int64) {
 	t.Helper()
 	ctx := context.Background()

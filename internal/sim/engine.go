@@ -60,15 +60,13 @@ type Engine struct {
 	// between workers when membership changes re-route an arm.
 	traceFetch func(ctx context.Context, key TraceKey) (*trace.Trace, error)
 
-	// Chunked-trace policy (see WithTraceChunkRecords and friends).
-	// chunkRecords overrides the capture chunk geometry (0: trace package
-	// default); chunkWindow bounds each replay reader's resident spilled
-	// chunks (0: unbounded — traces stay fully resident in memory, the
-	// pre-chunking behavior); traceCompress DEFLATE-compresses chunk
-	// payloads persisted to the store.
-	chunkRecords  int64
-	chunkWindow   int
-	traceCompress bool
+	// Chunked-trace policy (see WithTraceChunkRecords and
+	// WithTraceChunkWindow). chunkRecords overrides the capture chunk
+	// geometry (0: trace package default); chunkWindow bounds each replay
+	// reader's resident chunks of a trace held spilled behind the store
+	// (0: unbounded — traces stay fully resident in memory).
+	chunkRecords int64
+	chunkWindow  int
 
 	mu     sync.Mutex
 	preps  map[PrepareKey]*call[*Prepared]
@@ -81,7 +79,8 @@ type Engine struct {
 	// full-run capture is tens of MB), so unlike outcomes they are LRU-
 	// bounded, per binary: traceSizes/traceOrder track completed entries
 	// and evict the least recently touched beyond traceMaxBytes, dropping
-	// every alias of the victim with it (aliases lists them). Evicting only
+	// every alias of the victim with it (aliases lists them; an alias that
+	// ReleaseTrace unlisted stays, holding no trace). Evicting only
 	// drops the map references — in-flight replays hold the immutable trace
 	// directly, and a re-request recaptures (or reloads from the store).
 	// Nothing else outlives a replay: the memoized Outcome of a finished
@@ -289,14 +288,14 @@ func (e *Engine) WithTraceChunkRecords(n int64) *Engine {
 	return e
 }
 
-// WithTraceChunkWindow bounds each replay reader's resident spilled
-// chunks to n (<= 0: unbounded, the fully resident pre-chunking
-// behavior). With a store attached and a bounded window, captures spill
-// sealed chunks straight to the store and replays fault them back in on
-// demand, so a sweep over a trace far larger than RAM runs in
-// n × chunk bytes per reader; a gang shares one of max(n, lag chunks) —
-// see trace.NewGangReaderWindowed. Reports are byte-identical either way.
-// Set before submitting jobs; e is returned for chaining.
+// WithTraceChunkWindow bounds each replay reader's resident chunks to n
+// (<= 0: unbounded, the fully resident behavior). With a store attached
+// and a bounded window, every trace — captured, loaded or fetched from a
+// peer — is held spilled once its segment is published, and replays fault
+// its chunks back in on demand in n × chunk bytes per reader; a gang
+// shares one window of max(n, lag chunks) — see
+// trace.NewGangReaderWindowed. Reports are byte-identical either way. Set
+// before submitting jobs; e is returned for chaining.
 func (e *Engine) WithTraceChunkWindow(n int) *Engine {
 	if n < 0 {
 		n = 0
@@ -307,19 +306,10 @@ func (e *Engine) WithTraceChunkWindow(n int) *Engine {
 
 // boundedReplay reports which of the engine's two replay regimes is in
 // force: resident (false — a trace lives whole in the in-memory LRU) or
-// spilled (true — captures spill sealed chunks to the store, adopted
-// traces are held as manifests over it, readers fault chunks in through
-// the window). It is also all that selects gang replay (see planGangs).
+// spilled (true — a trace whose segment the store holds is kept as a
+// manifest over it, and readers fault chunks in through the window). It
+// is also all that selects gang replay (see planGangs).
 func (e *Engine) boundedReplay() bool { return e.store != nil && e.chunkWindow > 0 }
-
-// WithTraceCompression toggles DEFLATE compression of chunk payloads
-// persisted to the store (off by default). The chunk CRC is always of the
-// raw rows, so compressed and raw entries verify identically. Set before
-// submitting jobs; e is returned for chaining.
-func (e *Engine) WithTraceCompression(on bool) *Engine {
-	e.traceCompress = on
-	return e
-}
 
 // noteWindow folds one finished reader's chunk-window activity into the
 // engine counters.
@@ -497,30 +487,19 @@ func (e *Engine) TraceManifest(key TraceKey) ([]byte, bool) {
 func (e *Engine) TraceChunk(key TraceKey, index int64) ([]byte, bool) {
 	if tr, ok := e.memoTrace(key); ok {
 		if raw, err := tr.ChunkPayload(index); err == nil {
-			return trace.EncodeChunk(index, raw, e.traceCompress), true
+			return trace.EncodeChunk(index, raw, false), true
 		}
 	}
 	frame, _, err := e.storedChunk(key, index)
 	return frame, err == nil
 }
 
-// storeChunkIO moves one trace's chunks between a Trace and the engine's
-// store: it is the ChunkSink a capture spills sealed chunks through, into
-// the segment w is staging, and the ChunkSource replays fault them back in
-// from once that segment is published. Reads are safe for concurrent use
-// (the store is); a capture is the only writer.
+// storeChunkIO is the ChunkSource of a trace held spilled behind the
+// engine's store: replays fault its chunks back in from the records of the
+// trace's published segment. Safe for concurrent use (the store is).
 type storeChunkIO struct {
 	e  *Engine
 	tk TraceKey
-	w  *store.SegmentWriter // nil when only reading
-}
-
-func (s *storeChunkIO) SealChunk(index, rows int64, data []byte, crc uint32) error {
-	kb, err := EncodeTraceChunkKey(s.tk, index)
-	if err != nil {
-		return err
-	}
-	return s.e.appendRecord(s.w, kb, trace.EncodeChunk(index, data, s.e.traceCompress))
 }
 
 func (s *storeChunkIO) FetchChunk(index int64) ([]byte, error) {
@@ -809,29 +788,34 @@ func issuable(key SimKey, templates []*core.Template) error {
 }
 
 // ReleaseTrace lets go of key's trace where this engine only borrowed it
-// for a few arms: key's alias is forgotten, and so is its binary's trace
-// unless another recipe this engine holds aliases the same binary (see
-// evictTrace). A later arm re-sources the trace from the store or a peer.
-// In-flight replays keep the trace they hold.
+// for a few arms. key's alias — the rewritten program, templates and
+// selection — stays, so a later borrow re-sources only the trace, from the
+// store or a peer, and never rewrites again; but it no longer holds the
+// binary, whose trace is dropped once no other listed alias does. The
+// alias is listed again when a later arm re-sources it. In-flight replays
+// keep the trace they hold.
 func (e *Engine) ReleaseTrace(key TraceKey) {
 	e.mu.Lock()
-	if a, ok := e.traces[key]; ok && isDone(a) && a.err == nil {
-		id := a.val.id
-		if others := slices.DeleteFunc(slices.Clone(e.aliases[id]), func(k TraceKey) bool { return k == key }); len(others) > 0 {
-			delete(e.traces, key)
-			e.aliases[id] = others
-			e.mu.Unlock()
-			return
-		}
+	defer e.mu.Unlock()
+	a, ok := e.traces[key]
+	if !ok || !isDone(a) || a.err != nil {
+		return
 	}
-	e.mu.Unlock()
-	e.evictTrace(key)
+	id := a.val.id
+	e.aliases[id] = slices.DeleteFunc(e.aliases[id], func(k TraceKey) bool { return k == key })
+	if len(e.aliases[id]) > 0 {
+		return // another alias holds the binary
+	}
+	if c, ok := e.bins[id]; ok && !isDone(c) {
+		return // re-sourcing already: its waiters own it
+	}
+	e.dropBinary(id)
 }
 
 // evictTrace drops the completed trace of key's binary, and every alias
 // of that binary, from the in-memory cache so the next captureTrace
 // re-sources (or reloads) it — the recovery path after a replay lost a
-// chunk mid-flight, and how ReleaseTrace gives a borrowed trace back.
+// chunk mid-flight.
 func (e *Engine) evictTrace(key TraceKey) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -862,7 +846,11 @@ func (e *Engine) sourceTrace(ctx context.Context, key SimKey, pr *Prepared, prog
 	if tr := e.peerTier(ctx, tk); tr != nil {
 		return tr, nil
 	}
-	return e.captureTier(ctx, key, pr, prog, templates)
+	tr, err := e.capture(ctx, key, pr, prog, templates)
+	if err != nil {
+		return nil, err
+	}
+	return e.adopt(tk, tr, tierCapture)
 }
 
 // storeTier loads tk's trace from the attached store: the manifest and the
@@ -876,7 +864,7 @@ func (e *Engine) storeTier(tk TraceKey) *trace.Trace {
 	}
 	tr, err := trace.FromManifest(m, &storeChunkIO{e: e, tk: tk})
 	if err == nil {
-		tr, err = e.adopt(tk, tr, tierStore, nil)
+		tr, err = e.adopt(tk, tr, tierStore)
 	}
 	if err != nil {
 		if kb, kerr := EncodeTraceKey(tk); kerr == nil {
@@ -897,7 +885,7 @@ func (e *Engine) peerTier(ctx context.Context, tk TraceKey) *trace.Trace {
 	}
 	tr, err := e.traceFetch(ctx, tk)
 	if err == nil && tr != nil {
-		tr, err = e.adopt(tk, tr, tierPeer, nil)
+		tr, err = e.adopt(tk, tr, tierPeer)
 	}
 	if err != nil {
 		e.tracePeerRejects.Add(1)
@@ -909,47 +897,12 @@ func (e *Engine) peerTier(ctx context.Context, tk TraceKey) *trace.Trace {
 	return tr
 }
 
-// captureTier emulates key's binary. With a store and a bounded window,
-// sealed chunks spill as capture proceeds into the segment the trace will
-// be published as — the capture itself never holds more than one open
-// chunk — and adopt publishes it once the manifest is in. A trace the
-// profile says the store's budget cannot hold is refused that segment
-// before it is opened, and is captured resident.
-func (e *Engine) captureTier(ctx context.Context, key SimKey, pr *Prepared, prog *isa.Program, templates []*core.Template) (*trace.Trace, error) {
-	tk := key.TraceKey()
-	var w *store.SegmentWriter
-	var sink trace.ChunkSink
-	if e.boundedReplay() {
-		kb, err := EncodeTraceKey(tk)
-		if err != nil {
-			return nil, err
-		}
-		rows := pr.Prof.DynInsts
-		if limit := key.Config.MaxRecords; limit > 0 && limit < rows {
-			rows = limit
-		}
-		w = e.store.BeginSegment(kb, rows*trace.MaxRecordBytes)
-		defer w.Abort() // a no-op once adopt has published it
-		sink = &storeChunkIO{e: e, tk: tk, w: w}
-	}
-	tr, err := e.capture(ctx, key, pr, prog, templates, sink)
-	if err != nil {
-		return nil, err
-	}
-	if tr, err = e.adopt(tk, tr, tierCapture, w); err == nil && w != nil && w.Err() != nil && tr.Spilled() {
-		// The segment died — during the capture, or at the manifest after
-		// it — holding chunks the capture had let go of; only capturing
-		// again, resident this time, brings them back.
-		return e.capture(ctx, key, pr, prog, templates, nil)
-	}
-	return tr, err
-}
-
-// capture runs the functional emulation of key's binary into a fresh
-// trace. The profile's dynamic-instruction count sizes the chunk buffers
-// in one allocation (nop-fill rewriting preserves record counts).
-func (e *Engine) capture(ctx context.Context, key SimKey, pr *Prepared, prog *isa.Program, templates []*core.Template, sink trace.ChunkSink) (*trace.Trace, error) {
-	opts := trace.CaptureOptions{ChunkRecords: e.chunkRecords, Hint: pr.Prof.DynInsts, Sink: sink}
+// capture runs the functional emulation of key's binary into a fresh,
+// fully resident trace. The profile's dynamic-instruction count sizes the
+// chunk buffers in one allocation (nop-fill rewriting preserves record
+// counts).
+func (e *Engine) capture(ctx context.Context, key SimKey, pr *Prepared, prog *isa.Program, templates []*core.Template) (*trace.Trace, error) {
+	opts := trace.CaptureOptions{ChunkRecords: e.chunkRecords, Hint: pr.Prof.DynInsts}
 	tr, err := trace.CaptureWith(ctx, prog, newMGT(key, templates), key.Config.MaxRecords, opts)
 	if err != nil {
 		return nil, err
@@ -965,17 +918,17 @@ type tier int
 const (
 	tierStore   tier = iota // untrusted, already durable
 	tierPeer                // untrusted, in memory only
-	tierCapture             // produced here; spilled chunks staged in a segment
+	tierCapture             // produced here, in memory only
 )
 
 // adopt is the one step every tier's trace passes through on its way into
 // the engine: verify what crossed a trust boundary chunk by chunk against
-// its manifest, make what is not yet durable durable (w is the segment a
-// bounded capture spilled into, nil for every other trace), and hold the
-// result the way replay wants it — resident with an unbounded chunk window,
-// spilled behind the store with a bounded one. An error means a chunk
-// failed verification; no part of such a trace is ever replayed.
-func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier, w *store.SegmentWriter) (*trace.Trace, error) {
+// its manifest, make what is not yet durable durable (see persistTrace),
+// and hold the result the way replay wants it — resident with an unbounded
+// chunk window, spilled behind the store with a bounded one. A trace the
+// store refused stays resident either way. An error means a chunk failed
+// verification; no part of such a trace is ever replayed.
+func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier) (*trace.Trace, error) {
 	bounded := e.boundedReplay()
 	switch {
 	case from == tierCapture:
@@ -995,36 +948,38 @@ func (e *Engine) adopt(tk TraceKey, tr *trace.Trace, from tier, w *store.Segment
 			return nil, err
 		}
 	}
-	if from == tierStore || e.store == nil || !e.persistTrace(tk, tr, w) || !bounded {
+	if from == tierStore || e.store == nil || !e.persistTrace(tk, tr) || !bounded {
 		return tr, nil
 	}
 	// Durable in chunked form: hold the spilled equivalent, so residency
-	// stays bounded even right after a transfer.
+	// stays bounded even right after a capture or a transfer.
 	return trace.FromManifest(tr.Manifest(), &storeChunkIO{e: e, tk: tk})
 }
 
-// persistTrace publishes tr as one store segment: its chunks in index
-// order, then its manifest under the trace key, then the rename that makes
-// all of it visible at once — so a crash at any point before that leaves a
-// staging file and no trace, never part of one. A bounded capture has
-// spilled the chunks into w already; any other trace is resident and is
-// written whole here. Returns false if anything failed or the store's
-// budget refused the trace, in which case the store reads as a clean miss.
-func (e *Engine) persistTrace(tk TraceKey, tr *trace.Trace, w *store.SegmentWriter) bool {
+// persistTrace publishes the resident trace tr as one store segment: its
+// chunk frames in index order, each under its chunk key, then its manifest
+// under the trace key, then the rename that makes all of it visible at
+// once — so a crash at any point before that leaves a staging file and no
+// trace, never part of one. Returns false if anything failed or the
+// store's budget refused the trace, in which case the store reads as a
+// clean miss.
+func (e *Engine) persistTrace(tk TraceKey, tr *trace.Trace) bool {
 	keyBytes, err := EncodeTraceKey(tk)
 	if err != nil {
 		return false
 	}
+	w := e.store.BeginSegment(keyBytes, tr.SizeBytes())
+	defer w.Abort() // a no-op once published
 	m := tr.Manifest()
-	if w == nil {
-		w = e.store.BeginSegment(keyBytes, tr.SizeBytes())
-		defer w.Abort()
-		sink := &storeChunkIO{e: e, tk: tk, w: w}
-		for ci, c := range m.Chunks {
-			raw, err := tr.ChunkPayload(int64(ci))
-			if err != nil || sink.SealChunk(int64(ci), c.Rows, raw, c.CRC) != nil {
-				return false
-			}
+	for ci := range m.Chunks {
+		index := int64(ci)
+		raw, err := tr.ChunkPayload(index)
+		if err != nil {
+			return false
+		}
+		kb, err := EncodeTraceChunkKey(tk, index)
+		if err != nil || e.appendRecord(w, kb, trace.EncodeChunk(index, raw, false)) != nil {
+			return false
 		}
 	}
 	return e.appendRecord(w, keyBytes, trace.EncodeManifest(m)) == nil && w.Publish() == nil
@@ -1200,7 +1155,7 @@ func (e *Engine) replay(ctx context.Context, key SimKey, cfgName string, pr *Pre
 // replayResident is the last-resort recovery for replays that keep losing
 // spilled chunks: a store whose reads fail persistently, not one that
 // merely evicted an entry. It re-derives the trace fully resident — no
-// sink, no bound window, no store traffic at all — so this attempt depends
+// bound window, no store traffic at all — so this attempt depends
 // on nothing but the rewritten binary and always makes progress. The
 // resident trace is private to this call and released on return; the
 // residency bound yields to guaranteed completion for exactly this job.
@@ -1213,7 +1168,7 @@ func (e *Engine) replayResident(ctx context.Context, key SimKey, cfgName string,
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := e.capture(ctx, key, pr, prog, templates, nil)
+	tr, err := e.capture(ctx, key, pr, prog, templates)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -79,6 +79,46 @@ func TestBoundedMemorySweep(t *testing.T) {
 	}
 }
 
+// TestStoredTraceIndependentOfReplayRegime: a resident engine and a
+// bounded-window one publish a captured trace as the same segment, byte for
+// byte, so a cold engine or a peer reads the same bytes whichever regime
+// wrote them; right after the capture the bounded engine holds the trace
+// spilled behind the store, the resident one holds it in memory.
+func TestStoredTraceIndependentOfReplayRegime(t *testing.T) {
+	job := storeJobs()[1] // sha, mini-graphs: twelve 256-record chunks
+	stored := func(window int) ([]byte, int64) {
+		t.Helper()
+		dir := t.TempDir()
+		e := New(2).WithStore(openStore(t, dir)).WithTraceChunkRecords(testChunkRecords).WithTraceChunkWindow(window)
+		if _, err := e.Simulate(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		var segs [][]byte
+		filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+			if err == nil && filepath.Ext(p) == store.SegExt {
+				data, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segs = append(segs, data)
+			}
+			return nil
+		})
+		if len(segs) != 1 {
+			t.Fatalf("window %d: the job stored %d segments, want 1", window, len(segs))
+		}
+		return segs[0], e.Stats().TraceResidentBytes
+	}
+	resident, held := stored(0)
+	bounded, heldBounded := stored(testChunkWindow)
+	if !bytes.Equal(resident, bounded) {
+		t.Errorf("the segments differ: %d bytes resident, %d bytes bounded", len(resident), len(bounded))
+	}
+	if held == 0 || heldBounded != 0 {
+		t.Errorf("resident bytes after the capture: %d resident (want > 0), %d bounded (want 0)", held, heldBounded)
+	}
+}
+
 // warmChunked captures one job's trace in chunked form into dir and
 // returns the trace key plus its manifest as persisted.
 func warmChunked(t *testing.T, dir string, job SimJob) (TraceKey, trace.Manifest) {
@@ -274,8 +314,8 @@ func TestChunkCrashConsistency(t *testing.T) {
 }
 
 // TestChunkWriteFaultsReportInvariant is the chunk-level counterpart of
-// TestEngineStoreFaultsReportInvariant: with capture spilling every sealed
-// chunk through a fault-injecting store — so individual chunk writes are
+// TestEngineStoreFaultsReportInvariant: with every trace published chunk
+// by chunk through a fault-injecting store — so individual chunk writes are
 // torn, flipped, and truncated mid-stream — repeated bounded-window runs
 // stay byte-identical to the fault-free reference, and a scrub
 // leaves a store a clean engine reproduces the same bytes from.

@@ -9,7 +9,6 @@ import (
 
 	"minigraph/internal/core"
 	"minigraph/internal/store"
-	"minigraph/internal/trace"
 	"minigraph/internal/uarch"
 	"minigraph/internal/workload"
 )
@@ -253,7 +252,7 @@ func TestEngineStoreKeyCanonicalization(t *testing.T) {
 }
 
 // segmentBytes returns the size of the segment job's trace is stored as,
-// spilled at the test chunk geometry into an unbounded store.
+// published at the test chunk geometry into an unbounded store.
 func segmentBytes(t *testing.T, job SimJob) int64 {
 	t.Helper()
 	dir := t.TempDir()
@@ -278,51 +277,32 @@ func segmentBytes(t *testing.T, job SimJob) int64 {
 // is refused as the unit it is stored as — one RejectedPuts, however many
 // chunks it has and however small each is — rather than admitted chunk by
 // chunk until it has evicted the whole store, its own head included. The
-// much smaller outcome entries still persist, nothing is evicted, no
-// staging file is left, and a cold engine answers from the outcomes without
-// recapturing. Each budget is derived from the size the trace's segment
-// measures in an unbounded store (sha's ~5 KB static table in the manifest
-// plus the rows) and the up-front hint it is opened under (records ×
-// MaxRecordBytes), and the case's premise about the three is checked, so
-// no change to how large a trace is stored can quietly make it fit.
+// trace is captured once and stays resident, under either replay regime;
+// the much smaller outcome entry still persists, nothing is evicted, no
+// staging file is left, and a cold engine answers from the outcome without
+// recapturing. The budget is half the size the trace's segment measures
+// in an unbounded store (sha's ~5 KB static table in the manifest plus the
+// rows), so no change to how large a trace is stored can make it fit.
 func TestOversizedTraceRefusedByStore(t *testing.T) {
 	ctx := context.Background()
 	pk := PrepareKey{Bench: "sha", Input: workload.InputTrain}
+	base := uarch.Baseline()
+	base.MaxRecords = 3000
+	job := Baseline(pk, base)
+	ref, err := New(2).Simulate(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trace's segment is twice what the budget holds.
+	budget := segmentBytes(t, job) / 2
 	for _, tc := range []struct {
-		name     string
-		records  int64
-		max      func(seg, hint int64) int64
-		window   int
-		captures int64
+		name   string
+		window int
 	}{
-		// Resident: the whole trace is offered at once, at its exact size,
-		// twice what the budget holds.
-		{"resident", 3000, func(seg, _ int64) int64 { return seg / 2 }, 0, 1},
-		// Spilling: the hint says up front that it cannot fit.
-		{"spilling", 3000, func(seg, _ int64) int64 { return seg / 2 }, testChunkWindow, 1},
-		// Spilling into a budget the hint fits but the segment does not:
-		// 64 records are at most 2.3 KB of rows, but the manifest carries the
-		// static table. Only the appends find out, after the capture has let
-		// go of the chunk the dead segment held — so it captures again,
-		// resident.
-		{"spilling, found out late", 64, func(seg, hint int64) int64 { return (seg + hint) / 2 }, testChunkWindow, 2},
+		{"resident", 0},
+		{"bounded window", testChunkWindow},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := uarch.Baseline()
-			base.MaxRecords = tc.records
-			job := Baseline(pk, base)
-			ref, err := New(2).Simulate(ctx, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg, hint := segmentBytes(t, job), tc.records*trace.MaxRecordBytes
-			// The premise: the segment does not fit, and a spilling capture
-			// is refused up front (one capture) exactly when its hint does
-			// not fit either.
-			budget := tc.max(seg, hint)
-			if seg <= budget || (tc.window > 0 && (hint > budget) != (tc.captures == 1)) {
-				t.Fatalf("a %d-byte segment opened under a %d-byte hint against a %d-byte budget is not this case", seg, hint, budget)
-			}
 			dir := t.TempDir()
 			st, err := store.Open(dir, store.Options{MaxBytes: budget})
 			if err != nil {
@@ -343,8 +323,8 @@ func TestOversizedTraceRefusedByStore(t *testing.T) {
 			if ss.Entries != 1 {
 				t.Errorf("want the outcome entry alone in the store: %+v", ss)
 			}
-			if ws := warm.Stats(); ws.TraceCaptures != tc.captures || ws.StorePuts == 0 {
-				t.Errorf("warm engine stats %+v, want %d captures", ws, tc.captures)
+			if ws := warm.Stats(); ws.TraceCaptures != 1 || ws.StorePuts == 0 || ws.TraceResidentBytes == 0 {
+				t.Errorf("warm engine stats %+v, want 1 capture held resident", ws)
 			}
 			filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
 				if err == nil && !info.IsDir() && filepath.Ext(p) != store.EntryExt && filepath.Ext(p) != ".seq" {

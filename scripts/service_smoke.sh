@@ -17,12 +17,12 @@ trap cleanup EXIT
 
 go build -o "$work/mgserve" ./cmd/mgserve
 
-# A chunk window cannot bound anything without a store to spill to: the
-# flag must be refused at startup, not accepted and ignored.
+# mgserve holds every trace resident: the chunk-window flag is gone, so
+# it must be refused at startup as undefined, not accepted and ignored.
 status=0
 msg=$("$work/mgserve" -addr 127.0.0.1:18459 -trace-chunk-window 2 2>&1 >/dev/null) || status=$?
-if [ "$status" -ne 2 ] || ! grep -q -- '-trace-chunk-window requires -cache-dir' <<<"$msg"; then
-  echo "-trace-chunk-window without -cache-dir: exit $status, want 2 and a usage error; stderr:" >&2
+if [ "$status" -ne 2 ] || ! grep -q -- 'flag provided but not defined: -trace-chunk-window' <<<"$msg"; then
+  echo "-trace-chunk-window: exit $status, want 2 and an undefined-flag error; stderr:" >&2
   echo "$msg" >&2
   exit 1
 fi
