@@ -120,9 +120,9 @@ func benchSweep(b *testing.B, live bool) {
 
 // BenchmarkSweep times the multi-arm configuration sweep through the
 // trace-replay engine: one functional emulation per benchmark, N
-// independent timed replays of the resident trace. (A resident engine
-// never gangs; the two replay regimes are measured by bench/'s
-// config_sweep and store_stream workloads.)
+// independent timed replays of the resident trace. (The two replay
+// regimes are measured by bench/'s config_sweep and store_stream
+// workloads.)
 func BenchmarkSweep(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepLiveStream is the same sweep with live step-by-step

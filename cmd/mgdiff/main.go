@@ -2,8 +2,8 @@
 // programs (internal/progen) are executed by the functional emulator and by
 // the timing pipeline under the full configuration matrix — {baseline,
 // minigraph} × {hybrid, tage} × {none, delta} — and under every record
-// delivery mode (live; replay of a resident trace; gang replay of chunks
-// spilled to a scratch store, removed on exit). A seed passes when every
+// delivery mode (live; replay of a resident trace; replay of chunks spilled
+// to a scratch store, removed on exit). A seed passes when every
 // arm retires the architecturally identical state (register-write/store
 // digest and retired count), all modes produce byte-identical encoded
 // outcomes, and the rewritten binary's final memory matches the original's.
@@ -55,7 +55,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "mgdiff:", err)
 		return 1
 	}
-	defer os.RemoveAll(dir) // gang mode's scratch store
+	defer os.RemoveAll(dir) // spilled mode's scratch store
 	eng, err := progen.NewEngines(0, dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mgdiff:", err)

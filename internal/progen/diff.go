@@ -19,21 +19,22 @@ import (
 
 // Mode selects how records are delivered to the pipelines under test. The
 // oracle runs every arm under every mode: divergence in exactly one mode
-// pinpoints the delivery layer (trace codec, chunk spill and gang window,
-// live stream) rather than the pipeline.
+// pinpoints the delivery layer (trace codec, chunk spill and window, live
+// stream) rather than the pipeline.
 type Mode string
 
-// Delivery modes. Replay and gang are the engine's two replay regimes, not
-// switches: a resident engine always replays solo, and an engine bounded
-// over a store gangs every trace group of a sweep.
+// Delivery modes. Replay and spilled are the engine's two replay regimes:
+// a resident engine replays a trace held whole in memory, and an engine
+// bounded over a store replays the trace's chunks spilled to it, each arm
+// faulting them in through its own windowed cursor.
 const (
-	ModeReplay Mode = "replay" // capture once, resident trace, solo replay cursors
-	ModeLive   Mode = "live"   // step-by-step live emulation
-	ModeGang   Mode = "gang"   // chunks spilled to a store, shared-window gang replay
+	ModeReplay  Mode = "replay"  // capture once, resident trace, solo replay cursors
+	ModeLive    Mode = "live"    // step-by-step live emulation
+	ModeSpilled Mode = "spilled" // chunks spilled to a store, solo windowed cursors
 )
 
 // AllModes lists every delivery mode in canonical order.
-func AllModes() []Mode { return []Mode{ModeReplay, ModeLive, ModeGang} }
+func AllModes() []Mode { return []Mode{ModeReplay, ModeLive, ModeSpilled} }
 
 // Arm is one point of the configuration matrix.
 type Arm struct {
@@ -48,8 +49,8 @@ const MGTEntries = 512
 // Matrix returns the eight-arm configuration matrix for bench:
 // {baseline, minigraph} × {hybrid, tage} × {none, delta}. The four
 // minigraph arms share one TraceKey (and likewise the four baseline arms),
-// so gang mode actually forms gangs. maxRecords bounds each simulation
-// (0 = run to halt; generated programs always halt).
+// so four arms replay each captured trace. maxRecords bounds each
+// simulation (0 = run to halt; generated programs always halt).
 func Matrix(bench string, maxRecords int64) []Arm {
 	arms := make([]Arm, 0, 8)
 	for _, base := range []bool{true, false} {
@@ -110,17 +111,16 @@ type Engines struct {
 	byMode map[Mode]*sim.Engine
 }
 
-// Chunk geometry of the gang-mode engine: small enough that a generated
-// program's trace spans several chunks, behind the tightest window a gang
-// can run in.
+// Chunk geometry of the spilled-mode engine: small enough that a generated
+// program's trace spans several chunks, behind a window of two of them.
 const (
-	gangChunkRecords = 128
-	gangChunkWindow  = 2
+	spilledChunkRecords = 128
+	spilledChunkWindow  = 2
 )
 
 // NewEngines builds one engine per mode with the given worker-pool size.
-// dir is scratch space for the store gang mode spills its chunks to; the
-// caller owns and removes it.
+// dir is scratch space for the store spilled mode spills its chunks to;
+// the caller owns and removes it.
 func NewEngines(workers int, dir string) (*Engines, error) {
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -129,8 +129,8 @@ func NewEngines(workers int, dir string) (*Engines, error) {
 	return &Engines{byMode: map[Mode]*sim.Engine{
 		ModeReplay: sim.New(workers),
 		ModeLive:   sim.New(workers).WithLiveStream(true),
-		ModeGang: sim.New(workers).WithStore(st).
-			WithTraceChunkRecords(gangChunkRecords).WithTraceChunkWindow(gangChunkWindow),
+		ModeSpilled: sim.New(workers).WithStore(st).
+			WithTraceChunkRecords(spilledChunkRecords).WithTraceChunkWindow(spilledChunkWindow),
 	}}, nil
 }
 
@@ -145,7 +145,7 @@ type reference struct {
 //     functional emulator's digest over the same binary, and the retired
 //     record count must equal the emulator's.
 //  2. Across modes, each arm's encoded outcome must be byte-identical —
-//     live, resident replay and gang-over-spilled-chunks delivery must be
+//     live, resident replay and spilled-chunk delivery must be
 //     indistinguishable.
 //  3. Across binaries, the rewritten program's final memory image must
 //     equal the original's (the transparency claim; registers may
@@ -206,8 +206,8 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 		return mgRef
 	}
 
-	// Run the whole matrix under each mode; the bounded engine forms a gang
-	// per TraceKey (arms interleave over one traversal of spilled chunks).
+	// Run the whole matrix under each mode; on the bounded engine every arm
+	// streams its trace's spilled chunks through its own window.
 	encoded := make(map[Mode][][]byte)
 	for _, m := range AllModes() {
 		jobs := make([]sim.SimJob, len(arms))

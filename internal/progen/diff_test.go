@@ -13,7 +13,7 @@ import (
 const corpusSize = 1000
 
 // testEngines builds the oracle's engine set over a scratch store that
-// lives as long as the calling test (gang mode spills its chunks there).
+// lives as long as the calling test (spilled mode spills its chunks there).
 // Engine state is keyed by benchmark name (which embeds the seed), so the
 // concurrent seeds of one test never collide.
 func testEngines(tb testing.TB) *Engines {
@@ -63,21 +63,18 @@ func TestDifferentialCorpus(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	st := eng.byMode[ModeGang].Stats()
-	t.Logf("gang mode: %d chunk faults, %d chunk evictions, window peak %d bytes",
+	st := eng.byMode[ModeSpilled].Stats()
+	t.Logf("spilled mode: %d chunk faults, %d chunk evictions, window peak %d bytes",
 		st.TraceChunkFaults, st.TraceChunkEvictions, st.TraceChunkWindowPeakBytes)
 	// The modes must have been the delivery paths they are named for: every
-	// arm of every seed in a gang (each seed's baseline and mini-graph
-	// trace groups form one gang apiece, or two where the worker pool is
-	// wide enough for planGangs to split them) streaming spilled chunks
-	// through a window that had to evict, and not one gang on the resident
-	// engine.
-	if st := eng.byMode[ModeGang].Stats(); st.GangArms != 8*n || st.GangsFormed < 2*n || st.GangsFormed > 4*n ||
-		st.TraceChunkFaults == 0 || st.TraceChunkEvictions == 0 {
-		t.Errorf("gang mode did not gang over spilled chunks: %+v", st)
+	// arm of every seed simulated on the spilled engine, streaming its
+	// trace's chunks through a window that had to evict, and not one chunk
+	// fault on the resident engine.
+	if st.SimRuns != 8*n || st.TraceChunkFaults == 0 || st.TraceChunkEvictions == 0 {
+		t.Errorf("spilled mode did not replay spilled chunks: %+v", st)
 	}
-	if st := eng.byMode[ModeReplay].Stats(); st.GangsFormed != 0 || st.TraceChunkFaults != 0 {
-		t.Errorf("replay mode was not solo over resident traces: %+v", st)
+	if st := eng.byMode[ModeReplay].Stats(); st.TraceChunkFaults != 0 {
+		t.Errorf("replay mode was not over resident traces: %+v", st)
 	}
 }
 

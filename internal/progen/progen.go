@@ -15,7 +15,8 @@
 // fault. The generator emits assembly text through the same parser the
 // hand-written benchmark kernels use — a generated program is a first-class
 // workload, registered in the workload registry and simulated through the
-// full memoizing engine (capture, replay, gang replay, store round-trips).
+// full memoizing engine (capture, replay, spilled replay, store
+// round-trips).
 package progen
 
 import (

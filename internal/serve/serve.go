@@ -217,13 +217,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // fires as each arm completes, from that arm's goroutine. specs and jobs
 // are index-aligned.
 //
-// How the local engine executes arms sharing a captured trace is its own
-// choice (sim.Engine.RunEach): as gangs when its replay is window-bounded
-// over a store, on independent cursors otherwise. Reports are
-// byte-identical either way and /statsz's gang counters (gangs_formed,
-// gang_arms, gang_shared_records, gang_fallback_solo) show which ran. In
-// coordinator mode arms reach each worker one at a time through
-// /v1/outcome, so nothing gangs there.
+// The local engine runs every arm through Simulate (sim.Engine.RunEach):
+// arms sharing a captured trace replay it on independent cursors, whether
+// the trace is resident or spilled behind a store.
 func (s *Server) runSweep(ctx context.Context, specs []JobSpec, jobs []sim.SimJob, onDone func(int, *sim.Outcome)) ([]*sim.Outcome, error) {
 	if s.coord != nil {
 		return s.coord.Run(ctx, specs, jobs, onDone)

@@ -116,11 +116,6 @@ type Engine struct {
 	chunkWindowPeak atomic.Int64 // max over any single reader window
 	chunkRecaptures atomic.Int64
 
-	gangsFormed atomic.Int64
-	gangArmsRun atomic.Int64
-	gangShared  atomic.Int64
-	gangSolo    atomic.Int64
-
 	// Front-end counters summed over pipeline simulations executed
 	// in-process (store and cache hits do not re-count).
 	feCondBranches atomic.Int64
@@ -193,7 +188,7 @@ type Stats struct {
 	// Chunk-residency counters. TraceChunkFaults counts spilled chunks
 	// faulted in through reader windows (and TraceChunkEvictions the
 	// window evictions that made room); TraceChunkWindowPeakBytes is the
-	// largest resident footprint any one reader's or gang's window reached;
+	// largest resident footprint any one reader's window reached;
 	// TraceResidentBytes is the chunk payload currently held by the
 	// in-memory trace cache (what the LRU budget accounts);
 	// TraceChunkRecaptures counts replays that lost a chunk mid-flight
@@ -211,15 +206,14 @@ type Stats struct {
 	TracePeerHits    int64 `json:"trace_peer_hits,omitempty"`
 	TracePeerRejects int64 `json:"trace_peer_rejects,omitempty"`
 
-	// Gang-replay counters (see internal/sim/gang.go). GangsFormed counts
-	// gangs actually run; GangArms the arms those gangs carried (mean gang
-	// size = GangArms/GangsFormed); GangSharedRecords the records arms read
-	// from chunks their gang's window already held (a solo arm faults them);
-	// GangFallbackSolo the singleton trace-groups run the independent way.
-	GangsFormed       int64 `json:"gangs_formed"`
-	GangArms          int64 `json:"gang_arms"`
-	GangSharedRecords int64 `json:"gang_shared_records"`
-	GangFallbackSolo  int64 `json:"gang_fallback_solo"`
+	// GangsFormed, GangArms and GangSharedRecords always read 0: every arm
+	// replays on its own cursor, and no gang is formed. They stay only
+	// because the bench module still reads them; the re-baseline of
+	// ROADMAP item 5(a) drops them together with their ledger metrics.
+	// /statsz does not carry them.
+	GangsFormed       int64 `json:"-"`
+	GangArms          int64 `json:"-"`
+	GangSharedRecords int64 `json:"-"`
 
 	// Front-end counters, summed over the uarch.Results of pipeline
 	// simulations executed in-process (store hits and memoized results do
@@ -291,11 +285,10 @@ func (e *Engine) WithTraceChunkRecords(n int64) *Engine {
 // WithTraceChunkWindow bounds each replay reader's resident chunks to n
 // (<= 0: unbounded, the fully resident behavior). With a store attached
 // and a bounded window, every trace — captured, loaded or fetched from a
-// peer — is held spilled once its segment is published, and replays fault
-// its chunks back in on demand in n × chunk bytes per reader; a gang
-// shares one window of max(n, lag chunks) — see
-// trace.NewGangReaderWindowed. Reports are byte-identical either way. Set
-// before submitting jobs; e is returned for chaining.
+// peer — is held spilled once its segment is published, and every arm's
+// replay faults its chunks back in on demand through its own cursor, in
+// n × chunk bytes. Reports are byte-identical either way. Set before
+// submitting jobs; e is returned for chaining.
 func (e *Engine) WithTraceChunkWindow(n int) *Engine {
 	if n < 0 {
 		n = 0
@@ -307,8 +300,7 @@ func (e *Engine) WithTraceChunkWindow(n int) *Engine {
 // boundedReplay reports which of the engine's two replay regimes is in
 // force: resident (false — a trace lives whole in the in-memory LRU) or
 // spilled (true — a trace whose segment the store holds is kept as a
-// manifest over it, and readers fault chunks in through the window). It
-// is also all that selects gang replay (see planGangs).
+// manifest over it, and readers fault chunks in through the window).
 func (e *Engine) boundedReplay() bool { return e.store != nil && e.chunkWindow > 0 }
 
 // noteWindow folds one finished reader's chunk-window activity into the
@@ -554,16 +546,12 @@ func (e *Engine) Stats() Stats {
 		TraceResidentBytes:        resident,
 		TraceChunkRecaptures:      e.chunkRecaptures.Load(),
 
-		GangsFormed:       e.gangsFormed.Load(),
-		GangArms:          e.gangArmsRun.Load(),
-		GangSharedRecords: e.gangShared.Load(),
-		GangFallbackSolo:  e.gangSolo.Load(),
-		CondBranches:      e.feCondBranches.Load(),
-		CondMispredicts:   e.feCondMispreds.Load(),
-		Mispredicts:       e.feMispredicts.Load(),
-		PrefetchIssued:    e.fePrefIssued.Load(),
-		PrefetchUseful:    e.fePrefUseful.Load(),
-		PrefetchLate:      e.fePrefLate.Load(),
+		CondBranches:    e.feCondBranches.Load(),
+		CondMispredicts: e.feCondMispreds.Load(),
+		Mispredicts:     e.feMispredicts.Load(),
+		PrefetchIssued:  e.fePrefIssued.Load(),
+		PrefetchUseful:  e.fePrefUseful.Load(),
+		PrefetchLate:    e.fePrefLate.Load(),
 	}
 }
 
@@ -1100,8 +1088,8 @@ func newMGT(key SimKey, templates []*core.Template) *core.MGT {
 }
 
 // ranArm is the tail of the in-process pipeline runs that are one arm's
-// own — live emulation, resident recovery and gang arms: name the arm in a
-// failure, fold a result's front-end counters into the engine totals.
+// own — live emulation and resident recovery: name the arm in a failure,
+// fold a result's front-end counters into the engine totals.
 func (e *Engine) ranArm(key SimKey, cfgName string, res *uarch.Result, err error) (*uarch.Result, error) {
 	if err != nil {
 		return nil, armErr(key, cfgName, err)
@@ -1123,9 +1111,9 @@ func armErr(key SimKey, cfgName string, err error) error {
 // cursor. The pipeline runs once per (binary, canonical machine): an arm
 // whose recipe aliases another's binary shares that arm's Result, run or
 // in flight, and keeps its own selection; a shared failure is named after
-// the arm that asked. Gang arms and live emulation (a test knob) keep
-// their own pipelines and share no run: gangs form only under bounded
-// replay, and no workload there aliases.
+// the arm that asked. Under bounded replay the cursor holds at most the
+// engine's chunk window of the spilled trace. Live emulation (a test
+// knob) keeps its own pipeline and shares no run.
 func (e *Engine) replay(ctx context.Context, key SimKey, cfgName string, pr *Prepared) (*uarch.Result, *core.Selection, error) {
 	ct, tr, err := e.captureTrace(ctx, key, pr)
 	if err != nil {
@@ -1209,32 +1197,15 @@ func (e *Engine) Run(ctx context.Context, jobs []SimJob) ([]*Outcome, error) {
 // finishes successfully, from that job's goroutine (it must be safe for
 // concurrent use). Use it to stream progress during long sweeps.
 //
-// How the arms execute is the engine's choice, not the caller's: under
-// bounded replay (see boundedReplay) jobs sharing a TraceKey run as gangs,
-// one traversal of the spilled trace serving every member (see
-// internal/sim/gang.go); everything else — every job of a resident engine,
-// singleton groups, duplicates, already-cached keys — takes the plain
-// Simulate path. Outcomes are byte-identical either way.
+// Every job goes through Simulate, so arms sharing a trace share it the
+// way any concurrent Simulate callers do: one capture, then a private
+// cursor per arm (see replay).
 func (e *Engine) RunEach(ctx context.Context, jobs []SimJob, onDone func(i int, out *Outcome)) ([]*Outcome, error) {
 	outs := make([]*Outcome, len(jobs))
-	plan := e.planGangs(jobs)
-	// One fan-out carries the gang runners (which fulfill their arms' calls
-	// and have no error of their own) and then one waiter per job.
-	ng := len(plan.gangs)
-	err := FanOut(ctx, ng+len(jobs), nil, func(ctx context.Context, i int) error {
-		if i < ng {
-			e.runGang(ctx, plan.gangs[i])
-			return nil
-		}
-		j := i - ng
+	err := FanOut(ctx, len(jobs), nil, func(ctx context.Context, i int) error {
 		var err error
-		if c, ok := plan.byIndex[j]; ok {
-			outs[j], err = e.waitGangCall(ctx, c, jobs[j])
-		} else {
-			outs[j], err = e.Simulate(ctx, jobs[j])
-		}
-		if err == nil && onDone != nil {
-			onDone(j, outs[j])
+		if outs[i], err = e.Simulate(ctx, jobs[i]); err == nil && onDone != nil {
+			onDone(i, outs[i])
 		}
 		return err
 	})

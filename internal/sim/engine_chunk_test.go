@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"minigraph/internal/core"
 	"minigraph/internal/emu"
 	"minigraph/internal/isa"
 	"minigraph/internal/store"
 	"minigraph/internal/store/storetest"
 	"minigraph/internal/trace"
+	"minigraph/internal/uarch"
+	"minigraph/internal/workload"
 )
 
 // Tiny chunk geometry for tests: 3000-record captures split into 12
@@ -76,6 +81,138 @@ func TestBoundedMemorySweep(t *testing.T) {
 	capBytes := int64(testChunkWindow) * testChunkRecords * (trace.MaxRecordBytes + 1)
 	if st.TraceChunkWindowPeakBytes == 0 || st.TraceChunkWindowPeakBytes > capBytes {
 		t.Errorf("peak resident window bytes %d, want in (0, %d]", st.TraceChunkWindowPeakBytes, capBytes)
+	}
+}
+
+// latencyArms is one TraceKey group: arms over bench's mini-graph binary
+// that differ in memory latency only. maxRecords keeps the arms fast.
+func latencyArms(bench string, maxRecords int64, memLatencies ...int) []SimJob {
+	var jobs []SimJob
+	for _, ml := range memLatencies {
+		cfg := uarch.MiniGraph(true)
+		cfg.MemLatency = ml
+		cfg.MaxRecords = maxRecords
+		jobs = append(jobs, SimJob{
+			Prepare: PrepareKey{Bench: bench, Input: workload.InputTrain},
+			Policy:  core.DefaultPolicy(),
+			Entries: 512,
+			Config:  cfg,
+		})
+	}
+	return jobs
+}
+
+// configSweepJobs is a multi-bench, multi-config sweep: every bench
+// contributes one TraceKey group whose arms differ in machine config only
+// (memory latency and collapsing).
+func configSweepJobs(maxRecords int64, benches ...string) []SimJob {
+	var jobs []SimJob
+	for _, bench := range benches {
+		jobs = append(jobs, latencyArms(bench, maxRecords, 0, 140, 160)...)
+		collapse := latencyArms(bench, maxRecords, 0)[0]
+		collapse.Config.Collapse = true
+		jobs = append(jobs, collapse)
+	}
+	return jobs
+}
+
+func encodedOutcomes(t *testing.T, outs []*Outcome) [][]byte {
+	t.Helper()
+	enc := make([][]byte, len(outs))
+	for i, out := range outs {
+		var err error
+		if enc[i], err = EncodeOutcome(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return enc
+}
+
+// TestBoundedSweepMatchesSequential: a multi-bench, multi-config sweep on
+// a bounded engine, every arm replaying the spilled trace through its own
+// windowed cursor, produces outcomes byte-identical (canonical
+// EncodeOutcome bytes) to the same sweep run arm by arm over resident
+// traces, while a duplicate submission on one arm's key is canceled
+// mid-sweep, which must perturb nothing. Each bench is captured once.
+func TestBoundedSweepMatchesSequential(t *testing.T) {
+	jobs := configSweepJobs(60_000, "sha", "adpcm.enc")
+
+	wantOuts, err := New(1).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodedOutcomes(t, wantOuts)
+
+	e := chunkedEngine(t, t.TempDir())
+	// A concurrent duplicate Simulate on one arm's key joins the in-flight
+	// call as a waiter and is then canceled while the sweep runs. Its
+	// cancellation must neither fail an arm nor change any arm's bytes.
+	dupCtx, cancelDup := context.WithCancel(context.Background())
+	dupErr := make(chan error, 1)
+	var dupOnce sync.Once
+	gotOuts, err := e.RunEach(context.Background(), jobs, func(i int, out *Outcome) {
+		dupOnce.Do(func() {
+			go func() {
+				_, err := e.Simulate(dupCtx, jobs[len(jobs)-1])
+				dupErr <- err
+			}()
+			time.Sleep(5 * time.Millisecond)
+			cancelDup()
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derr := <-dupErr; derr != nil && !errors.Is(derr, context.Canceled) {
+		t.Fatalf("canceled duplicate got a non-cancellation error: %v", derr)
+	}
+	for i, got := range encodedOutcomes(t, gotOuts) {
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("arm %d (%s @ mem%d): bounded outcome differs from sequential",
+				i, jobs[i].Prepare.Bench, jobs[i].Config.MemLatency)
+		}
+	}
+
+	st := e.Stats()
+	if st.SimRuns != int64(len(jobs)) {
+		t.Errorf("sim runs %d, want %d", st.SimRuns, len(jobs))
+	}
+	if st.TraceCaptures != 2 || st.TraceReplayHits != int64(len(jobs))-2 {
+		t.Errorf("captures=%d replayHits=%d, want 2/%d", st.TraceCaptures, st.TraceReplayHits, len(jobs)-2)
+	}
+	if st.TraceChunkFaults == 0 {
+		t.Error("no chunk faults: the arms did not replay spilled")
+	}
+}
+
+// TestBoundedArmsShareOneTrace runs every arm of one TraceKey group on a
+// bounded engine, whose two workers replay the one spilled trace through
+// concurrent cursors, and checks every arm against an independently
+// computed solo outcome. CI runs it under -race: concurrent cursors over
+// one spilled trace, faulting its chunks through the store, must be
+// data-race-free against the engine's waiters.
+func TestBoundedArmsShareOneTrace(t *testing.T) {
+	jobs := latencyArms(testBench, 60_000, 0, 110, 120, 130, 140, 150, 160, 170)
+	e := chunkedEngine(t, t.TempDir())
+	outs, err := e.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.TraceCaptures != 1 || st.TraceChunkFaults == 0 {
+		t.Fatalf("captures=%d chunk faults=%d, want one capture replayed spilled", st.TraceCaptures, st.TraceChunkFaults)
+	}
+
+	solo := New(1)
+	for i, job := range jobs {
+		ref, err := solo.Simulate(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := EncodeOutcome(outs[i])
+		b, _ := EncodeOutcome(ref)
+		if !bytes.Equal(a, b) {
+			t.Errorf("arm %d (mem%d): bounded outcome differs from solo", i, job.Config.MemLatency)
+		}
 	}
 }
 

@@ -228,8 +228,7 @@ func TestEachCollectsErrors(t *testing.T) {
 
 // TestSimulateRefusesImpossibleConfig: a job carrying a degenerate machine
 // fails its own simulation with a structured error — job specs arrive over
-// HTTP, so this must never panic a worker. Gang planning must likewise
-// skip the bad job (Run on the bounded engine exercises that path).
+// HTTP, so this must never panic a worker.
 func TestSimulateRefusesImpossibleConfig(t *testing.T) {
 	eng := New(1)
 	bad := baselineTestJob()
@@ -245,7 +244,7 @@ func TestSimulateRefusesImpossibleConfig(t *testing.T) {
 	good := baselineTestJob()
 	bad2 := good
 	bad2.Config.ROBSize = -1
-	for _, eng := range []*Engine{eng, gangEngine(t, t.TempDir())} {
+	for _, eng := range []*Engine{eng, chunkedEngine(t, t.TempDir())} {
 		if _, err := eng.Run(context.Background(), []SimJob{good, bad2}); err == nil {
 			t.Fatal("sweep with an impossible arm succeeded")
 		} else if !strings.Contains(err.Error(), "window capacity") {

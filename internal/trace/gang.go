@@ -4,15 +4,18 @@ import "minigraph/internal/isa"
 
 // DefaultGangWindow is the gang's lag window in records: how far behind
 // the gang's leading cursor a trailing one may read and still find its
-// chunk resident. It must comfortably exceed the gang scheduler's pacing
-// spread (lead bound plus one quantum's worth of fetch overshoot) plus the
-// machine's maximum squash depth, so that in steady state no cursor —
-// including one rewinding after a squash — faults a chunk another cursor
-// already faulted in.
+// chunk resident. It must comfortably exceed the spread between the
+// cursors of whoever steps them in lockstep quanta, plus the machine's
+// maximum squash depth, so that in steady state no cursor — including one
+// rewinding after a squash — faults a chunk another cursor already faulted
+// in.
 const DefaultGangWindow = 4096
 
-// GangReader is the fan-out layer behind gang replay: one traversal of a
-// Trace serves a whole gang of simulations. Its cursors share one chunk
+// GangReader is a fan-out reader: one traversal of a Trace serves a whole
+// gang of cursors. The engine forms no gangs — every arm replays through
+// its own Reader — and the bench module's two-cursor drain is this type's
+// one caller outside tests; ROADMAP item 4(a) deletes it with that
+// measurement. Its cursors share one chunk
 // window, so each spilled chunk is faulted in once — when the leading
 // cursor first reaches it — and every other cursor within the lag window
 // finds it resident. Each cursor is a Reader that decodes its own rows, so
@@ -21,9 +24,8 @@ const DefaultGangWindow = 4096
 // still correct — it faults the chunk back in — it just stops sharing
 // until it catches back up.
 //
-// A GangReader and all of its cursors belong to ONE goroutine: the gang
-// scheduler interleaves its pipelines on a single goroutine precisely so
-// the shared window needs no locking. For concurrent simulations from many
+// A GangReader and all of its cursors belong to ONE goroutine, so the
+// shared window needs no locking. For concurrent simulations from many
 // goroutines, open independent Readers (or one GangReader per gang) over
 // the same immutable Trace.
 type GangReader struct {

@@ -260,8 +260,8 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 
 // RunCycles advances the simulation by at most n cycles, returning
 // done=true once the run is complete (program halt, MaxRecords, or stream
-// fault). It is the resumable form of Run: a gang scheduler interleaves
-// many pipelines by granting each a cycle quantum in turn, and the chunk
+// fault). It is the resumable form of Run, which calls it in large
+// quanta; a caller may slice a run into quanta of any size, and the quantum
 // boundaries are invisible to the simulated machine — state advances
 // exactly as one uninterrupted Run would. Call Finish after done.
 //

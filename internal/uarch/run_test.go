@@ -46,7 +46,7 @@ func TestFinishedResultReleasesPipeline(t *testing.T) {
 	runtime.KeepAlive(res)
 }
 
-// TestRunCyclesQuantaInvisible: however a gang scheduler slices a run into
+// TestRunCyclesQuantaInvisible: however a caller slices a run into
 // RunCycles quanta — one cycle at a time, a quantum that never lines up
 // with anything, or one longer than most skips — the machine ends in the
 // state one uninterrupted Run leaves.
