@@ -93,30 +93,19 @@ func (r *recorder) do(op fsOp, fn func() error) error {
 	return err
 }
 
-// open runs one open and logs a create for the file if create is set.
-func (r *recorder) open(create bool, fn func() (store.File, error)) (store.File, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, err := fn()
-	if err != nil {
-		return nil, err
-	}
-	if create {
-		r.ops = append(r.ops, fsOp{kind: opCreate, path: r.rel(f.Name())})
-	}
-	return recFile{f, r}, nil
-}
-
 func (r *recorder) MkdirAll(path string, perm fs.FileMode) error {
 	return r.do(fsOp{kind: opMkdir, path: r.rel(path)}, func() error { return r.OS.MkdirAll(path, perm) })
 }
 
 func (r *recorder) CreateTemp(dir, pattern string) (store.File, error) {
-	return r.open(true, func() (store.File, error) { return r.OS.CreateTemp(dir, pattern) })
-}
-
-func (r *recorder) OpenFile(name string, flag int, perm fs.FileMode) (store.File, error) {
-	return r.open(flag&os.O_CREATE != 0, func() (store.File, error) { return r.OS.OpenFile(name, flag, perm) })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, err := r.OS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	r.ops = append(r.ops, fsOp{kind: opCreate, path: r.rel(f.Name())})
+	return recFile{f, r}, nil
 }
 
 func (r *recorder) Rename(oldpath, newpath string) error {
@@ -214,8 +203,9 @@ func crashJobs() []SimJob {
 // rotOutcome flips one bit of the stored outcome of the last of jobs the
 // store still holds (the budget may have evicted others) where only the
 // entry's checksum can tell: the last digit of its cycle count, which
-// still parses and decodes to another outcome.
-func rotOutcome(t *testing.T, fsys store.FS, root string, jobs []SimJob) {
+// still parses and decodes to another outcome. The flip is a recorded
+// write, so the rebuilt states hold the rotted entry until the scrub.
+func rotOutcome(t *testing.T, fsys *recorder, root string, jobs []SimJob) {
 	t.Helper()
 	var key []byte
 	var path string
@@ -245,12 +235,12 @@ func rotOutcome(t *testing.T, fsys store.FS, root string, jobs []SimJob) {
 	}
 	for i += at + len(field); data[i+1] >= '0' && data[i+1] <= '9'; i++ {
 	}
-	f, err := fsys.OpenFile(path, os.O_WRONLY, 0)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteAt([]byte{data[i] ^ 1}, int64(i)); err != nil {
+	if _, err := (recFile{f, fsys}).WriteAt([]byte{data[i] ^ 1}, int64(i)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -261,7 +251,7 @@ func rotOutcome(t *testing.T, fsys store.FS, root string, jobs []SimJob) {
 // through, under a budget that evicts; bit rot then damages one stored
 // outcome and a scrub deletes it; a fresh store and engine then reopen the
 // directory and answer the sweep from what is left, recomputing the rest.
-func crashScript(t *testing.T, fsys store.FS, dir string, jobs []SimJob, budget int64) {
+func crashScript(t *testing.T, fsys *recorder, dir string, jobs []SimJob, budget int64) {
 	t.Helper()
 	ctx := context.Background()
 	open := func() (*store.Store, *Engine) {

@@ -41,8 +41,9 @@ const ProfileLimit = 4_000_000
 // limit) is rewritten once and becomes an alias of its binary, so policies
 // that select the same mini-graphs share one capture, and one pipeline run
 // per machine. With a persistent store attached, traces round-trip through
-// disk (manifest + chunk entries, stored under the TraceKey that sourced
-// them) so cold processes replay without ever emulating.
+// disk (one segment file a trace: its chunks, then its manifest as the
+// last record, published under the TraceKey that sourced it) so cold
+// processes replay without ever emulating.
 //
 // An Engine is safe for concurrent use and is meant to be shared across
 // experiments so cross-figure common work (benchmark preparations, the

@@ -120,8 +120,8 @@ func TestEngineStoreCorruptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncate every stored file (recency sidecars are not entries). Each
-	// job persisted an outcome entry and a trace segment.
+	// Truncate every stored file. Each job persisted an outcome entry and a
+	// trace segment.
 	var damaged int
 	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
 		if ext := filepath.Ext(p); err != nil || info.IsDir() || ext != store.EntryExt && ext != store.SegExt {
@@ -327,7 +327,7 @@ func TestOversizedTraceRefusedByStore(t *testing.T) {
 				t.Errorf("warm engine stats %+v, want 1 capture held resident", ws)
 			}
 			filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-				if err == nil && !info.IsDir() && filepath.Ext(p) != store.EntryExt && filepath.Ext(p) != ".seq" {
+				if err == nil && !info.IsDir() && filepath.Ext(p) != store.EntryExt {
 					t.Errorf("refused trace left %s behind", filepath.Base(p))
 				}
 				return nil

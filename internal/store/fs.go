@@ -16,9 +16,7 @@ type FS interface {
 	Walk(root string, fn filepath.WalkFunc) error
 	CreateTemp(dir, pattern string) (File, error)
 	Open(name string) (File, error)
-	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	ReadFile(name string) ([]byte, error)
-	Stat(name string) (fs.FileInfo, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Chtimes(name string, atime, mtime time.Time) error
@@ -43,13 +41,8 @@ func (OS) Walk(root string, fn filepath.WalkFunc) error { return filepath.Walk(r
 func (OS) CreateTemp(dir, pattern string) (File, error) { return file(os.CreateTemp(dir, pattern)) }
 func (OS) Open(name string) (File, error)               { return file(os.Open(name)) }
 func (OS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
-func (OS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 func (OS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OS) Remove(name string) error                     { return os.Remove(name) }
-
-func (OS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	return file(os.OpenFile(name, flag, perm))
-}
 
 func (OS) Chtimes(name string, atime, mtime time.Time) error {
 	return os.Chtimes(name, atime, mtime)

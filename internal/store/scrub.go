@@ -38,7 +38,7 @@ func (s *Store) Scrub() ScrubReport {
 		}
 		hash, ok := storedName(info.Name())
 		if !ok {
-			return nil // staging file, sidecar or stray
+			return nil // staging file or stray
 		}
 		rep.Scanned++
 		healthy, err := s.scrubFile(path, hash)

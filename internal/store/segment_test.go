@@ -392,10 +392,8 @@ func TestSegmentCrossProcess(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 || st.Bytes != ia.Size() {
 		t.Fatalf("over-budget Open: %+v, want segment a alone", st)
 	}
-	for _, p := range []string{segPath(c, "b"), segPath(c, "b") + SeqExt} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("%s survived its segment's eviction", filepath.Base(p))
-		}
+	if _, err := os.Stat(segPath(c, "b")); !os.IsNotExist(err) {
+		t.Error("segment b survived its eviction")
 	}
 	// A put that needs the room evicts segment "a" as one unit too.
 	if err := c.Put([]byte("k"), bytes.Repeat([]byte("v"), int(ib.Size())/2+200)); err != nil {

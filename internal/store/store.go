@@ -17,12 +17,12 @@
 //     flipped bit or truncation of an entry file is a miss.
 //   - The store is LRU-bounded: when the configured byte budget is
 //     exceeded, least-recently-used entries are evicted. Recency survives
-//     process restarts via file modification times plus a persisted
-//     monotonic sequence sidecar: coarse-mtime filesystems (1s or worse)
-//     tie whole bursts of writes, so ordering is (mtime, sequence, key) —
-//     the sequence disambiguates same-process bursts, and the key breaks
-//     any remaining tie so every process reconstructs the same eviction
-//     order. Sidecars are 12 bytes and are not charged to the budget.
+//     process restarts in the files' modification times, the only recency
+//     the store persists: every Put and every hit stamps the file with the
+//     store's next strictly later instant, and Open orders by (mtime, key),
+//     so every process reconstructs the same eviction order. On a
+//     filesystem that keeps whole seconds only, files touched within one
+//     second fall back to key order after a restart.
 //   - Values only ever written together, read in order and evicted together
 //     (the chunks of one trace) share one segment file: see segment.go.
 //   - Nothing is synced, by design: every byte is verified on read, so a
@@ -39,9 +39,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -62,6 +60,9 @@ import (
 //	   <hash>.ent, recency sidecars fixed 12-byte records written in place.
 //	4: values written together share one segment file, <hash>.seg (see
 //	   segment.go), where v3 spent an entry file and a sidecar on each.
+//	   Later v4 builds write no sidecars (recency is the mtime alone) and
+//	   Open deletes any an earlier one left; entry and segment bytes are
+//	   unchanged.
 //
 // Each version lives under its own v<N>/ directory; directories of other
 // versions are never read, written or deleted.
@@ -154,7 +155,7 @@ func parseEntry(data []byte) (key, value []byte, ok bool) {
 
 // storedName reports whether name is an entry's or a segment's file name —
 // a hex key hash plus EntryExt or SegExt — and returns the hash. Anything
-// else (staging files, sidecars, strays) is neither.
+// else (staging files, strays) is neither.
 func storedName(name string) (hash string, ok bool) {
 	hash, ok = strings.CutSuffix(name, EntryExt)
 	if !ok {
@@ -195,10 +196,9 @@ type Store struct {
 	rejected  atomic.Int64
 	evictions atomic.Int64
 
-	// seq is the recency sequence: every Put and every Get hit takes the
-	// next value and persists it in the entry's sidecar. Open resumes it
-	// past the largest value found on disk.
-	seq atomic.Int64
+	// clock is the last instant touch stamped on a file, in Unix
+	// nanoseconds. Open resumes it past the newest mtime it indexes.
+	clock atomic.Int64
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes the
@@ -225,11 +225,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	// writer can still own them (every append freshens a staging file).
 	type found struct {
 		indexed
-		mod time.Time
-		seq int64
+		mod int64 // Unix ns
 	}
 	var entries []found
-	var sidecars []string
 	stale := time.Now().Add(-10 * time.Minute)
 	err := fsys.Walk(root, func(path string, info fs.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
@@ -242,15 +240,12 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(name, SeqExt) {
-			if info.ModTime().Before(stale) {
-				sidecars = append(sidecars, path) // orphan-sweep candidate
-			}
+		if strings.HasSuffix(name, ".seq") {
+			_ = fsys.Remove(path) // a recency sidecar an earlier build wrote
 			return nil
 		}
 		if _, ok := storedName(name); ok {
-			entries = append(entries, found{indexed{name: name, size: info.Size()},
-				info.ModTime(), s.readSeq(path)})
+			entries = append(entries, found{indexed{name: name, size: info.Size()}, info.ModTime().UnixNano()})
 		}
 		return nil
 	})
@@ -258,35 +253,23 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: index %s: %w", root, err)
 	}
 	// Recency order, least recent first. Modification time is the
-	// cross-process signal; the persisted sequence orders writes that a
-	// coarse-mtime filesystem has tied; the key settles whatever remains,
-	// so every process opening this directory reconstructs one order.
+	// cross-process signal; the key settles a tie, so every process opening
+	// this directory reconstructs one order.
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
-		if !a.mod.Equal(b.mod) {
-			return a.mod.Before(b.mod)
-		}
-		if a.seq != b.seq {
-			return a.seq < b.seq
+		if a.mod != b.mod {
+			return a.mod < b.mod
 		}
 		return a.name < b.name
 	})
-	maxSeq := int64(0)
 	for i := range entries {
 		e := &entries[i].indexed
 		e.elem = s.lru.PushFront(e)
 		s.index[e.name] = e
 		s.bytes += e.size
-		maxSeq = max(maxSeq, entries[i].seq)
 	}
-	s.seq.Store(maxSeq)
-	// Sweep sidecars orphaned by a crashed eviction (entry gone, sidecar
-	// left behind). Only stale ones: a fresh sidecar may belong to a Put
-	// that is completing in another process right now.
-	for _, sc := range sidecars {
-		if _, err := fsys.Stat(strings.TrimSuffix(sc, SeqExt)); errors.Is(err, fs.ErrNotExist) {
-			_ = fsys.Remove(sc)
-		}
+	if n := len(entries); n > 0 {
+		s.clock.Store(entries[n-1].mod)
 	}
 	// A directory warmed under a larger (or unbounded) budget is trimmed
 	// to this store's bound immediately, not only on the next Put.
@@ -294,7 +277,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	victims := s.evictLocked()
 	s.mu.Unlock()
 	for _, v := range victims {
-		s.removeEntry(v)
+		_ = fsys.Remove(v)
 	}
 	return s, nil
 }
@@ -335,55 +318,20 @@ func hashKey(key []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// SeqExt is appended to an entry's or a segment's file name to name its
-// recency sidecar.
-const SeqExt = ".seq"
-
-// seqRecord is the sidecar's size: seq u64 | crc32 of those 8 bytes, both
-// little-endian.
-const seqRecord = 12
-
-// readSeq parses the sidecar for the entry at path; a missing sidecar, or
-// one of the wrong length or with a wrong CRC, reads as 0 (ordering then
-// falls back to mtime and key).
-func (s *Store) readSeq(path string) int64 {
-	data, err := s.fsys.ReadFile(path + SeqExt)
-	if err != nil || len(data) != seqRecord ||
-		crc32.ChecksumIEEE(data[:8]) != binary.LittleEndian.Uint32(data[8:]) {
-		return 0
-	}
-	return max(int64(binary.LittleEndian.Uint64(data)), 0)
-}
-
-// touch persists recency for the entry at path: mtime for cross-process
-// ordering, the next sequence for same-mtime disambiguation. Best-effort —
-// the in-memory LRU stays exact regardless.
+// touch stamps the file at path as the most recently used: its mtime
+// becomes the store's next instant, now or, if the clock has already
+// reached now, one nanosecond past its last stamp, so one process's touches
+// never tie. Best-effort — the in-memory LRU stays exact regardless.
 func (s *Store) touch(path string) {
-	now := time.Now()
-	_ = s.fsys.Chtimes(path, now, now)
-	// One in-place write of the whole record: no staging file, no rename.
-	// Concurrent cross-process touches of one entry leave one of the two
-	// records, or a torn mix whose CRC fails and reads as 0 — never a
-	// sequence neither process issued.
-	var rec [seqRecord]byte
-	binary.LittleEndian.PutUint64(rec[:], uint64(s.seq.Add(1)))
-	binary.LittleEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(rec[:8]))
-	if f, err := s.fsys.OpenFile(path+SeqExt, os.O_WRONLY|os.O_CREATE, 0o666); err == nil {
-		_, _ = f.WriteAt(rec[:], 0) // best-effort, as is the Close below
-		_ = f.Close()
+	now := time.Now().UnixNano()
+	for {
+		last := s.clock.Load()
+		if t := max(now, last+1); s.clock.CompareAndSwap(last, t) {
+			stamp := time.Unix(0, t)
+			_ = s.fsys.Chtimes(path, stamp, stamp)
+			return
+		}
 	}
-	// A concurrent eviction may have removed the entry (and its sidecar)
-	// between our lock release and the write above; don't leave an orphan
-	// sidecar behind for the lifetime of the process.
-	if _, err := s.fsys.Stat(path); errors.Is(err, fs.ErrNotExist) {
-		_ = s.fsys.Remove(path + SeqExt)
-	}
-}
-
-// removeEntry deletes an evicted entry file together with its sidecar.
-func (s *Store) removeEntry(path string) {
-	_ = s.fsys.Remove(path)
-	_ = s.fsys.Remove(path + SeqExt)
 }
 
 // Get returns the value stored under key, or (nil, false). Damaged or
@@ -442,7 +390,7 @@ func (s *Store) admit(name string, size int64, recs []span) {
 	victims := s.evictLocked()
 	s.mu.Unlock()
 	for _, v := range victims {
-		s.removeEntry(v)
+		_ = s.fsys.Remove(v)
 	}
 	s.touch(s.pathFor(name))
 }
@@ -457,7 +405,7 @@ func (s *Store) drop(name string, remove bool) {
 	}
 	s.mu.Unlock()
 	if remove {
-		s.removeEntry(s.pathFor(name))
+		_ = s.fsys.Remove(s.pathFor(name))
 	}
 }
 

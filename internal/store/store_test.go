@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -157,7 +157,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	val := bytes.Repeat([]byte("x"), 1024)
-	// Room for five entries (and their sidecars), not six.
+	// Room for five entries, not six.
 	budget := 5*entrySize("k0", val) + 512
 	s := open(t, dir, budget)
 	for i := 0; i < 5; i++ {
@@ -251,8 +251,6 @@ func TestEvictionRecencyPersists(t *testing.T) {
 		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
 			t.Fatal(err)
 		}
-		// Distinct mtimes on filesystems with coarse timestamps.
-		time.Sleep(5 * time.Millisecond)
 	}
 	s.Get([]byte("k0")) // re-touch the oldest
 
@@ -326,22 +324,11 @@ func TestUnboundedAndDefault(t *testing.T) {
 	}
 }
 
-// tieMtimes forces the identical modification time onto every entry file,
-// simulating a coarse-mtime filesystem where a burst of writes ties.
-func tieMtimes(t *testing.T, s *Store, keys [][]byte) {
-	t.Helper()
-	tie := time.Now().Add(-time.Hour).Truncate(time.Second)
-	for _, k := range keys {
-		if err := os.Chtimes(s.pathFor(hashKey(k)+EntryExt), tie, tie); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestEvictionOrderDeterministicUnderMtimeTies pins the persisted-sequence
-// recency: with every entry mtime tied (coarse filesystem), a reopening
-// process must still reconstruct the true LRU order from the sequence
-// sidecars, so cross-process eviction picks the genuinely oldest entries.
+// TestEvictionOrderDeterministicUnderMtimeTies: a burst of writes that the
+// wall clock alone could stamp with one mtime is still ordered on disk,
+// since every touch takes the store's next strictly later instant, so a
+// reopening process reconstructs the true LRU order and evicts the
+// genuinely oldest entries.
 func TestEvictionOrderDeterministicUnderMtimeTies(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, -1)
@@ -352,16 +339,14 @@ func TestEvictionOrderDeterministicUnderMtimeTies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Promote tie-a to most recent, then tie every mtime.
+	// Promote tie-a to most recent.
 	if _, ok := s.Get(keys[0]); !ok {
 		t.Fatal("miss on just-written key")
 	}
-	tieMtimes(t, s, keys)
 	size := s.Stats().Bytes / int64(len(keys))
 
 	// Room for two entries: the reopened store must keep tie-d and tie-a
-	// (most recent by sequence) and evict tie-b, tie-c — mtime alone cannot
-	// tell them apart.
+	// and evict tie-b, tie-c.
 	s2 := open(t, dir, 2*size)
 	if s2.Len() != 2 {
 		t.Fatalf("want 2 survivors, have %d", s2.Len())
@@ -373,116 +358,75 @@ func TestEvictionOrderDeterministicUnderMtimeTies(t *testing.T) {
 	}
 }
 
-// TestEvictionTieBreakByKeyWithoutSidecars covers the fallback total order:
-// with every sidecar missing or damaged (each reads as sequence 0) and every
-// mtime tied, eviction order is still deterministic (keys break the tie), so
-// two processes sharing a directory agree on the victims no matter what
-// order the entries were written in.
+// TestEvictionBurstOrderSurvivesReopen: 2,000 back-to-back Puts, reopened
+// with room for half of them, keep exactly the newest 1,000.
+func TestEvictionBurstOrderSurvivesReopen(t *testing.T) {
+	const n = 2000
+	dir := t.TempDir()
+	s := open(t, dir, -1)
+	val := []byte("burst")
+	key := func(i int) []byte { return []byte(fmt.Sprintf("burst-%04d", i)) }
+	for i := 0; i < n; i++ {
+		if err := s.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := open(t, dir, n/2*entrySize(string(key(0)), val))
+	if st := s2.Stats(); st.Entries != n/2 || st.Evictions != n/2 {
+		t.Fatalf("reopened at half the budget: %+v, want %d entries after %d evictions", st, n/2, n/2)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := s2.Get(key(i)); ok != (i >= n/2) {
+			t.Fatalf("%s: survived=%v, want %v", key(i), ok, i >= n/2)
+		}
+	}
+}
+
+// TestEvictionTieBreakByKeyWithoutSidecars covers the fallback total order
+// of a filesystem that ties mtimes (one that keeps whole seconds only):
+// with every mtime tied, the key breaks the tie, so two processes sharing
+// a directory agree on the victims whatever order the entries were
+// written in.
 func TestEvictionTieBreakByKeyWithoutSidecars(t *testing.T) {
 	keys := [][]byte{[]byte("kb-0"), []byte("kb-1"), []byte("kb-2"), []byte("kb-3")}
 	val := bytes.Repeat([]byte("v"), 100)
-	damages := map[string]func(sidecar string, good []byte) error{
-		"missing":   func(p string, _ []byte) error { return os.Remove(p) },
-		"short":     func(p string, good []byte) error { return os.WriteFile(p, good[:seqRecord-1], 0o666) },
-		"long":      func(p string, good []byte) error { return os.WriteFile(p, append(good, 0), 0o666) },
-		"wrong-crc": func(p string, good []byte) error { good[0] ^= 1; return os.WriteFile(p, good, 0o666) },
-		"all-zero":  func(p string, _ []byte) error { return os.WriteFile(p, make([]byte, seqRecord), 0o666) },
+	survivors := func(order []int) string {
+		dir := t.TempDir()
+		s := open(t, dir, -1)
+		for _, i := range order {
+			if err := s.Put(keys[i], val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tie := time.Now().Add(-time.Hour).Truncate(time.Second)
+		for _, k := range keys {
+			if err := os.Chtimes(s.pathFor(hashKey(k)+EntryExt), tie, tie); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s2 := open(t, dir, 2*entrySize(string(keys[0]), val))
+		out := ""
+		for i, k := range keys {
+			if _, ok := s2.Get(k); ok {
+				out += fmt.Sprint(i)
+			}
+		}
+		return out
 	}
-	for name, damage := range damages {
-		t.Run(name, func(t *testing.T) {
-			survivors := func(order []int) string {
-				dir := t.TempDir()
-				s := open(t, dir, -1)
-				for _, i := range order {
-					if err := s.Put(keys[i], val); err != nil {
-						t.Fatal(err)
-					}
-				}
-				// Damage the sequence sidecars and tie every mtime: nothing
-				// but the key is left to order on.
-				for _, k := range keys {
-					path := s.pathFor(hashKey(k) + EntryExt)
-					if s.readSeq(path) == 0 {
-						t.Fatalf("%s: no sequence persisted by Put", k)
-					}
-					good, err := os.ReadFile(path + SeqExt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := damage(path+SeqExt, good); err != nil {
-						t.Fatal(err)
-					}
-					if got := s.readSeq(path); got != 0 {
-						t.Fatalf("%s: damaged sidecar read as sequence %d, want 0", k, got)
-					}
-				}
-				tieMtimes(t, s, keys)
-				size := s.Stats().Bytes / int64(len(keys))
-				s2 := open(t, dir, 2*size)
-				out := ""
-				for i, k := range keys {
-					if _, ok := s2.Get(k); ok {
-						out += fmt.Sprintf("%d", i)
-					}
-				}
-				return out
-			}
-			a := survivors([]int{0, 1, 2, 3})
-			b := survivors([]int{3, 2, 1, 0})
-			if a != b {
-				t.Errorf("eviction order depends on write order under tied mtimes: %q vs %q", a, b)
-			}
-			if len(a) != 2 {
-				t.Errorf("want 2 survivors, got %q", a)
-			}
-		})
+	// The survivors are the two keys whose file names sort last.
+	byName := []int{0, 1, 2, 3}
+	sort.Slice(byName, func(i, j int) bool { return hashKey(keys[byName[i]]) < hashKey(keys[byName[j]]) })
+	want := fmt.Sprint(min(byName[2], byName[3])) + fmt.Sprint(max(byName[2], byName[3]))
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+		if got := survivors(order); got != want {
+			t.Errorf("written in order %v: survivors %q, want %q", order, got, want)
+		}
 	}
 }
 
-// TestSidecarConcurrentHandles: two handles on one directory (two processes
-// sharing a cache) touch one entry at once. Whatever interleaving the
-// in-place writes take, the sidecar must hold a sequence one of the handles
-// issued, or read as 0 — never a blend of the two.
-func TestSidecarConcurrentHandles(t *testing.T) {
-	dir := t.TempDir()
-	a := open(t, dir, -1)
-	key := []byte("shared")
-	if err := a.Put(key, []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-	b := open(t, dir, -1)
-	// Far-apart ranges, so a blend of the two records' bytes lies in neither.
-	const bBase = 0x5a5a5a5a5a5a5a00
-	b.seq.Store(bBase)
-	aBase := a.seq.Load()
-
-	const touches = 300
-	var wg sync.WaitGroup
-	for _, s := range []*Store{a, b} {
-		wg.Add(1)
-		go func(s *Store) {
-			defer wg.Done()
-			for i := 0; i < touches; i++ {
-				if _, ok := s.Get(key); !ok {
-					t.Error("miss on an entry nobody removed")
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	got := a.readSeq(a.pathFor(hashKey(key) + EntryExt))
-	fromA := got > aBase && got <= a.seq.Load()
-	fromB := got > bBase && got <= b.seq.Load()
-	if got != 0 && !fromA && !fromB {
-		t.Errorf("sidecar holds sequence %#x, which neither handle issued (a: (%#x, %#x], b: (%#x, %#x])",
-			got, aBase, a.seq.Load(), int64(bBase), b.seq.Load())
-	}
-}
-
-// TestOpenResumesSequence: a fresh handle continues the persisted sequence
-// past the largest value on disk, so its writes order after everything the
-// previous process did even under tied mtimes.
+// TestOpenResumesSequence: a fresh handle resumes the store's clock past
+// the newest mtime on disk, so its writes order after everything the
+// previous process did, even if that process's clock ran ahead.
 func TestOpenResumesSequence(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, -1)
@@ -491,46 +435,80 @@ func TestOpenResumesSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Get([]byte("k0")) // sequence 4, the largest on disk
+	ahead := time.Now().Add(time.Hour)
+	if err := os.Chtimes(s.pathFor(hashKey([]byte("k1"))+EntryExt), ahead, ahead); err != nil {
+		t.Fatal(err)
+	}
 	s2 := open(t, dir, -1)
 	if err := s2.Put([]byte("next"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.readSeq(s2.pathFor(hashKey([]byte("next")) + EntryExt)); got != 5 {
-		t.Errorf("first write after reopen persisted sequence %d, want 5", got)
+	info, err := os.Stat(s2.pathFor(hashKey([]byte("next")) + EntryExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.ModTime().After(ahead) {
+		t.Errorf("first write after reopen stamped %v, not after the newest mtime on disk %v", info.ModTime(), ahead)
 	}
 }
 
-// TestEvictionLeavesNoOrphanSidecar: every sidecar on disk sits next to
-// its entry file after evictions and deletes.
+// TestOpenDeletesLegacySidecars: Open deletes the recency sidecar an
+// earlier build left beside an entry, and keeps the entry.
+func TestOpenDeletesLegacySidecars(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, -1)
+	key := []byte("x")
+	if err := s.Put(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := s.pathFor(hashKey(key)+EntryExt) + ".seq"
+	if err := os.WriteFile(sidecar, make([]byte, 12), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	s2 := open(t, dir, -1)
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Errorf("sidecar survived Open: %v", err)
+	}
+	if got, ok := s2.Get(key); !ok || string(got) != "v" {
+		t.Errorf("entry beside the sidecar: %q, %v", got, ok)
+	}
+}
+
+// TestEvictionLeavesNoOrphanSidecar: puts, hits, evictions and deletes
+// leave nothing on disk but the files the store indexes — no recency
+// sidecar, and no other file — one a thing stored.
 func TestEvictionLeavesNoOrphanSidecar(t *testing.T) {
 	val := bytes.Repeat([]byte("o"), 512)
 	s := open(t, t.TempDir(), 3*entrySize("k0", val))
 	for i := 0; i < 12; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
+		k := []byte(fmt.Sprintf("k%d", i))
+		if err := s.Put(k, val); err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("%s: miss on a just-written key", k)
 		}
 	}
 	s.Delete([]byte("k11"))
 	if st := s.Stats(); st.Evictions == 0 {
 		t.Fatalf("no evictions: %+v", st)
 	}
-	sidecars := 0
+	files := 0
 	err := filepath.Walk(s.Dir(), func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || filepath.Ext(p) != SeqExt {
+		if err != nil || info.IsDir() {
 			return err
 		}
-		sidecars++
-		if _, err := os.Stat(strings.TrimSuffix(p, SeqExt)); err != nil {
-			t.Errorf("orphan sidecar %s: %v", filepath.Base(p), err)
+		files++
+		if _, ok := storedName(info.Name()); !ok {
+			t.Errorf("%s is not an entry or a segment", info.Name())
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sidecars != s.Len() {
-		t.Errorf("%d sidecars for %d entries", sidecars, s.Len())
+	if files != s.Len() {
+		t.Errorf("%d files for %d indexed entries", files, s.Len())
 	}
 }
 

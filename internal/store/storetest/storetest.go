@@ -8,7 +8,6 @@ package storetest
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
@@ -67,11 +66,8 @@ func (c Counters) Total() int64 {
 
 // FaultFS is the OS file system with faults injected into file contents:
 // reads through ReadFile and ReadAt, writes through WriteAt. The directory
-// walk, opens, renames and removes pass through, so a store opened on it
-// still indexes what is on disk. The recency sidecars (store.SeqExt) are
-// left alone too: they are written in place and best-effort, and a damaged
-// one already reads as sequence 0, so faults stay one a record. Safe for
-// concurrent use.
+// walk, opens, renames, removes and mtime stamps pass through, so a store
+// opened on it still indexes what is on disk. Safe for concurrent use.
 type FaultFS struct {
 	store.OS
 	cfg Config
@@ -100,7 +96,7 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (store.File, error) {
 func (f *FaultFS) Open(name string) (store.File, error) { return f.wrap(f.OS.Open(name)) }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	if !strings.HasSuffix(name, store.SeqExt) && f.readFails() {
+	if f.readFails() {
 		return nil, errInjected
 	}
 	return f.OS.ReadFile(name)

@@ -136,3 +136,26 @@ if [ "$r1" != "$r2" ]; then
   exit 1
 fi
 echo "dynamic membership OK (report byte-identical across join + worker death)"
+
+# --- Store layout ---------------------------------------------------
+# The store keeps recency in the files' mtimes alone: a worker's cache
+# directory holds its outcome entries (*.ent) and trace segments (*.seg),
+# no *.seq sidecar or any other file, one file per thing its store
+# indexes. w3 was killed, so its directory is checked for strays only.
+for w in w1:18451 w2:18452 w3: w4:18462; do
+  dir=$work/${w%%:*} port=${w##*:}
+  stray=$(find "$dir" -type f ! -name '*.ent' ! -name '*.seg')
+  if [ -n "$stray" ]; then
+    echo "$dir holds files other than entries and segments:" >&2
+    echo "$stray" >&2
+    exit 1
+  fi
+  [ -n "$port" ] || continue
+  files=$(find "$dir" -type f | wc -l)
+  entries=$(curl -fsS "http://127.0.0.1:$port/statsz" | grep -o '"entries": *[0-9]*' | head -1 | grep -o '[0-9]*$')
+  if [ "$files" -ne "$entries" ]; then
+    echo "$dir holds $files files for $entries stored entries and segments" >&2
+    exit 1
+  fi
+done
+echo "store layout OK (only *.ent and *.seg, one file per stored entry or segment)"
