@@ -1,5 +1,6 @@
-// Golden-fixture regression tests: every experiment's structured Report,
-// regenerated on the small benchSubset, is pinned byte-for-byte under
+// Golden-fixture regression tests: every experiment's structured Report
+// (<id>.json) and its text tables as mgbench -exp prints them (<id>.txt),
+// regenerated on the small benchSubset, are pinned byte-for-byte under
 // testdata/golden/. Any behavioral drift in extraction, rewriting, or the
 // timing pipeline now fails `go test ./...` instead of silently changing
 // figures.
@@ -50,27 +51,33 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", "golden", id+".json")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o666); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden fixture (run `go test -run TestGoldenReports -update .` from the module root): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("report drifted from %s (%d vs %d bytes); if intentional, regenerate with -update and review the diff",
-					path, len(got), len(want))
-				t.Logf("first divergence near byte %d", firstDiff(got, want))
-			}
+			checkGolden(t, filepath.Join("testdata", "golden", id+".json"), append(got, '\n'))
+			checkGolden(t, filepath.Join("testdata", "golden", id+".txt"), []byte(a.String()))
 		})
+	}
+}
+
+// checkGolden compares got with the fixture at path, or rewrites the
+// fixture under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture (run `go test -run TestGoldenReports -update .` from the module root): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from %s (%d vs %d bytes); if intentional, regenerate with -update and review the diff",
+			path, len(got), len(want))
+		t.Logf("first divergence near byte %d", firstDiff(got, want))
 	}
 }
 
