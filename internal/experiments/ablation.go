@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"minigraph/internal/sim"
-	"minigraph/internal/stats"
-	"minigraph/internal/uarch"
-	"minigraph/internal/workload"
-)
+import "minigraph/internal/uarch"
 
 // ablationArms are the design-choice knobs around the default mini-graph
 // machine:
@@ -42,74 +37,21 @@ func Ablations(o Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
-	stride := 1 + len(ablationArms)
-	jobs := make([]sim.SimJob, 0, stride*len(benches))
-	labels := make([]string, 0, cap(jobs))
-	for _, b := range benches {
-		jobs = append(jobs, o.baselineJob(b))
-		labels = append(labels, "ablate: "+b.Name+" baseline")
-		for _, a := range ablationArms {
-			cfg := o.machineFor(a.intMem, false)
-			if a.mutate != nil {
-				a.mutate(&cfg)
-			}
-			cfg.Name = "ablate-" + a.name
-			maxSize := o.MaxSize
-			if a.maxSize > 0 {
-				maxSize = a.maxSize
-			}
-			entries := o.MGTEntries
-			if a.entries > 0 {
-				entries = a.entries
-			}
-			jobs = append(jobs, mgJob(b, policyFor(a.intMem, maxSize), entries, cfg, false))
-			labels = append(labels, "ablate: "+b.Name+" "+a.name)
+	arms := []arm{o.reference("baseline")}
+	for _, ab := range ablationArms {
+		cfg := o.machineFor(ab.intMem, false)
+		if ab.mutate != nil {
+			ab.mutate(&cfg)
 		}
-	}
-	outs, err := o.runJobs(eng, jobs, labels)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([][]float64, len(benches))
-	for i := range benches {
-		base := outs[i*stride].Result
-		vals := make([]float64, len(ablationArms))
-		for k := range ablationArms {
-			vals[k] = uarch.Speedup(base, outs[i*stride+1+k].Result)
+		cfg.Name = "ablate-" + ab.name
+		maxSize, entries := o.MaxSize, o.MGTEntries
+		if ab.maxSize > 0 {
+			maxSize = ab.maxSize
 		}
-		rows[i] = vals
-	}
-
-	header := []string{"bench"}
-	for _, a := range ablationArms {
-		header = append(header, a.name)
-	}
-	t := stats.NewTable("Ablations: design-choice sensitivity (speedup vs baseline)", header...)
-	rep := sim.NewReport("ablate", t.Title)
-	for i, b := range benches {
-		cells := []string{b.Name}
-		for k, v := range rows[i] {
-			cells = append(cells, stats.SpeedupStr(v))
-			rep.Add(sim.Row{Bench: b.Name, Suite: b.Suite, Arm: ablationArms[k].name, Metric: "speedup", Value: v})
+		if ab.entries > 0 {
+			entries = ab.entries
 		}
-		t.AddRow(cells...)
+		arms = append(arms, mgArm(ab.name, policyFor(ab.intMem, maxSize), entries, cfg, false))
 	}
-	for _, suite := range workload.Suites() {
-		cells := []string{"gmean:" + suite}
-		for k := range ablationArms {
-			var xs []float64
-			for i, b := range benches {
-				if b.Suite == suite {
-					xs = append(xs, rows[i][k])
-				}
-			}
-			cells = append(cells, stats.SpeedupStr(stats.GeoMean(xs)))
-			rep.Add(sim.Row{Suite: suite, Arm: ablationArms[k].name, Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(xs)})
-		}
-		t.AddRow(cells...)
-	}
-	return &Artifact{ID: "ablate", Tables: []*stats.Table{t}, Report: rep}, nil
+	return o.speedupFigure("ablate", "Ablations: design-choice sensitivity (speedup vs baseline)", benches, arms)
 }

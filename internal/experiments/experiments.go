@@ -1,9 +1,16 @@
 // Package experiments reproduces every figure and in-text result set from
-// the paper's evaluation (§6). Each experiment declares its arms as data
-// (simulation jobs) submitted to the shared memoizing engine in
-// internal/sim and assembles the returned outcomes into the regenerated
-// artifact: the figure's text table plus a structured, JSON-serializable
-// report.
+// the paper's evaluation (§6) and assembles each into an Artifact: the
+// figure's text tables plus a structured, JSON-serializable report.
+//
+// The timing figures share one shape, and one driver (sweep.go) runs it.
+// A figure declares an ordered list of named arms, each a function from a
+// benchmark to the simulation job it submits; arm 0 is the reference the
+// others are measured against. Options.sweep submits every arm of every
+// benchmark to the shared memoizing engine (internal/sim) as one batch,
+// benchmark by benchmark in arm order, and returns the outcomes indexed
+// [bench][arm]. Two renderers then write the per-benchmark speedup rows
+// and the per-suite geometric-mean rows into the table and the report
+// together; a column only one figure has stays in that figure's code.
 //
 // Experiment index:
 //
@@ -30,16 +37,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync/atomic"
 
 	"minigraph/internal/core"
 	"minigraph/internal/sim"
 	"minigraph/internal/stats"
 	"minigraph/internal/uarch"
-	"minigraph/internal/uarch/bpred"
-	"minigraph/internal/uarch/prefetch"
 	"minigraph/internal/workload"
 )
 
@@ -52,9 +55,6 @@ type Options struct {
 	// MaxSize is the mini-graph size cap for performance experiments
 	// (paper: 4).
 	MaxSize int
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS). Ignored when
-	// Engine is set (the engine's pool bounds the run).
-	Parallel int
 	// Log, when non-nil, receives progress output.
 	Log io.Writer
 	// Context cancels in-flight simulations (nil = context.Background()).
@@ -62,7 +62,7 @@ type Options struct {
 	// Engine, when non-nil, is a shared memoizing job engine: benchmark
 	// preparations and the common baseline simulations are then computed
 	// once across every experiment that shares it. When nil each experiment
-	// call builds a private engine.
+	// call builds a private engine with one worker per GOMAXPROCS.
 	Engine *sim.Engine
 
 	// Predictor and Prefetcher override the front end of every machine the
@@ -78,18 +78,11 @@ func DefaultOptions() Options {
 	return Options{MGTEntries: 512, MaxSize: 4}
 }
 
-func (o *Options) workers() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (o *Options) engine() *sim.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	return sim.New(o.workers())
+	return sim.New(0)
 }
 
 func (o *Options) ctx() context.Context {
@@ -150,40 +143,19 @@ func IDs() []string {
 	return []string{"config", "fig5", "fig5dom", "robust", "fig6", "fig7", "policy", "icache", "fig8reg", "fig8bw", "ablate", "frontend"}
 }
 
-// checkFrontend rejects unknown front-end override names before any
-// experiment builds a machine from them (uarch.Config.Validate would
-// otherwise panic inside an engine worker).
-func (o *Options) checkFrontend() error {
-	switch o.Predictor {
-	case "", bpred.KindHybrid, bpred.KindTAGE:
-	default:
-		return fmt.Errorf("experiments: unknown predictor %q (known: %s)", o.Predictor, strings.Join(bpred.Kinds(), " "))
-	}
-	switch o.Prefetcher {
-	case "", prefetch.KindNone, prefetch.KindDelta:
-	default:
-		return fmt.Errorf("experiments: unknown prefetcher %q (known: %s)", o.Prefetcher, strings.Join(prefetch.Kinds(), " "))
-	}
-	return nil
-}
-
 // applyFrontend rewrites one machine configuration with the Options-level
 // front-end overrides. Empty overrides return cfg unchanged, so default
-// runs stay byte-identical to their golden fixtures.
+// runs stay byte-identical to their golden fixtures; Run rejects unknown
+// kinds before any machine is built.
 func (o *Options) applyFrontend(cfg uarch.Config) uarch.Config {
-	if o.Predictor == bpred.KindTAGE {
-		cfg.BPred = bpred.TageConfig()
-	}
-	if o.Prefetcher == prefetch.KindDelta {
-		cfg.Prefetcher = prefetch.DefaultDelta()
-	}
+	cfg, _ = uarch.WithFrontend(cfg, o.Predictor, o.Prefetcher)
 	return cfg
 }
 
 // Run regenerates one experiment by id.
 func Run(id string, o Options) (*Artifact, error) {
-	if err := o.checkFrontend(); err != nil {
-		return nil, err
+	if _, err := uarch.WithFrontend(uarch.Config{}, o.Predictor, o.Prefetcher); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	switch id {
 	case "config":
@@ -222,40 +194,9 @@ func Run(id string, o Options) (*Artifact, error) {
 	return nil, fmt.Errorf("unknown experiment %q", id)
 }
 
-// runJobs submits a job batch and, when logging is enabled, streams one
-// progress line per completed job (labels is index-aligned with jobs).
-func (o *Options) runJobs(eng *sim.Engine, jobs []sim.SimJob, labels []string) ([]*sim.Outcome, error) {
-	var onDone func(int, *sim.Outcome)
-	if o.Log != nil {
-		var done atomic.Int64
-		onDone = func(i int, _ *sim.Outcome) {
-			o.logf("%s done (%d/%d)", labels[i], done.Add(1), len(jobs))
-		}
-	}
-	return eng.RunEach(o.ctx(), jobs, onDone)
-}
-
 // prepKey is the canonical preparation key for a benchmark.
 func prepKey(b *workload.Benchmark, in workload.Input) sim.PrepareKey {
 	return sim.PrepareKey{Bench: b.Name, Input: in}
-}
-
-// mgJob builds a mini-graph simulation job for one experiment arm.
-func mgJob(b *workload.Benchmark, pol core.Policy, entries int, cfg uarch.Config, compress bool) sim.SimJob {
-	return sim.SimJob{
-		Prepare:  prepKey(b, workload.InputTrain),
-		Policy:   pol,
-		Entries:  entries,
-		Compress: compress,
-		Config:   cfg,
-	}
-}
-
-// baselineJob is the shared 6-wide baseline simulation for b, under the
-// options' front-end overrides (default runs share one baseline key across
-// every experiment).
-func (o *Options) baselineJob(b *workload.Benchmark) sim.SimJob {
-	return sim.Baseline(prepKey(b, workload.InputTrain), o.applyFrontend(uarch.Baseline()))
 }
 
 // policyFor builds the extraction policy for an experiment arm.

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"minigraph/internal/sim"
 	"minigraph/internal/stats"
 	"minigraph/internal/uarch"
-	"minigraph/internal/workload"
 )
 
 // Fig8Regs reproduces Figure 8 (top): performance with 164, 144, 124 and
@@ -15,96 +13,26 @@ import (
 // baseline. Mini-graphs allocate no registers for interior values, so they
 // compensate for the reduction.
 func Fig8Regs(o Options) (*Artifact, error) {
-	regSweep := []int{164, 144, 124, 104}
 	benches, err := o.benchSet()
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
-	// Jobs per benchmark: the 164-reg reference plus (base, int, intmem) at
-	// each register count. The 164-reg base arm canonicalizes to the same
-	// key as the reference, so the engine simulates it once.
-	kinds := []string{"base", "int", "intmem"}
-	stride := 1 + len(regSweep)*len(kinds)
-	jobs := make([]sim.SimJob, 0, stride*len(benches))
-	labels := make([]string, 0, cap(jobs))
-	for _, b := range benches {
-		jobs = append(jobs, o.baselineJob(b))
-		labels = append(labels, "fig8reg: "+b.Name+" reference")
-		for _, regs := range regSweep {
-			cfg := uarch.Baseline()
-			cfg.PhysRegs = regs
-			cfg.Name = fmt.Sprintf("base-r%d", regs)
-			jobs = append(jobs, sim.Baseline(prepKey(b, workload.InputTrain), cfg))
-			labels = append(labels, fmt.Sprintf("fig8reg: %s base/%d", b.Name, regs))
-			for _, intMem := range []bool{false, true} {
-				mcfg := o.machineFor(intMem, false)
-				mcfg.PhysRegs = regs
-				jobs = append(jobs, mgJob(b, policyFor(intMem, o.MaxSize), o.MGTEntries, mcfg, false))
-				kind := "int"
-				if intMem {
-					kind = "intmem"
-				}
-				labels = append(labels, fmt.Sprintf("fig8reg: %s %s/%d", b.Name, kind, regs))
-			}
+	// The 164-reg base arm canonicalizes to the same key as the reference,
+	// so the engine simulates it once.
+	arms := []arm{o.reference("reference")}
+	for _, regs := range []int{164, 144, 124, 104} {
+		cfg := uarch.Baseline()
+		cfg.PhysRegs = regs
+		cfg.Name = fmt.Sprintf("base-r%d", regs)
+		arms = append(arms, baseArm(fmt.Sprintf("base/%d", regs), cfg))
+		for _, kind := range []string{"int", "intmem"} {
+			intMem := kind == "intmem"
+			mcfg := o.machineFor(intMem, false)
+			mcfg.PhysRegs = regs
+			arms = append(arms, mgArm(fmt.Sprintf("%s/%d", kind, regs), policyFor(intMem, o.MaxSize), o.MGTEntries, mcfg, false))
 		}
 	}
-	outs, err := o.runJobs(eng, jobs, labels)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]map[string]float64, len(benches))
-	for i := range benches {
-		ref := outs[i*stride].Result
-		vals := map[string]float64{}
-		j := i*stride + 1
-		for _, regs := range regSweep {
-			for _, k := range kinds {
-				vals[fmt.Sprintf("%s/%d", k, regs)] = uarch.Speedup(ref, outs[j].Result)
-				j++
-			}
-		}
-		rows[i] = vals
-	}
-
-	header := []string{"bench"}
-	for _, regs := range regSweep {
-		header = append(header,
-			fmt.Sprintf("base/%d", regs), fmt.Sprintf("int/%d", regs), fmt.Sprintf("intmem/%d", regs))
-	}
-	t := stats.NewTable("Figure 8 (top): register-file reduction (relative to 164-reg baseline)", header...)
-	rep := sim.NewReport("fig8reg", t.Title)
-	for i, b := range benches {
-		cells := []string{b.Name}
-		for _, regs := range regSweep {
-			for _, k := range kinds {
-				arm := fmt.Sprintf("%s/%d", k, regs)
-				cells = append(cells, stats.SpeedupStr(rows[i][arm]))
-				rep.Add(sim.Row{Bench: b.Name, Suite: b.Suite, Arm: arm, Metric: "speedup", Value: rows[i][arm]})
-			}
-		}
-		t.AddRow(cells...)
-	}
-	for _, suite := range workload.Suites() {
-		cells := []string{"gmean:" + suite}
-		for _, regs := range regSweep {
-			for _, k := range kinds {
-				arm := fmt.Sprintf("%s/%d", k, regs)
-				var xs []float64
-				for i, b := range benches {
-					if b.Suite == suite {
-						xs = append(xs, rows[i][arm])
-					}
-				}
-				cells = append(cells, stats.SpeedupStr(stats.GeoMean(xs)))
-				rep.Add(sim.Row{Suite: suite, Arm: arm, Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(xs)})
-			}
-		}
-		t.AddRow(cells...)
-	}
-	return &Artifact{ID: "fig8reg", Tables: []*stats.Table{t}, Report: rep}, nil
+	return o.speedupFigure("fig8reg", "Figure 8 (top): register-file reduction (relative to 164-reg baseline)", benches, arms)
 }
 
 // fig8bwBase builds the Figure 8 (bottom) baseline machine variants.
@@ -127,16 +55,13 @@ func fig8bwBase(kind string) uarch.Config {
 	return cfg
 }
 
-func fig8bwMG(kind string, intMem bool) uarch.Config {
+// fig8bwMG is the integer-memory mini-graph machine on fig8bwBase(kind).
+func fig8bwMG(kind string) uarch.Config {
 	cfg := fig8bwBase(kind)
 	cfg.IntALUs = cfg.IntALUs - 2
 	cfg.APs = 2
-	if intMem {
-		cfg.IntMemIssuePerCycle = 1
-		cfg.Name = "mg-intmem-" + kind
-	} else {
-		cfg.Name = "mg-int-" + kind
-	}
+	cfg.IntMemIssuePerCycle = 1
+	cfg.Name = "mg-intmem-" + kind
 	return cfg
 }
 
@@ -145,75 +70,17 @@ func fig8bwMG(kind string, intMem bool) uarch.Config {
 // without mini-graphs, relative to the 6-wide 1-cycle-scheduler baseline.
 // The 6-wide base arm shares the reference's cache key.
 func Fig8Bandwidth(o Options) (*Artifact, error) {
-	kinds := []string{"6wide", "4wide", "4wide+6exec", "2cycle-sched"}
 	benches, err := o.benchSet()
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
-	stride := 1 + 2*len(kinds)
-	jobs := make([]sim.SimJob, 0, stride*len(benches))
-	labels := make([]string, 0, cap(jobs))
-	for _, b := range benches {
-		jobs = append(jobs, o.baselineJob(b))
-		labels = append(labels, "fig8bw: "+b.Name+" reference")
-		for _, kind := range kinds {
-			jobs = append(jobs, sim.Baseline(prepKey(b, workload.InputTrain), fig8bwBase(kind)))
-			labels = append(labels, "fig8bw: "+b.Name+" base/"+kind)
-			jobs = append(jobs, mgJob(b, policyFor(true, o.MaxSize), o.MGTEntries, fig8bwMG(kind, true), false))
-			labels = append(labels, "fig8bw: "+b.Name+" mg/"+kind)
-		}
+	arms := []arm{o.reference("reference")}
+	for _, kind := range []string{"6wide", "4wide", "4wide+6exec", "2cycle-sched"} {
+		arms = append(arms,
+			baseArm("base/"+kind, fig8bwBase(kind)),
+			mgArm("mg/"+kind, policyFor(true, o.MaxSize), o.MGTEntries, fig8bwMG(kind), false))
 	}
-	outs, err := o.runJobs(eng, jobs, labels)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]map[string]float64, len(benches))
-	for i := range benches {
-		ref := outs[i*stride].Result
-		vals := map[string]float64{}
-		for k, kind := range kinds {
-			vals["base/"+kind] = uarch.Speedup(ref, outs[i*stride+1+2*k].Result)
-			vals["mg/"+kind] = uarch.Speedup(ref, outs[i*stride+2+2*k].Result)
-		}
-		rows[i] = vals
-	}
-
-	header := []string{"bench"}
-	for _, kind := range kinds {
-		header = append(header, "base/"+kind, "mg/"+kind)
-	}
-	t := stats.NewTable("Figure 8 (bottom): bandwidth/scheduler reduction (relative to 6-wide baseline)", header...)
-	rep := sim.NewReport("fig8bw", t.Title)
-	for i, b := range benches {
-		cells := []string{b.Name}
-		for _, kind := range kinds {
-			for _, arm := range []string{"base/" + kind, "mg/" + kind} {
-				cells = append(cells, stats.SpeedupStr(rows[i][arm]))
-				rep.Add(sim.Row{Bench: b.Name, Suite: b.Suite, Arm: arm, Metric: "speedup", Value: rows[i][arm]})
-			}
-		}
-		t.AddRow(cells...)
-	}
-	for _, suite := range workload.Suites() {
-		cells := []string{"gmean:" + suite}
-		for _, kind := range kinds {
-			for _, arm := range []string{"base/" + kind, "mg/" + kind} {
-				var xs []float64
-				for i, b := range benches {
-					if b.Suite == suite {
-						xs = append(xs, rows[i][arm])
-					}
-				}
-				cells = append(cells, stats.SpeedupStr(stats.GeoMean(xs)))
-				rep.Add(sim.Row{Suite: suite, Arm: arm, Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(xs)})
-			}
-		}
-		t.AddRow(cells...)
-	}
-	return &Artifact{ID: "fig8bw", Tables: []*stats.Table{t}, Report: rep}, nil
+	return o.speedupFigure("fig8bw", "Figure 8 (bottom): bandwidth/scheduler reduction (relative to 6-wide baseline)", benches, arms)
 }
 
 // ConfigTable renders the simulated machine description (§6).

@@ -6,7 +6,6 @@ import (
 	"minigraph/internal/uarch"
 	"minigraph/internal/uarch/bpred"
 	"minigraph/internal/uarch/prefetch"
-	"minigraph/internal/workload"
 )
 
 // frontendArms are the front-end combinations the frontend experiment
@@ -34,30 +33,24 @@ func Frontend(o Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
-	stride := 2 * len(frontendArms) // per arm: baseline + mini-graph
-	jobs := make([]sim.SimJob, 0, stride*len(benches))
-	labels := make([]string, 0, cap(jobs))
-	for _, b := range benches {
-		for _, a := range frontendArms {
-			ao := o
-			ao.Predictor, ao.Prefetcher = a.pred, a.pf
-			jobs = append(jobs, ao.baselineJob(b))
-			labels = append(labels, "frontend: "+b.Name+" baseline/"+a.name)
-			jobs = append(jobs, mgJob(b, policyFor(true, o.MaxSize), o.MGTEntries, ao.machineFor(true, false), false))
-			labels = append(labels, "frontend: "+b.Name+" minigraph/"+a.name)
-		}
+	// Per front end, a baseline arm and then its mini-graph arm.
+	var arms []arm
+	for _, f := range frontendArms {
+		fo := o
+		fo.Predictor, fo.Prefetcher = f.pred, f.pf
+		arms = append(arms,
+			fo.reference("baseline/"+f.name),
+			mgArm("minigraph/"+f.name, policyFor(true, o.MaxSize), o.MGTEntries, fo.machineFor(true, false), false))
 	}
-	outs, err := o.runJobs(eng, jobs, labels)
+	outs, err := o.sweep("frontend", benches, arms)
 	if err != nil {
 		return nil, err
 	}
 
-	t := stats.NewTable("Front-end axes: IPC amplification and mispredict rate",
+	a := newArtifact("frontend", "Front-end axes: IPC amplification and mispredict rate",
 		"bench", "suite", "hybrid", "tage", "hybrid+delta", "tage+delta", "hybrid MR", "tage MR")
-	rep := sim.NewReport("frontend", t.Title)
-	amp := make(map[string][]float64, len(frontendArms))
+	names := make([]string, len(frontendArms))
+	amp := make([][]float64, len(benches))
 	// Aggregate baseline-machine mispredict totals per predictor kind; the
 	// experiment reports the benchSubset-wide rate the TAGE-vs-hybrid
 	// regression test asserts on.
@@ -66,54 +59,38 @@ func Frontend(o Options) (*Artifact, error) {
 	for i, b := range benches {
 		cells := []string{b.Name, b.Suite}
 		var mr [2]float64
-		for k, a := range frontendArms {
-			base := outs[i*stride+2*k].Result
-			mg := outs[i*stride+2*k+1].Result
+		for k, f := range frontendArms {
+			names[k] = f.name
+			base, mg := outs[i][2*k].Result, outs[i][2*k+1].Result
 			v := uarch.Speedup(base, mg)
-			amp[a.name] = append(amp[a.name], v)
+			amp[i] = append(amp[i], v)
 			cells = append(cells, stats.SpeedupStr(v))
-			rep.Add(
-				sim.Row{Bench: b.Name, Suite: b.Suite, Arm: a.name, Metric: "amplification", Value: v},
-				sim.Row{Bench: b.Name, Suite: b.Suite, Arm: a.name, Metric: "base-mispredict-rate", Value: base.CondMispredictRate()},
+			a.Report.Add(
+				sim.Row{Bench: b.Name, Suite: b.Suite, Arm: f.name, Metric: "amplification", Value: v},
+				sim.Row{Bench: b.Name, Suite: b.Suite, Arm: f.name, Metric: "base-mispredict-rate", Value: base.CondMispredictRate()},
 			)
-			if a.pf == prefetch.KindNone {
+			if f.pf == prefetch.KindNone {
 				mr[k&1] = base.CondMispredictRate()
-				condSeen[a.pred] += base.CondBranches
-				condMiss[a.pred] += base.CondMispredicts
+				condSeen[f.pred] += base.CondBranches
+				condMiss[f.pred] += base.CondMispredicts
 			}
 			if mg.PrefetchIssued > 0 {
-				rep.Add(
-					sim.Row{Bench: b.Name, Suite: b.Suite, Arm: a.name, Metric: "prefetch_issued", Value: float64(mg.PrefetchIssued)},
-					sim.Row{Bench: b.Name, Suite: b.Suite, Arm: a.name, Metric: "prefetch_useful", Value: float64(mg.PrefetchUseful)},
-					sim.Row{Bench: b.Name, Suite: b.Suite, Arm: a.name, Metric: "prefetch_late", Value: float64(mg.PrefetchLate)},
+				a.Report.Add(
+					sim.Row{Bench: b.Name, Suite: b.Suite, Arm: f.name, Metric: "prefetch_issued", Value: float64(mg.PrefetchIssued)},
+					sim.Row{Bench: b.Name, Suite: b.Suite, Arm: f.name, Metric: "prefetch_useful", Value: float64(mg.PrefetchUseful)},
+					sim.Row{Bench: b.Name, Suite: b.Suite, Arm: f.name, Metric: "prefetch_late", Value: float64(mg.PrefetchLate)},
 				)
 			}
 		}
-		cells = append(cells, stats.Pct(mr[0]), stats.Pct(mr[1]))
-		t.AddRow(cells...)
+		a.Tables[0].AddRow(append(cells, stats.Pct(mr[0]), stats.Pct(mr[1]))...)
 	}
-	for _, suite := range workload.Suites() {
-		var bySuite [4][]float64
-		for i, b := range benches {
-			if b.Suite != suite {
-				continue
-			}
-			for k := range frontendArms {
-				bySuite[k] = append(bySuite[k], amp[frontendArms[k].name][i])
-			}
-		}
-		t.AddRowf("gmean:"+suite, "",
-			stats.GeoMean(bySuite[0]), stats.GeoMean(bySuite[1]), stats.GeoMean(bySuite[2]), stats.GeoMean(bySuite[3]), "", "")
-		for k, a := range frontendArms {
-			rep.Add(sim.Row{Suite: suite, Arm: a.name, Agg: "gmean", Metric: "amplification", Value: stats.GeoMean(bySuite[k])})
-		}
-	}
-	for _, kind := range []string{bpred.KindHybrid, bpred.KindTAGE} {
+	a.gmeanRows(benches, "amplification", names, amp, 1)
+	for _, kind := range bpred.Kinds() {
 		rate := 0.0
 		if condSeen[kind] > 0 {
 			rate = float64(condMiss[kind]) / float64(condSeen[kind])
 		}
-		rep.Add(sim.Row{Arm: kind, Agg: "total", Metric: "cond_mispredict_rate", Value: rate})
+		a.Report.Add(sim.Row{Arm: kind, Agg: "total", Metric: "cond_mispredict_rate", Value: rate})
 	}
-	return &Artifact{ID: "frontend", Tables: []*stats.Table{t}, Report: rep}, nil
+	return a, nil
 }

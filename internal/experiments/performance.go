@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"fmt"
+
 	"minigraph/internal/core"
 	"minigraph/internal/sim"
 	"minigraph/internal/stats"
-	"minigraph/internal/uarch"
 	"minigraph/internal/workload"
 )
 
@@ -40,73 +41,30 @@ func Fig6(o Options) (*Artifact, []PerfRow, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := o.engine()
-
-	// One baseline job plus one job per arm per benchmark, flattened into a
-	// single engine submission.
-	stride := 1 + len(fig6Arms)
-	jobs := make([]sim.SimJob, 0, stride*len(benches))
-	labels := make([]string, 0, cap(jobs))
-	for _, b := range benches {
-		jobs = append(jobs, o.baselineJob(b))
-		labels = append(labels, "fig6: "+b.Name+" baseline")
-		for _, a := range fig6Arms {
-			cfg := o.machineFor(a.intMem, a.collapse)
-			jobs = append(jobs, mgJob(b, policyFor(a.intMem, o.MaxSize), o.MGTEntries, cfg, false))
-			labels = append(labels, "fig6: "+b.Name+" "+a.name)
-		}
+	arms := []arm{o.reference("baseline")}
+	for _, a := range fig6Arms {
+		arms = append(arms, mgArm(a.name, policyFor(a.intMem, o.MaxSize), o.MGTEntries, o.machineFor(a.intMem, a.collapse), false))
 	}
-	outs, err := o.runJobs(eng, jobs, labels)
+	outs, err := o.sweep("fig6", benches, arms)
 	if err != nil {
 		return nil, nil, err
 	}
 
+	names := armNames(arms[1:])
+	vals := speedups(outs)
+	a := newArtifact("fig6", "Figure 6: speedup over 6-wide baseline",
+		"bench", "suite", "base IPC", "int", "int+collapse", "int-mem", "int-mem+collapse", "coverage")
 	rows := make([]PerfRow, len(benches))
 	for i, b := range benches {
-		base := outs[i*stride].Result
-		row := PerfRow{Bench: b.Name, Suite: b.Suite, BaseIPC: base.IPC()}
-		arms := make([]float64, len(fig6Arms))
-		for k := range fig6Arms {
-			out := outs[i*stride+1+k]
-			arms[k] = uarch.Speedup(base, out.Result)
-			if fig6Arms[k].name == "intmem" {
-				row.Coverage = out.Selection.Coverage()
-			}
-		}
-		row.Int, row.IntCollapse, row.IntMem, row.IntMemColl = arms[0], arms[1], arms[2], arms[3]
-		rows[i] = row
+		v := vals[i]
+		ipc, cov := outs[i][0].Result.IPC(), outs[i][3].Selection.Coverage() // arm 3: intmem
+		rows[i] = PerfRow{Bench: b.Name, Suite: b.Suite, BaseIPC: ipc, Int: v[0], IntCollapse: v[1], IntMem: v[2], IntMemColl: v[3], Coverage: cov}
+		a.Report.Add(sim.Row{Bench: b.Name, Suite: b.Suite, Metric: "base-ipc", Value: ipc})
+		a.benchRow(b, "speedup", names, v, []string{b.Name, b.Suite, fmt.Sprintf("%.3f", ipc)}, stats.Pct(cov))
+		a.Report.Add(sim.Row{Bench: b.Name, Suite: b.Suite, Arm: "intmem", Metric: "coverage", Value: cov})
 	}
-
-	t := stats.NewTable("Figure 6: speedup over 6-wide baseline",
-		"bench", "suite", "base IPC", "int", "int+collapse", "int-mem", "int-mem+collapse", "coverage")
-	rep := sim.NewReport("fig6", t.Title)
-	for _, r := range rows {
-		t.AddRowf(r.Bench, r.Suite, r.BaseIPC, r.Int, r.IntCollapse, r.IntMem, r.IntMemColl, stats.Pct(r.Coverage))
-		rep.Add(
-			sim.Row{Bench: r.Bench, Suite: r.Suite, Metric: "base-ipc", Value: r.BaseIPC},
-			sim.Row{Bench: r.Bench, Suite: r.Suite, Arm: "int", Metric: "speedup", Value: r.Int},
-			sim.Row{Bench: r.Bench, Suite: r.Suite, Arm: "int+collapse", Metric: "speedup", Value: r.IntCollapse},
-			sim.Row{Bench: r.Bench, Suite: r.Suite, Arm: "intmem", Metric: "speedup", Value: r.IntMem},
-			sim.Row{Bench: r.Bench, Suite: r.Suite, Arm: "intmem+collapse", Metric: "speedup", Value: r.IntMemColl},
-			sim.Row{Bench: r.Bench, Suite: r.Suite, Arm: "intmem", Metric: "coverage", Value: r.Coverage},
-		)
-	}
-	for _, suite := range workload.Suites() {
-		var a, b, c, d []float64
-		for _, r := range rows {
-			if r.Suite == suite {
-				a = append(a, r.Int)
-				b = append(b, r.IntCollapse)
-				c = append(c, r.IntMem)
-				d = append(d, r.IntMemColl)
-			}
-		}
-		t.AddRowf("gmean:"+suite, "", "", stats.GeoMean(a), stats.GeoMean(b), stats.GeoMean(c), stats.GeoMean(d), "")
-		for k, xs := range [][]float64{a, b, c, d} {
-			rep.Add(sim.Row{Suite: suite, Arm: fig6Arms[k].name, Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(xs)})
-		}
-	}
-	return &Artifact{ID: "fig6", Tables: []*stats.Table{t}, Report: rep}, rows, nil
+	a.gmeanRows(benches, "speedup", names, vals, 2)
+	return a, rows, nil
 }
 
 // fig7Arm is one serialization-isolation arm of Figure 7.
@@ -137,52 +95,30 @@ func Fig7(o Options) (*Artifact, map[string][]float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := o.engine()
-
-	stride := 1 + len(fig7Arms)
-	jobs := make([]sim.SimJob, 0, stride*len(benches))
-	labels := make([]string, 0, cap(jobs))
-	for _, b := range benches {
-		jobs = append(jobs, o.baselineJob(b))
-		labels = append(labels, "fig7: "+b.Name+" baseline")
-		for _, arm := range fig7Arms {
-			pol := policyFor(arm.intMem, o.MaxSize)
-			if arm.mut != nil {
-				arm.mut(&pol)
-			}
-			jobs = append(jobs, mgJob(b, pol, o.MGTEntries, o.machineFor(arm.intMem, false), false))
-			labels = append(labels, "fig7: "+b.Name+" "+arm.name)
+	arms := []arm{o.reference("baseline")}
+	for _, fa := range fig7Arms {
+		pol := policyFor(fa.intMem, o.MaxSize)
+		if fa.mut != nil {
+			fa.mut(&pol)
 		}
+		arms = append(arms, mgArm(fa.name, pol, o.MGTEntries, o.machineFor(fa.intMem, false), false))
 	}
-	outs, err := o.runJobs(eng, jobs, labels)
+	outs, err := o.sweep("fig7", benches, arms)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	speedups := make(map[string][]float64)
-	t := stats.NewTable("Figure 7: serialization and replay isolation (speedup vs baseline)",
-		append([]string{"bench"}, armNames()...)...)
-	rep := sim.NewReport("fig7", t.Title)
-	for i, b := range benches {
-		base := outs[i*stride].Result
-		cells := []string{b.Name}
-		for k, arm := range fig7Arms {
-			v := uarch.Speedup(base, outs[i*stride+1+k].Result)
-			cells = append(cells, stats.SpeedupStr(v))
-			speedups[arm.name] = append(speedups[arm.name], v)
-			rep.Add(sim.Row{Bench: b.Name, Suite: b.Suite, Arm: arm.name, Metric: "speedup", Value: v})
+	names := armNames(arms[1:])
+	a := newArtifact("fig7", "Figure 7: serialization and replay isolation (speedup vs baseline)",
+		append([]string{"bench"}, names...)...)
+	byArm := make(map[string][]float64)
+	for i, v := range speedups(outs) {
+		a.benchRow(benches[i], "speedup", names, v, []string{benches[i].Name})
+		for k, name := range names {
+			byArm[name] = append(byArm[name], v[k])
 		}
-		t.AddRow(cells...)
 	}
-	return &Artifact{ID: "fig7", Tables: []*stats.Table{t}, Report: rep}, speedups, nil
-}
-
-func armNames() []string {
-	out := make([]string, len(fig7Arms))
-	for i, a := range fig7Arms {
-		out[i] = a.name
-	}
-	return out
+	return a, byArm, nil
 }
 
 // PolicyBest reproduces the §6.2 in-text result: applying the best
@@ -202,9 +138,8 @@ func PolicyBest(o Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Best per-benchmark policy (suite gmeans)",
+	a := newArtifact("policy", "Best per-benchmark policy (suite gmeans)",
 		"suite", "unrestricted int-mem", "best-policy")
-	rep := sim.NewReport("policy", t.Title)
 	for _, suite := range workload.Suites() {
 		var unres, best []float64
 		for i, b := range benches {
@@ -213,21 +148,21 @@ func PolicyBest(o Options) (*Artifact, error) {
 			}
 			u := speedByArm["intmem"][i]
 			m := u
-			for _, arm := range fig7Arms {
-				if v := speedByArm[arm.name][i]; v > m {
+			for _, fa := range fig7Arms {
+				if v := speedByArm[fa.name][i]; v > m {
 					m = v
 				}
 			}
 			unres = append(unres, u)
 			best = append(best, m)
 		}
-		t.AddRowf(suite, stats.GeoMean(unres), stats.GeoMean(best))
-		rep.Add(
+		a.Tables[0].AddRowf(suite, stats.GeoMean(unres), stats.GeoMean(best))
+		a.Report.Add(
 			sim.Row{Suite: suite, Arm: "intmem", Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(unres)},
 			sim.Row{Suite: suite, Arm: "best-policy", Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(best)},
 		)
 	}
-	return &Artifact{ID: "policy", Tables: []*stats.Table{t}, Report: rep}, nil
+	return a, nil
 }
 
 // ICache reproduces the §6.2 instruction-cache experiment: compressed
@@ -237,57 +172,25 @@ func ICache(o Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
-	const stride = 3 // baseline, nop-fill, compressed
-	jobs := make([]sim.SimJob, 0, stride*len(benches))
-	labels := make([]string, 0, cap(jobs))
-	for _, b := range benches {
-		jobs = append(jobs, o.baselineJob(b))
-		labels = append(labels, "icache: "+b.Name+" baseline")
-		cfg := o.machineFor(true, false)
-		for _, compress := range []bool{false, true} {
-			jobs = append(jobs, mgJob(b, policyFor(true, o.MaxSize), o.MGTEntries, cfg, compress))
-			if compress {
-				labels = append(labels, "icache: "+b.Name+" compressed")
-			} else {
-				labels = append(labels, "icache: "+b.Name+" nop-fill")
-			}
-		}
+	pol, cfg := policyFor(true, o.MaxSize), o.machineFor(true, false)
+	arms := []arm{
+		o.reference("baseline"),
+		mgArm("nop-fill", pol, o.MGTEntries, cfg, false),
+		mgArm("compressed", pol, o.MGTEntries, cfg, true),
 	}
-	outs, err := o.runJobs(eng, jobs, labels)
+	outs, err := o.sweep("icache", benches, arms)
 	if err != nil {
 		return nil, err
 	}
 
-	t := stats.NewTable("Instruction-cache compression effect (speedup vs baseline)",
+	names := armNames(arms[1:])
+	vals := speedups(outs)
+	delta := func(v []float64) string { return stats.SpeedupStr(v[1] - v[0]) }
+	a := newArtifact("icache", "Instruction-cache compression effect (speedup vs baseline)",
 		"bench", "suite", "nop-fill", "compressed", "delta")
-	rep := sim.NewReport("icache", t.Title)
-	rows := make([][2]float64, len(benches))
 	for i, b := range benches {
-		base := outs[i*stride].Result
-		for k := 0; k < 2; k++ {
-			rows[i][k] = uarch.Speedup(base, outs[i*stride+1+k].Result)
-		}
-		t.AddRowf(b.Name, b.Suite, rows[i][0], rows[i][1], rows[i][1]-rows[i][0])
-		rep.Add(
-			sim.Row{Bench: b.Name, Suite: b.Suite, Arm: "nop-fill", Metric: "speedup", Value: rows[i][0]},
-			sim.Row{Bench: b.Name, Suite: b.Suite, Arm: "compressed", Metric: "speedup", Value: rows[i][1]},
-		)
+		a.benchRow(b, "speedup", names, vals[i], []string{b.Name, b.Suite}, delta(vals[i]))
 	}
-	for _, suite := range workload.Suites() {
-		var nf, cp []float64
-		for i, b := range benches {
-			if b.Suite == suite {
-				nf = append(nf, rows[i][0])
-				cp = append(cp, rows[i][1])
-			}
-		}
-		t.AddRowf("gmean:"+suite, "", stats.GeoMean(nf), stats.GeoMean(cp), stats.GeoMean(cp)-stats.GeoMean(nf))
-		rep.Add(
-			sim.Row{Suite: suite, Arm: "nop-fill", Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(nf)},
-			sim.Row{Suite: suite, Arm: "compressed", Agg: "gmean", Metric: "speedup", Value: stats.GeoMean(cp)},
-		)
-	}
-	return &Artifact{ID: "icache", Tables: []*stats.Table{t}, Report: rep}, nil
+	a.gmeanRows(benches, "speedup", names, vals, 1, delta)
+	return a, nil
 }

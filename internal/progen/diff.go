@@ -54,19 +54,17 @@ const MGTEntries = 512
 func Matrix(bench string, maxRecords int64) []Arm {
 	arms := make([]Arm, 0, 8)
 	for _, base := range []bool{true, false} {
-		for _, pred := range []string{bpred.KindHybrid, bpred.KindTAGE} {
-			for _, pf := range []string{prefetch.KindNone, prefetch.KindDelta} {
+		for _, pred := range bpred.Kinds() {
+			for _, pf := range prefetch.Kinds() {
 				cfg := uarch.Baseline()
 				kind := "baseline"
 				if !base {
 					cfg = uarch.MiniGraph(true)
 					kind = "minigraph"
 				}
-				if pred == bpred.KindTAGE {
-					cfg.BPred = bpred.TageConfig()
-				}
-				if pf == prefetch.KindDelta {
-					cfg.Prefetcher = prefetch.DefaultDelta()
+				cfg, err := uarch.WithFrontend(cfg, pred, pf)
+				if err != nil {
+					panic(err) // the kinds come from the lists of valid kinds
 				}
 				cfg.MaxRecords = maxRecords
 				name := fmt.Sprintf("%s/%s/%s", kind, pred, pf)

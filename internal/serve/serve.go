@@ -54,7 +54,6 @@ import (
 	"minigraph/internal/sim"
 	"minigraph/internal/store"
 	"minigraph/internal/uarch"
-	"minigraph/internal/uarch/bpred"
 	"minigraph/internal/uarch/prefetch"
 	"minigraph/internal/workload"
 )
@@ -362,36 +361,26 @@ func (js JobSpec) Resolve() (sim.SimJob, error) {
 		return job, fmt.Errorf("max_records must be non-negative")
 	}
 	cfg.MaxRecords = js.MaxRecords
-	switch js.Predictor {
-	case "", bpred.KindHybrid:
-		// The presets already carry the hybrid predictor.
-	case bpred.KindTAGE:
-		cfg.BPred = bpred.TageConfig()
-	default:
-		return job, fmt.Errorf("unknown predictor %q (known: %s)", js.Predictor, strings.Join(bpred.Kinds(), " "))
+	cfg, err := uarch.WithFrontend(cfg, js.Predictor, js.Prefetcher)
+	if err != nil {
+		return job, err
 	}
-	switch js.Prefetcher {
-	case "", prefetch.KindNone:
-		if js.PrefetchEntries != 0 || js.PrefetchDegree != 0 || js.PrefetchDistance != 0 {
+	if js.PrefetchEntries != 0 || js.PrefetchDegree != 0 || js.PrefetchDistance != 0 {
+		if js.Prefetcher != prefetch.KindDelta {
 			return job, fmt.Errorf("prefetch sizing overrides require prefetcher %q", prefetch.KindDelta)
 		}
-	case prefetch.KindDelta:
-		pf := prefetch.DefaultDelta()
 		if js.PrefetchEntries != 0 {
-			pf.Entries = js.PrefetchEntries
+			cfg.Prefetcher.Entries = js.PrefetchEntries
 		}
 		if js.PrefetchDegree != 0 {
-			pf.Degree = js.PrefetchDegree
+			cfg.Prefetcher.Degree = js.PrefetchDegree
 		}
 		if js.PrefetchDistance != 0 {
-			pf.Distance = js.PrefetchDistance
+			cfg.Prefetcher.Distance = js.PrefetchDistance
 		}
-		if err := pf.Validate(); err != nil {
+		if err := cfg.Prefetcher.Validate(); err != nil {
 			return job, err
 		}
-		cfg.Prefetcher = pf
-	default:
-		return job, fmt.Errorf("unknown prefetcher %q (known: %s)", js.Prefetcher, strings.Join(prefetch.Kinds(), " "))
 	}
 	// No stream-window fixup is needed for any accepted override: the live
 	// stream derives its rewind window from the machine's own squash depth

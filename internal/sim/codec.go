@@ -196,23 +196,6 @@ func EncodeTraceChunkKey(key TraceKey, chunk int64) ([]byte, error) {
 	return seal(traceChunkKeyPayload{Kind: "trace-chunk", Key: key, Chunk: chunk})
 }
 
-// DecodeTraceChunkKey parses a canonical trace-chunk key encoding. It
-// rejects version mismatches, unknown fields, wrong kinds, negative
-// indices and trailing garbage.
-func DecodeTraceChunkKey(data []byte) (TraceKey, int64, error) {
-	var p traceChunkKeyPayload
-	if err := open(data, &p); err != nil {
-		return TraceKey{}, 0, err
-	}
-	if p.Kind != "trace-chunk" {
-		return TraceKey{}, 0, fmt.Errorf("sim: key kind %q, want \"trace-chunk\"", p.Kind)
-	}
-	if p.Chunk < 0 {
-		return TraceKey{}, 0, fmt.Errorf("sim: negative chunk index %d", p.Chunk)
-	}
-	return p.Key, p.Chunk, nil
-}
-
 // outcomePayload is the persisted form of an Outcome.
 type outcomePayload struct {
 	Result     *uarch.Result `json:"result"`

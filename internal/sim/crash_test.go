@@ -251,9 +251,18 @@ func rotOutcome(t *testing.T, fsys *recorder, root string, jobs []SimJob) {
 // through, under a budget that evicts; bit rot then damages one stored
 // outcome and a scrub deletes it; a fresh store and engine then reopen the
 // directory and answer the sweep from what is left, recomputing the rest.
+// Both sweeps run their jobs one at a time, in order, so every run of the
+// script records the same sequence of operations.
 func crashScript(t *testing.T, fsys *recorder, dir string, jobs []SimJob, budget int64) {
 	t.Helper()
 	ctx := context.Background()
+	sweep := func(eng *Engine) {
+		for _, j := range jobs {
+			if _, err := eng.Simulate(ctx, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	open := func() (*store.Store, *Engine) {
 		st, err := store.Open(dir, store.Options{MaxBytes: budget, FS: fsys})
 		if err != nil {
@@ -262,9 +271,7 @@ func crashScript(t *testing.T, fsys *recorder, dir string, jobs []SimJob, budget
 		return st, New(1).WithStore(st).WithTraceChunkRecords(testChunkRecords).WithTraceChunkWindow(testChunkWindow)
 	}
 	st, eng := open()
-	if _, err := eng.Run(ctx, jobs); err != nil {
-		t.Fatal(err)
-	}
+	sweep(eng)
 	if ss := st.Stats(); ss.Evictions == 0 {
 		t.Fatalf("the budget evicted nothing: %+v", ss)
 	}
@@ -273,9 +280,7 @@ func crashScript(t *testing.T, fsys *recorder, dir string, jobs []SimJob, budget
 		t.Fatalf("the scrub deleted nothing: %+v", rep)
 	}
 	_, eng = open()
-	if _, err := eng.Run(ctx, jobs); err != nil {
-		t.Fatal(err)
-	}
+	sweep(eng)
 	if es := eng.Stats(); es.StoreHits == 0 || es.PipelineSims() == 0 {
 		t.Fatalf("the reopened engine should hit outcomes and recompute the rest: %+v", es)
 	}
@@ -290,7 +295,8 @@ func crashScript(t *testing.T, fsys *recorder, dir string, jobs []SimJob, budget
 // every state a crash can leave. A fresh store and engine then run the
 // sweep over each state, and every outcome must be byte-identical to a
 // fault-free run's: a crash may cost recomputation, never an answer.
-// -short checks every eighth prefix.
+// -short checks every eighth prefix. The script is recorded twice and the
+// two logs must have the same operation kinds in the same order.
 func TestCrashAtEveryWrite(t *testing.T) {
 	ctx := context.Background()
 	jobs := crashJobs()
@@ -306,9 +312,18 @@ func TestCrashAtEveryWrite(t *testing.T) {
 	}
 
 	budget := crashBudget(t, jobs)
-	rec := &recorder{root: t.TempDir()}
-	crashScript(t, rec, rec.root, jobs, budget)
-	ops := rec.ops
+	record := func() []fsOp {
+		rec := &recorder{root: t.TempDir()}
+		crashScript(t, rec, rec.root, jobs, budget)
+		return rec.ops
+	}
+	ops := record()
+	// The log must not depend on scheduling, or the states checked would
+	// differ from run to run. Paths are not compared: CreateTemp names are
+	// random.
+	if again := record(); !slices.EqualFunc(ops, again, func(a, b fsOp) bool { return a.kind == b.kind }) {
+		t.Fatalf("two recordings of crashScript differ: %d and %d operations", len(ops), len(again))
+	}
 
 	dir := filepath.Join(t.TempDir(), "state")
 	check := func(n int, torn map[int]int) {

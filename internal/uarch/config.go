@@ -16,6 +16,7 @@ package uarch
 
 import (
 	"fmt"
+	"strings"
 
 	"minigraph/internal/uarch/bpred"
 	"minigraph/internal/uarch/cache"
@@ -158,6 +159,33 @@ func MiniGraph(intMem bool) Config {
 		c.IntMemIssuePerCycle = 1
 	}
 	return c
+}
+
+// WithFrontend returns cfg with its front end chosen by kind name: the
+// predictor "hybrid" or "tage" and the prefetcher "none" or "delta", each
+// at its default sizing ("" keeps cfg's setting). It is the one place a
+// kind name becomes a configuration; an unknown name is an error that
+// lists the valid kinds.
+func WithFrontend(cfg Config, predictor, prefetcher string) (Config, error) {
+	switch predictor {
+	case "":
+	case bpred.KindHybrid:
+		cfg.BPred = bpred.DefaultConfig()
+	case bpred.KindTAGE:
+		cfg.BPred = bpred.TageConfig()
+	default:
+		return cfg, fmt.Errorf("unknown predictor %q (known: %s)", predictor, strings.Join(bpred.Kinds(), " "))
+	}
+	switch prefetcher {
+	case "":
+	case prefetch.KindNone:
+		cfg.Prefetcher = prefetch.Config{Kind: prefetch.KindNone}
+	case prefetch.KindDelta:
+		cfg.Prefetcher = prefetch.DefaultDelta()
+	default:
+		return cfg, fmt.Errorf("unknown prefetcher %q (known: %s)", prefetcher, strings.Join(prefetch.Kinds(), " "))
+	}
+	return cfg, nil
 }
 
 // FrontendCapacity returns the fetch-to-rename pipe depth in uops.

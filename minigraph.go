@@ -31,7 +31,6 @@ package minigraph
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"minigraph/internal/asm"
 	"minigraph/internal/core"
@@ -44,8 +43,6 @@ import (
 	"minigraph/internal/store"
 	"minigraph/internal/trace"
 	"minigraph/internal/uarch"
-	"minigraph/internal/uarch/bpred"
-	"minigraph/internal/uarch/prefetch"
 	"minigraph/internal/workload"
 )
 
@@ -169,29 +166,20 @@ type Rewritten struct {
 // Extract profiles-drives mini-graph selection over p and rewrites it with
 // handles (nop-fill layout). mgtEntries bounds the table (paper: 512).
 func Extract(p *Program, prof *Profile, pol Policy, mgtEntries int, params ExecParams) (*Rewritten, error) {
-	g := program.BuildCFG(p, nil)
-	lv := program.ComputeLiveness(g)
-	sel := core.Extract(g, lv, prof, pol, mgtEntries)
-	res, err := rewrite.Rewrite(p, sel, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Rewritten{
-		Prog:         res.Prog,
-		MGT:          core.NewMGT(res.Templates, params),
-		Selection:    sel,
-		HandleCount:  res.HandleCount,
-		RemovedInsts: res.RemovedInsts,
-	}, nil
+	return extract(p, prof, pol, mgtEntries, params, false)
 }
 
 // ExtractCompressed is Extract with compacted text (the instruction-cache
 // compression mode of §6.2).
 func ExtractCompressed(p *Program, prof *Profile, pol Policy, mgtEntries int, params ExecParams) (*Rewritten, error) {
+	return extract(p, prof, pol, mgtEntries, params, true)
+}
+
+func extract(p *Program, prof *Profile, pol Policy, mgtEntries int, params ExecParams, compress bool) (*Rewritten, error) {
 	g := program.BuildCFG(p, nil)
 	lv := program.ComputeLiveness(g)
 	sel := core.Extract(g, lv, prof, pol, mgtEntries)
-	res, err := rewrite.Rewrite(p, sel, true)
+	res, err := rewrite.Rewrite(p, sel, compress)
 	if err != nil {
 		return nil, err
 	}
@@ -216,23 +204,9 @@ func MiniGraphConfig(intMem bool) SimConfig { return uarch.MiniGraph(intMem) }
 // (each at its default sizing; "" keeps cfg's current setting). Unknown
 // names are errors that list the valid kinds.
 func FrontendConfig(cfg SimConfig, predictor, prefetcher string) (SimConfig, error) {
-	switch predictor {
-	case "":
-	case bpred.KindHybrid:
-		cfg.BPred = bpred.DefaultConfig()
-	case bpred.KindTAGE:
-		cfg.BPred = bpred.TageConfig()
-	default:
-		return cfg, fmt.Errorf("minigraph: unknown predictor %q (known: %s)", predictor, strings.Join(bpred.Kinds(), " "))
-	}
-	switch prefetcher {
-	case "":
-	case prefetch.KindNone:
-		cfg.Prefetcher = prefetch.Config{Kind: prefetch.KindNone}
-	case prefetch.KindDelta:
-		cfg.Prefetcher = prefetch.DefaultDelta()
-	default:
-		return cfg, fmt.Errorf("minigraph: unknown prefetcher %q (known: %s)", prefetcher, strings.Join(prefetch.Kinds(), " "))
+	cfg, err := uarch.WithFrontend(cfg, predictor, prefetcher)
+	if err != nil {
+		return cfg, fmt.Errorf("minigraph: %w", err)
 	}
 	return cfg, nil
 }
