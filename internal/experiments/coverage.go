@@ -154,9 +154,8 @@ func findCell(cells []CoverageCell, bench string, intMem bool, entries, size int
 // mini-graphs — one MGT shared by an entire suite.
 func Fig5Domain(o Options) (*Artifact, error) {
 	eng := o.engine()
-	t := stats.NewTable("Figure 5 (bottom): domain-specific integer-memory coverage",
+	a := newArtifact("fig5dom", "Figure 5 (bottom): domain-specific integer-memory coverage",
 		"suite", "bench", "app-specific e512", "domain e512", "domain e2048")
-	rep := sim.NewReport("fig5dom", t.Title)
 	suites := workload.Suites()
 	type suiteRows struct {
 		rows    [][]string
@@ -201,11 +200,11 @@ func Fig5Domain(o Options) (*Artifact, error) {
 	}
 	for _, sr := range results {
 		for _, row := range sr.rows {
-			t.AddRow(row...)
+			a.Tables[0].AddRow(row...)
 		}
-		rep.Add(sr.reports...)
+		a.Report.Add(sr.reports...)
 	}
-	return &Artifact{ID: "fig5dom", Tables: []*stats.Table{t}, Report: rep}, nil
+	return a, nil
 }
 
 // Robustness reproduces the §6.1 in-text experiment: select mini-graphs
@@ -217,9 +216,8 @@ func Robustness(o Options) (*Artifact, error) {
 		return nil, err
 	}
 	eng := o.engine()
-	t := stats.NewTable("Profile robustness (select on train, measure on test)",
+	a := newArtifact("robust", "Profile robustness (select on train, measure on test)",
 		"bench", "suite", "train cov", "test cov", "relative drop")
-	rep := sim.NewReport("robust", t.Title)
 	type result struct{ trainCov, testCov, drop float64 }
 	results := make([]result, len(benches))
 	err = eng.Each(o.ctx(), len(benches), func(ctx context.Context, i int) error {
@@ -261,14 +259,14 @@ func Robustness(o Options) (*Artifact, error) {
 	for i, b := range benches {
 		r := results[i]
 		drops = append(drops, r.drop)
-		t.AddRow(b.Name, b.Suite, stats.Pct(r.trainCov), stats.Pct(r.testCov), stats.Pct(r.drop))
-		rep.Add(
+		a.Tables[0].AddRow(b.Name, b.Suite, stats.Pct(r.trainCov), stats.Pct(r.testCov), stats.Pct(r.drop))
+		a.Report.Add(
 			sim.Row{Bench: b.Name, Suite: b.Suite, Arm: "train", Metric: "coverage", Value: r.trainCov},
 			sim.Row{Bench: b.Name, Suite: b.Suite, Arm: "test", Metric: "coverage", Value: r.testCov},
 			sim.Row{Bench: b.Name, Suite: b.Suite, Metric: "coverage-drop", Value: r.drop},
 		)
 	}
-	t.AddRow("mean", "", "", "", stats.Pct(stats.Mean(drops)))
-	rep.Add(sim.Row{Agg: "mean", Metric: "coverage-drop", Value: stats.Mean(drops)})
-	return &Artifact{ID: "robust", Tables: []*stats.Table{t}, Report: rep}, nil
+	a.Tables[0].AddRow("mean", "", "", "", stats.Pct(stats.Mean(drops)))
+	a.Report.Add(sim.Row{Agg: "mean", Metric: "coverage-drop", Value: stats.Mean(drops)})
+	return a, nil
 }

@@ -154,6 +154,8 @@ func (o *Options) applyFrontend(cfg uarch.Config) uarch.Config {
 
 // Run regenerates one experiment by id.
 func Run(id string, o Options) (*Artifact, error) {
+	// An unknown front-end kind must fail here: uarch.Config.Validate would
+	// otherwise panic on it inside an engine worker.
 	if _, err := uarch.WithFrontend(uarch.Config{}, o.Predictor, o.Prefetcher); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -35,7 +35,9 @@ func Frontend(o Options) (*Artifact, error) {
 	}
 	// Per front end, a baseline arm and then its mini-graph arm.
 	var arms []arm
-	for _, f := range frontendArms {
+	names := make([]string, len(frontendArms))
+	for k, f := range frontendArms {
+		names[k] = f.name
 		fo := o
 		fo.Predictor, fo.Prefetcher = f.pred, f.pf
 		arms = append(arms,
@@ -49,7 +51,6 @@ func Frontend(o Options) (*Artifact, error) {
 
 	a := newArtifact("frontend", "Front-end axes: IPC amplification and mispredict rate",
 		"bench", "suite", "hybrid", "tage", "hybrid+delta", "tage+delta", "hybrid MR", "tage MR")
-	names := make([]string, len(frontendArms))
 	amp := make([][]float64, len(benches))
 	// Aggregate baseline-machine mispredict totals per predictor kind; the
 	// experiment reports the benchSubset-wide rate the TAGE-vs-hybrid
@@ -60,7 +61,6 @@ func Frontend(o Options) (*Artifact, error) {
 		cells := []string{b.Name, b.Suite}
 		var mr [2]float64
 		for k, f := range frontendArms {
-			names[k] = f.name
 			base, mg := outs[i][2*k].Result, outs[i][2*k+1].Result
 			v := uarch.Speedup(base, mg)
 			amp[i] = append(amp[i], v)

@@ -2,8 +2,6 @@ package uarch_test
 
 import (
 	"context"
-	"reflect"
-	"strings"
 	"testing"
 
 	"minigraph/internal/asm"
@@ -488,30 +486,5 @@ loop:   cmplt r1, 99, r7     ; interior
 	perIter := float64(res.Cycles) / 4000
 	if perIter > 3.5 {
 		t.Errorf("early-output recurrence too slow: %.2f cycles/iter", perIter)
-	}
-}
-
-// TestWithFrontend checks the kind-name mapping every caller shares:
-// unknown kinds are errors naming the valid ones, "" keeps the preset, and
-// the spelled-out default kinds canonicalize to the preset's front end.
-func TestWithFrontend(t *testing.T) {
-	for _, c := range []struct{ pred, pf, want string }{
-		{"perceptron", "", "hybrid tage"},
-		{"", "markov", "none delta"},
-	} {
-		if _, err := uarch.WithFrontend(uarch.Baseline(), c.pred, c.pf); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("WithFrontend(%q, %q): error %v, want one listing %q", c.pred, c.pf, err, c.want)
-		}
-	}
-	def := uarch.Baseline()
-	if got, err := uarch.WithFrontend(def, "", ""); err != nil || !reflect.DeepEqual(got, def) {
-		t.Errorf("empty kinds changed the machine: %v", err)
-	}
-	got, err := uarch.WithFrontend(def, "hybrid", "none")
-	if err != nil || got.BPred.Canonical() != def.BPred.Canonical() || got.Prefetcher.Canonical() != def.Prefetcher.Canonical() {
-		t.Errorf("explicit default kinds are not the preset's front end: %+v %+v (%v)", got.BPred, got.Prefetcher, err)
-	}
-	if got, _ := uarch.WithFrontend(def, "tage", "delta"); got.BPred.Kind != "tage" || got.Prefetcher.Kind != "delta" {
-		t.Errorf("tage/delta not applied: %+v %+v", got.BPred, got.Prefetcher)
 	}
 }
