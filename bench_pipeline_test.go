@@ -16,9 +16,13 @@ package minigraph_test
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
 
 	"minigraph"
+	"minigraph/internal/sim"
 	"minigraph/internal/workload"
 )
 
@@ -80,26 +84,45 @@ func sweepArms() []minigraph.SimJob {
 	return jobs
 }
 
-// benchSweep runs the whole sweep on a cold engine per iteration and
-// reports arms per wall-clock second plus the engine's capture counters.
-// Benchmark preparation (build, CFG, liveness, profile) is identical in
-// both modes and memoized since PR 1, so — like extraction in
-// BenchmarkPipelineMiniGraph — it is warmed outside the measured region;
-// the clock sees extraction, capture/emulation, and timing simulation.
-func benchSweep(b *testing.B, live bool) {
+// prepareSubset prepares every subset benchmark on eng. Preparation
+// (build, CFG, liveness, profile) is the same work however a sweep's arms
+// are run and is memoized, so — like extraction in
+// BenchmarkPipelineMiniGraph — the sweep benchmarks do it outside the
+// measured region; the clock sees extraction, capture/emulation, and
+// timing simulation.
+func prepareSubset(b *testing.B, eng *minigraph.Engine) map[string]*sim.Prepared {
 	b.Helper()
+	preps := make(map[string]*sim.Prepared)
+	for _, name := range workload.BenchSubset() {
+		pr, err := eng.Prepare(context.Background(), minigraph.PrepareKey{Bench: name, Input: minigraph.InputTrain})
+		if err != nil {
+			b.Fatal(err)
+		}
+		preps[name] = pr
+	}
+	return preps
+}
+
+// reportArms reports arms per wall-clock second over b's iterations.
+func reportArms(b *testing.B, arms int) {
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(arms)*float64(b.N)/sec, "arms/s")
+	}
+}
+
+// BenchmarkSweep times the multi-arm configuration sweep through the
+// trace-replay engine, on a cold engine per iteration: one functional
+// emulation per benchmark, N independent timed replays of the resident
+// trace. (The two replay regimes are measured by bench/'s config_sweep and
+// store_stream workloads.)
+func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	jobs := sweepArms()
 	var captures, replays int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := minigraph.NewEngine(0).WithLiveStream(live)
-		for _, name := range workload.BenchSubset() {
-			pk := minigraph.PrepareKey{Bench: name, Input: minigraph.InputTrain}
-			if _, err := eng.Prepare(context.Background(), pk); err != nil {
-				b.Fatal(err)
-			}
-		}
+		eng := minigraph.NewEngine(0)
+		prepareSubset(b, eng)
 		b.StartTimer()
 		if _, err := eng.Run(context.Background(), jobs); err != nil {
 			b.Fatal(err)
@@ -108,28 +131,44 @@ func benchSweep(b *testing.B, live bool) {
 		captures += st.TraceCaptures
 		replays += st.TraceReplayHits
 	}
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(len(jobs))*float64(b.N)/sec, "arms/s")
-	}
+	reportArms(b, len(jobs))
 	if b.N > 0 {
 		b.ReportMetric(float64(captures)/float64(b.N), "captures/sweep")
 		b.ReportMetric(float64(replays)/float64(b.N), "replays/sweep")
 	}
 }
 
-// BenchmarkSweep times the multi-arm configuration sweep through the
-// trace-replay engine: one functional emulation per benchmark, N
-// independent timed replays of the resident trace. (The two replay
-// regimes are measured by bench/'s config_sweep and store_stream
-// workloads.)
-func BenchmarkSweep(b *testing.B) { benchSweep(b, false) }
-
 // BenchmarkSweepLiveStream is the same sweep with live step-by-step
 // emulation inside every arm — the pre-trace behavior, kept measurable so
 // the replay speedup stays an observable number rather than a changelog
-// claim.
-func BenchmarkSweepLiveStream(b *testing.B) { benchSweep(b, true) }
+// claim. Each arm extracts and rewrites its own binary, then runs
+// uarch.New over it (liveOutcome); at most GOMAXPROCS arms run at once, as
+// on an engine's worker pool.
+func BenchmarkSweepLiveStream(b *testing.B) {
+	b.ReportAllocs()
+	jobs := sweepArms()
+	preps := prepareSubset(b, minigraph.NewEngine(0))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(jobs))
+		for j, job := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				_, errs[j] = liveOutcome(context.Background(), preps[job.Prepare.Bench], job)
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportArms(b, len(jobs))
+}
 
 // BenchmarkPipelineMiniGraph times the mini-graph machine over the subset,
 // with extraction and rewriting done once outside the measured region: the

@@ -29,9 +29,6 @@ func NewMGT(templates []*Template, params ExecParams) *MGT {
 // Len returns the number of table entries.
 func (m *MGT) Len() int { return len(m.templates) }
 
-// Params returns the machine parameters the table was built with.
-func (m *MGT) Params() ExecParams { return m.params }
-
 // Template returns the definition at mgid, or nil if out of range — the
 // hardware analogue of an MGTT tag miss.
 func (m *MGT) Template(mgid int) *Template {

@@ -39,18 +39,6 @@ func (s *Selection) Coverage() float64 {
 	return float64(s.CoveredInsts) / float64(s.TotalInsts)
 }
 
-// SizeHistogram returns the dynamic coverage contributed by each mini-graph
-// size (index = size), for the Figure 5 stacked bars.
-func (s *Selection) SizeHistogram(prof *program.Profile, g *program.CFG) map[int]int64 {
-	h := make(map[int]int64)
-	for _, sel := range s.Instances {
-		b := g.Blocks[sel.Instance.Block]
-		f := prof.BlockFreq(b)
-		h[sel.Instance.Size()] += int64(sel.Instance.Size()-1) * f
-	}
-	return h
-}
-
 // group aggregates the instances of one coalesced template.
 type group struct {
 	key       string

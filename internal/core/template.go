@@ -100,11 +100,6 @@ func (t *Template) HasLoad() bool {
 	return t.MemIdx >= 0 && t.Insns[t.MemIdx].Op.Info().Class == isa.ClassLoad
 }
 
-// HasStore reports whether the template's memory op is a store.
-func (t *Template) HasStore() bool {
-	return t.MemIdx >= 0 && t.Insns[t.MemIdx].Op.Info().Class == isa.ClassStore
-}
-
 // IsInteger reports whether the template contains no memory operation
 // (an "integer mini-graph" in the paper's terminology; terminal branches
 // are allowed).

@@ -2,7 +2,6 @@ package dise
 
 import (
 	"fmt"
-	"sort"
 
 	"minigraph/internal/core"
 	"minigraph/internal/isa"
@@ -117,18 +116,6 @@ func (e *Engine) BuildMGT(params core.ExecParams) *core.MGT {
 		}
 	}
 	return core.NewMGT(ts, params)
-}
-
-// ApprovedIDs lists approved MGIDs in ascending order.
-func (e *Engine) ApprovedIDs() []int {
-	var ids []int
-	for id, ent := range e.mgtt {
-		if ent.Approved {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // ProductionFromTemplate converts an MGT template back into a DISE

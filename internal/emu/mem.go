@@ -118,9 +118,6 @@ func (m *Memory) LoadImage(data map[isa.Addr][]byte) {
 	}
 }
 
-// Footprint returns the number of mapped pages (for diagnostics).
-func (m *Memory) Footprint() int { return len(m.pages) }
-
 // Checksum computes a FNV-1a hash over all mapped pages, for equivalence
 // tests between original and rewritten binaries.
 func (m *Memory) Checksum() uint64 {

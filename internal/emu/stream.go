@@ -69,9 +69,6 @@ func (s *Stream) NextInto(dst *Record) bool {
 // Cursor returns the sequence number of the next record Next will serve.
 func (s *Stream) Cursor() int64 { return s.cursor }
 
-// Generated returns how many records have been produced by the machine.
-func (s *Stream) Generated() int64 { return s.gen }
-
 // Err returns the architectural fault that ended the stream, if any.
 func (s *Stream) Err() error { return s.err }
 

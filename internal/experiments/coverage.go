@@ -111,7 +111,7 @@ func Fig5(o Options) (*Artifact, []CoverageCell, error) {
 		}
 		// Suite means at the paper's headline point (512 entries, size<=4)
 		// and over the full sweep.
-		for _, suite := range workload.Suites() {
+		for _, suite := range suitesOf(benches) {
 			row := []string{"mean:" + suite, ""}
 			for _, size := range fig5Sizes {
 				for _, entries := range fig5Entries {

@@ -105,8 +105,12 @@ var ErrUnknownBenchmark = errors.New("unknown benchmark")
 
 // benchSet resolves the benchmark selection. Unknown names fail fast with
 // the registered names listed — a typo must not silently shrink the run to
-// the empty set.
+// the empty set. Every figure calls it before it simulates anything, so it
+// also rejects an unknown front-end override (see checkFrontend).
 func (o *Options) benchSet() ([]*workload.Benchmark, error) {
+	if err := o.checkFrontend(); err != nil {
+		return nil, err
+	}
 	if len(o.Benchmarks) == 0 {
 		return workload.All(), nil
 	}
@@ -143,21 +147,30 @@ func IDs() []string {
 	return []string{"config", "fig5", "fig5dom", "robust", "fig6", "fig7", "policy", "icache", "fig8reg", "fig8bw", "ablate", "frontend"}
 }
 
+// checkFrontend rejects an unknown predictor or prefetcher override,
+// naming the known kinds. Left to the machines, an unknown kind would be
+// dropped by applyFrontend and the default front end simulated instead.
+func (o *Options) checkFrontend() error {
+	if _, err := uarch.WithFrontend(uarch.Config{}, o.Predictor, o.Prefetcher); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
+}
+
 // applyFrontend rewrites one machine configuration with the Options-level
 // front-end overrides. Empty overrides return cfg unchanged, so default
-// runs stay byte-identical to their golden fixtures; Run rejects unknown
-// kinds before any machine is built.
+// runs stay byte-identical to their golden fixtures; benchSet has rejected
+// unknown kinds before any machine is built.
 func (o *Options) applyFrontend(cfg uarch.Config) uarch.Config {
 	cfg, _ = uarch.WithFrontend(cfg, o.Predictor, o.Prefetcher)
 	return cfg
 }
 
-// Run regenerates one experiment by id.
+// Run regenerates one experiment by id. An unknown front-end override
+// fails every id, also those whose machines it would not reach.
 func Run(id string, o Options) (*Artifact, error) {
-	// An unknown front-end kind must fail here: uarch.Config.Validate would
-	// otherwise panic on it inside an engine worker.
-	if _, err := uarch.WithFrontend(uarch.Config{}, o.Predictor, o.Prefetcher); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+	if err := o.checkFrontend(); err != nil {
+		return nil, err
 	}
 	switch id {
 	case "config":

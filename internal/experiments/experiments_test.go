@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,6 +28,52 @@ func TestUnknownBenchmarkError(t *testing.T) {
 	}
 	if _, err := experiments.Run("fig6", o); err == nil {
 		t.Error("Run accepted an unknown benchmark name")
+	}
+}
+
+// TestUnknownFrontendRejected: a figure called directly refuses an unknown
+// predictor or prefetcher, naming the known kinds, before it simulates
+// anything — not only Run does.
+func TestUnknownFrontendRejected(t *testing.T) {
+	for _, c := range []struct{ predictor, prefetcher, known string }{
+		{"perceptron", "", "(known: hybrid tage)"},
+		{"", "stride", "(known: none delta)"},
+	} {
+		o := smallOpts()
+		o.Engine = sim.New(0)
+		o.Predictor, o.Prefetcher = c.predictor, c.prefetcher
+		_, err := experiments.ICache(o)
+		if err == nil || !strings.Contains(err.Error(), c.known) {
+			t.Errorf("%s%s: want an error naming %s, got %v", c.predictor, c.prefetcher, c.known, err)
+		}
+		if st := o.Engine.Stats(); st.SimRuns != 0 || st.PrepareRuns != 0 {
+			t.Errorf("%s%s: rejected figure still ran %d simulations, %d preparations",
+				c.predictor, c.prefetcher, st.SimRuns, st.PrepareRuns)
+		}
+	}
+}
+
+// TestSuiteMeansCoverSelectedSuitesOnly: a figure reports a suite mean only
+// for suites its benchmark selection includes. ICache on sha alone has one
+// gmean row, MiBench's, in its table and its report.
+func TestSuiteMeansCoverSelectedSuitesOnly(t *testing.T) {
+	o := experiments.DefaultOptions()
+	o.Benchmarks = []string{"sha"}
+	a, err := experiments.ICache(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suites []string
+	for _, r := range a.Report.Rows {
+		if r.Agg == "gmean" && !slices.Contains(suites, r.Suite) {
+			suites = append(suites, r.Suite)
+		}
+	}
+	if !slices.Equal(suites, []string{workload.MiBench}) {
+		t.Errorf("report has gmean rows for suites %v, want only %s", suites, workload.MiBench)
+	}
+	if got := strings.Count(a.String(), "gmean:"); got != 1 {
+		t.Errorf("table has %d gmean rows, want 1:\n%s", got, a.String())
 	}
 }
 

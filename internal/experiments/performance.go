@@ -6,7 +6,6 @@ import (
 	"minigraph/internal/core"
 	"minigraph/internal/sim"
 	"minigraph/internal/stats"
-	"minigraph/internal/workload"
 )
 
 // PerfRow is one benchmark's Figure 6 measurements.
@@ -140,7 +139,7 @@ func PolicyBest(o Options) (*Artifact, error) {
 	}
 	a := newArtifact("policy", "Best per-benchmark policy (suite gmeans)",
 		"suite", "unrestricted int-mem", "best-policy")
-	for _, suite := range workload.Suites() {
+	for _, suite := range suitesOf(benches) {
 		var unres, best []float64
 		for i, b := range benches {
 			if b.Suite != suite {

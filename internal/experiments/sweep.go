@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"minigraph/internal/core"
@@ -106,12 +107,25 @@ func (a *Artifact) benchRow(b *workload.Benchmark, metric string, arms []string,
 	a.Tables[0].AddRow(append(cells, tail...)...)
 }
 
-// gmeanRows writes, per suite, each arm's geometric mean over the suite's
-// benchmarks (vals is indexed [bench][arm]): one table row of
+// suitesOf lists, in canonical order, the suites with a benchmark in
+// benches. A suite the selection left out has no mean to report: the mean
+// of nothing would read 0.
+func suitesOf(benches []*workload.Benchmark) []string {
+	var out []string
+	for _, suite := range workload.Suites() {
+		if slices.ContainsFunc(benches, func(b *workload.Benchmark) bool { return b.Suite == suite }) {
+			out = append(out, suite)
+		}
+	}
+	return out
+}
+
+// gmeanRows writes, per selected suite, each arm's geometric mean over the
+// suite's benchmarks (vals is indexed [bench][arm]): one table row of
 // "gmean:<suite>", blank empty cells, the means and a cell from each tail
 // function of the means, and one report row per arm.
 func (a *Artifact) gmeanRows(benches []*workload.Benchmark, metric string, arms []string, vals [][]float64, blank int, tail ...func([]float64) string) {
-	for _, suite := range workload.Suites() {
+	for _, suite := range suitesOf(benches) {
 		cells := append([]string{"gmean:" + suite}, make([]string, blank)...)
 		means := make([]float64, len(arms))
 		for k, name := range arms {

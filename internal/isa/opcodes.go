@@ -283,15 +283,6 @@ func (o Opcode) Info() *OpInfo {
 // String returns the assembly mnemonic.
 func (o Opcode) String() string { return o.Info().Name }
 
-// IsFPOp reports whether the opcode operates on the FP register file.
-func (o Opcode) IsFPOp() bool {
-	switch o.Info().Class {
-	case ClassFPALU, ClassFPMul, ClassFPDiv:
-		return true
-	}
-	return o == OpLdt || o == OpStt
-}
-
 // OpcodeByName maps an assembly mnemonic to its opcode.
 func OpcodeByName(name string) (Opcode, bool) {
 	o, ok := opByName[name]

@@ -26,10 +26,12 @@ type Mode string
 // Delivery modes. Replay and spilled are the engine's two replay regimes:
 // a resident engine replays a trace held whole in memory, and an engine
 // bounded over a store replays the trace's chunks spilled to it, each arm
-// faulting them in through its own windowed cursor.
+// faulting them in through its own windowed cursor. Live is not an engine:
+// it is the reference both are held to, uarch.New emulating the very
+// binaries the emulator reference runs, step by step inside the pipeline.
 const (
 	ModeReplay  Mode = "replay"  // capture once, resident trace, solo replay cursors
-	ModeLive    Mode = "live"    // step-by-step live emulation
+	ModeLive    Mode = "live"    // uarch.New: step-by-step live emulation, no engine
 	ModeSpilled Mode = "spilled" // chunks spilled to a store, solo windowed cursors
 )
 
@@ -101,7 +103,7 @@ func (d *Divergence) Error() string {
 		d.Seed, d.Arm, d.Mode, d.Detail, d.Seed)
 }
 
-// Engines is the set of engines the oracle drives, one per delivery mode.
+// Engines is the set of engines the oracle drives, one per replay mode.
 // Sharing one set across many seeds amortises nothing between seeds (keys
 // embed the seed's name) but keeps engine construction out of the per-seed
 // path and mirrors how a long-lived service would run.
@@ -116,7 +118,7 @@ const (
 	spilledChunkWindow  = 2
 )
 
-// NewEngines builds one engine per mode with the given worker-pool size.
+// NewEngines builds one engine per replay mode with the given pool size.
 // dir is scratch space for the store spilled mode spills its chunks to;
 // the caller owns and removes it.
 func NewEngines(workers int, dir string) (*Engines, error) {
@@ -126,15 +128,9 @@ func NewEngines(workers int, dir string) (*Engines, error) {
 	}
 	return &Engines{byMode: map[Mode]*sim.Engine{
 		ModeReplay: sim.New(workers),
-		ModeLive:   sim.New(workers).WithLiveStream(true),
 		ModeSpilled: sim.New(workers).WithStore(st).
 			WithTraceChunkRecords(spilledChunkRecords).WithTraceChunkWindow(spilledChunkWindow),
 	}}, nil
-}
-
-// reference is the emulator-side truth for one trace identity.
-type reference struct {
-	st *emu.FinalState
 }
 
 // DiffSeed generates seed's program and checks the full oracle for it:
@@ -172,17 +168,19 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 		return fmt.Errorf("progen: seed %d: baseline emu: %w", seed, err)
 	}
 	var mgRef *emu.FinalState
+	var mgSel *core.Selection
+	var mgBin *rewrite.Result
 	for _, a := range arms {
 		if a.Job.Baseline {
 			continue
 		}
-		sel := core.Extract(pr.CFG, pr.Live, pr.Prof, a.Job.Policy, a.Job.Entries)
-		res, err := rewrite.Rewrite(pr.Prog, sel, a.Job.Compress)
+		mgSel = core.Extract(pr.CFG, pr.Live, pr.Prof, a.Job.Policy, a.Job.Entries)
+		mgBin, err = rewrite.Rewrite(pr.Prog, mgSel, a.Job.Compress)
 		if err != nil {
 			return fmt.Errorf("progen: seed %d: rewrite: %w", seed, err)
 		}
-		mgt := core.NewMGT(res.Templates, sim.ExecParams(a.Job.Config))
-		mgRef, err = emu.RunToCompletion(res.Prog, mgt, limit)
+		mgt := core.NewMGT(mgBin.Templates, sim.ExecParams(a.Job.Config))
+		mgRef, err = emu.RunToCompletion(mgBin.Prog, mgt, limit)
 		if err != nil {
 			return &Divergence{Seed: seed, Arm: a.Name, Mode: "emu",
 				Detail: fmt.Sprintf("rewritten program faulted: %v", err)}
@@ -204,15 +202,40 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 		return mgRef
 	}
 
+	// live runs every arm through uarch.New over the binaries above, under
+	// the canonical machine and with the selection an engine reports, so its
+	// encoded outcomes compare byte for byte with the replay modes'.
+	live := func() ([]*sim.Outcome, error) {
+		outs := make([]*sim.Outcome, len(arms))
+		for i, a := range arms {
+			key := a.Job.Key()
+			prog, mgt, sel := pr.Prog, (*core.MGT)(nil), (*core.Selection)(nil)
+			if !key.Baseline {
+				prog, mgt, sel = mgBin.Prog, core.NewMGT(mgBin.Templates, sim.ExecParams(key.Config)), mgSel
+			}
+			res, err := uarch.New(key.Config, prog, mgt).Run(ctx)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", a.Name, err)
+			}
+			outs[i] = &sim.Outcome{Result: res, Selection: sel}
+		}
+		return outs, nil
+	}
+
 	// Run the whole matrix under each mode; on the bounded engine every arm
 	// streams its trace's spilled chunks through its own window.
+	jobs := make([]sim.SimJob, len(arms))
+	for i := range arms {
+		jobs[i] = arms[i].Job
+	}
 	encoded := make(map[Mode][][]byte)
 	for _, m := range AllModes() {
-		jobs := make([]sim.SimJob, len(arms))
-		for i := range arms {
-			jobs[i] = arms[i].Job
+		var outs []*sim.Outcome
+		if m == ModeLive {
+			outs, err = live()
+		} else {
+			outs, err = eng.byMode[m].RunEach(ctx, jobs, nil)
 		}
-		outs, err := eng.byMode[m].RunEach(ctx, jobs, nil)
 		if err != nil {
 			return fmt.Errorf("progen: seed %d mode %s: %w", seed, m, err)
 		}

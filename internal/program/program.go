@@ -57,19 +57,6 @@ type Block struct {
 // Len returns the instruction count of the block.
 func (b *Block) Len() int { return int(b.End - b.Start) }
 
-// Terminator returns the PC of the block-ending control transfer, or -1 if
-// the block falls through (or ends in halt).
-func (b *Block) Terminator(p *isa.Program) isa.PC {
-	if b.Len() == 0 {
-		return -1
-	}
-	last := b.End - 1
-	if p.At(last).IsCtrl() {
-		return last
-	}
-	return -1
-}
-
 // CFG is the control-flow graph of a program.
 type CFG struct {
 	Prog    *isa.Program

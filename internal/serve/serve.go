@@ -382,11 +382,6 @@ func (js JobSpec) Resolve() (sim.SimJob, error) {
 			return job, err
 		}
 	}
-	// No stream-window fixup is needed for any accepted override: the live
-	// stream derives its rewind window from the machine's own squash depth
-	// (Config.EffectiveStreamWindow), and replay sources retain the whole
-	// trace.
-
 	job = sim.SimJob{
 		Prepare:  sim.PrepareKey{Bench: js.Bench, Input: input},
 		Baseline: js.Baseline,

@@ -21,10 +21,10 @@ import (
 //
 //	1: initial encoding.
 //	2: uarch.Config grew MemLatency (configurable DRAM latency).
-//	3: SimKey canonicalizes Config.StreamWindow to 0 (the live stream now
-//	   derives its window from the machine, so the override is not part of
-//	   a simulation's identity), and TraceKey joined the key family for
-//	   persisted dynamic-trace blobs.
+//	3: SimKey canonicalizes the config's stream-window override to 0 (the
+//	   live stream now derives its window from the machine, so the override
+//	   is not part of a simulation's identity), and TraceKey joined the key
+//	   family for persisted dynamic-trace blobs.
 //	4: pluggable front end — bpred.Config grew Kind + TAGE sizing,
 //	   uarch.Config grew Prefetcher, uarch.Result grew BTB/RAS and
 //	   prefetch counters, and SimKey canonicalizes both front-end axes
@@ -71,6 +71,15 @@ import (
 // unchanged key is a miss, recaptured once and republished in the current
 // one under that key (TestStaleTraceSegmentIsRewritten); stored outcomes
 // stay hits.
+//
+// uarch.Config lost its stream-window field, the live stream's rewind-window
+// override, without a bump either. SimKey cleared it, so every SimKey
+// encoding drops that field's zero and the outcome keys move: an older
+// store's outcomes are never found again, and each arm is re-simulated once
+// and written under its new key. TraceKey holds no machine, so stored traces and the
+// coordinator's rendezvous placement do not move, and an old outcome can
+// only be unreachable, never misread. Moving the constant would have moved
+// the trace keys too, and recaptured every stored trace for nothing.
 const CodecVersion = 8
 
 // sealPrefix opens the versioned envelope {"v":CodecVersion,"p":payload}
@@ -118,19 +127,6 @@ func open(data []byte, payload any) error {
 		return fmt.Errorf("sim: payload is not an object")
 	}
 	return nil
-}
-
-// EncodePrepareKey renders key in the canonical versioned JSON encoding.
-// The encoding is deterministic: equal keys encode to equal bytes, so the
-// bytes are usable as a content address.
-func EncodePrepareKey(key PrepareKey) ([]byte, error) { return seal(key) }
-
-// DecodePrepareKey parses a canonical PrepareKey encoding. It rejects
-// version mismatches, unknown fields and trailing garbage.
-func DecodePrepareKey(data []byte) (PrepareKey, error) {
-	var key PrepareKey
-	err := open(data, &key)
-	return key, err
 }
 
 // EncodeSimKey renders key in the canonical versioned JSON encoding. Equal

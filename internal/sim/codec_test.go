@@ -77,27 +77,6 @@ func TestSimKeyCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrepareKeyCodecRoundTrip is the same property for preparation keys.
-func TestPrepareKeyCodecRoundTrip(t *testing.T) {
-	for _, key := range []PrepareKey{
-		{Bench: "sha", Input: workload.InputTrain},
-		{Bench: "jpeg.comp", Input: workload.InputTest},
-		{},
-	} {
-		data, err := EncodePrepareKey(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodePrepareKey(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != key {
-			t.Fatalf("round trip changed key: %+v vs %+v", key, got)
-		}
-	}
-}
-
 // TestCodecRejects pins the strictness guarantees the store relies on.
 func TestCodecRejects(t *testing.T) {
 	good, err := EncodeSimKey(sampleKeys()[0])
@@ -216,8 +195,6 @@ func TestSealMatchesTwoStepEncoding(t *testing.T) {
 	for _, key := range sampleKeys() {
 		data, err := EncodeSimKey(key)
 		check("sim key", data, err, key)
-		data, err = EncodePrepareKey(key.Prepare)
-		check("prepare key", data, err, key.Prepare)
 		tk := key.TraceKey()
 		data, err = EncodeTraceKey(tk)
 		check("trace key", data, err, traceKeyPayload{Kind: "trace", Key: tk})

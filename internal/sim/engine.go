@@ -43,7 +43,9 @@ const ProfileLimit = 4_000_000
 // per machine. With a persistent store attached, traces round-trip through
 // disk (one segment file a trace: its chunks, then its manifest as the
 // last record, published under the TraceKey that sourced it) so cold
-// processes replay without ever emulating.
+// processes replay without ever emulating. Replay is the engine's only
+// way to run an arm; live emulation (uarch.New over the same binary) is the
+// reference it is tested against, not a mode.
 //
 // An Engine is safe for concurrent use and is meant to be shared across
 // experiments so cross-figure common work (benchmark preparations, the
@@ -53,7 +55,6 @@ type Engine struct {
 	workers int
 	sem     chan struct{}
 	store   *store.Store
-	live    bool // force live emulation sources (golden-invariance testing)
 
 	// traceFetch, when set, is the peer tier: consulted for a trace that is
 	// neither in memory nor in the store before falling back to capturing
@@ -509,17 +510,6 @@ func (e *Engine) appendRecord(w *store.SegmentWriter, key, value []byte) error {
 	return err
 }
 
-// WithLiveStream switches the engine to live, step-by-step functional
-// emulation inside every simulation instead of capture-once/replay-many.
-// The two modes must produce byte-identical reports — this knob exists so
-// the golden-invariance tests can prove it, and as an escape hatch while
-// diagnosing a suspected trace bug. Set before submitting jobs (the field
-// is not synchronized); e is returned for chaining.
-func (e *Engine) WithLiveStream(live bool) *Engine {
-	e.live = live
-	return e
-}
-
 // Stats snapshots the cache counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -557,7 +547,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // noteFrontend folds one executed simulation's front-end counters into the
-// engine totals (see ranArm).
+// engine totals.
 func (e *Engine) noteFrontend(res *uarch.Result) {
 	e.feCondBranches.Add(res.CondBranches)
 	e.feCondMispreds.Add(res.CondMispredicts)
@@ -1015,9 +1005,10 @@ func (e *Engine) saveOutcome(keyBytes []byte, out *Outcome) {
 // The simulation replays the memoized captured trace for the job's binary
 // (see captureTrace); only the first arm over a given rewrite pays for
 // functional emulation, and its replaying siblings read the shared
-// immutable trace through private cursors. WithLiveStream(true) restores
-// step-by-step live emulation — by the golden-invariance rule the results
-// are byte-identical either way.
+// immutable trace through private cursors. Live step-by-step emulation
+// (uarch.New over the same binary) is not an engine mode: it is the
+// reference the invariance tests and the differential oracle hold replay
+// to, byte for byte.
 //
 // With a persistent store attached (WithStore), an in-memory miss first
 // consults the store under the job's canonical key encoding — a hit skips
@@ -1045,29 +1036,23 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 				return nil, err
 			}
 
-			var res *uarch.Result
-			var sel *core.Selection
-			if e.live {
-				res, sel, err = e.simulateLive(ctx, key, job.Config.Name, pr)
-			} else {
+			res, sel, err := e.replay(ctx, key, job.Config.Name, pr)
+			if errors.Is(err, trace.ErrChunkUnavailable) {
+				// A spilled chunk vanished mid-replay (store eviction under
+				// pressure, a peer gone away). The trace itself is
+				// reproducible — evict the stale handle and re-source it,
+				// which re-verifies the store or re-captures.
+				e.chunkRecaptures.Add(1)
+				e.evictTrace(key.TraceKey())
 				res, sel, err = e.replay(ctx, key, job.Config.Name, pr)
-				if errors.Is(err, trace.ErrChunkUnavailable) {
-					// A spilled chunk vanished mid-replay (store eviction
-					// under pressure, a peer gone away). The trace itself is
-					// reproducible — evict the stale handle and re-source
-					// it, which re-verifies the store or re-captures.
-					e.chunkRecaptures.Add(1)
-					e.evictTrace(key.TraceKey())
-					res, sel, err = e.replay(ctx, key, job.Config.Name, pr)
-				}
-				if errors.Is(err, trace.ErrChunkUnavailable) {
-					// Still losing chunks after re-sourcing: the store is
-					// failing reads, not just missing one entry. Recover
-					// without it — the job completes even if every store
-					// read fails from here on.
-					e.chunkRecaptures.Add(1)
-					res, sel, err = e.replayResident(ctx, key, job.Config.Name, pr)
-				}
+			}
+			if errors.Is(err, trace.ErrChunkUnavailable) {
+				// Still losing chunks after re-sourcing: the store is
+				// failing reads, not just missing one entry. Recover
+				// without it — the job completes even if every store read
+				// fails from here on.
+				e.chunkRecaptures.Add(1)
+				res, sel, err = e.replayResident(ctx, key, job.Config.Name, pr)
 			}
 			if err != nil {
 				return nil, err
@@ -1088,17 +1073,6 @@ func newMGT(key SimKey, templates []*core.Template) *core.MGT {
 	return core.NewMGT(templates, ExecParams(key.Config))
 }
 
-// ranArm is the tail of the in-process pipeline runs that are one arm's
-// own — live emulation and resident recovery: name the arm in a failure,
-// fold a result's front-end counters into the engine totals.
-func (e *Engine) ranArm(key SimKey, cfgName string, res *uarch.Result, err error) (*uarch.Result, error) {
-	if err != nil {
-		return nil, armErr(key, cfgName, err)
-	}
-	e.noteFrontend(res)
-	return res, nil
-}
-
 // armErr names the arm in a failure. cfgName is the job's display name
 // (the canonical key clears it). ErrChunkUnavailable stays unwrappable
 // through the %w so Simulate can recover by re-capturing.
@@ -1113,8 +1087,7 @@ func armErr(key SimKey, cfgName string, err error) error {
 // whose recipe aliases another's binary shares that arm's Result, run or
 // in flight, and keeps its own selection; a shared failure is named after
 // the arm that asked. Under bounded replay the cursor holds at most the
-// engine's chunk window of the spilled trace. Live emulation (a test
-// knob) keeps its own pipeline and shares no run.
+// engine's chunk window of the spilled trace.
 func (e *Engine) replay(ctx context.Context, key SimKey, cfgName string, pr *Prepared) (*uarch.Result, *core.Selection, error) {
 	ct, tr, err := e.captureTrace(ctx, key, pr)
 	if err != nil {
@@ -1164,27 +1137,11 @@ func (e *Engine) replayResident(ctx context.Context, key SimKey, cfgName string,
 	e.traceBytes.Add(tr.SizeBytes())
 	rd := trace.NewReader(tr, prog, key.Config.MaxRecords)
 	res, err := uarch.NewWithSource(key.Config, newMGT(key, templates), rd).Run(ctx)
-	res, err = e.ranArm(key, cfgName, res, err)
-	return res, sel, err
-}
-
-// simulateLive runs one timing simulation with live, step-by-step
-// functional emulation (the pre-trace execution-driven mode).
-func (e *Engine) simulateLive(ctx context.Context, key SimKey, cfgName string, pr *Prepared) (*uarch.Result, *core.Selection, error) {
-	if err := e.acquire(ctx); err != nil {
-		return nil, nil, err
-	}
-	defer e.release()
-	prog, templates, sel, err := buildProgram(pr, key.TraceKey())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, armErr(key, cfgName, err)
 	}
-	if err := issuable(key, templates); err != nil {
-		return nil, nil, err
-	}
-	res, err := uarch.New(key.Config, prog, newMGT(key, templates)).Run(ctx)
-	res, err = e.ranArm(key, cfgName, res, err)
-	return res, sel, err
+	e.noteFrontend(res)
+	return res, sel, nil
 }
 
 // Run submits every job, waits for all of them, and returns the outcomes

@@ -255,27 +255,25 @@ func TestSimulateRefusesImpossibleConfig(t *testing.T) {
 
 // TestUnissuableArmRefusedBeforeCapture: an arm whose machine cannot issue
 // its binary's mini-graphs (5-op integer chains on 4-stage ALU pipelines
-// without collapsing) is refused with a typed error after extraction, in
-// replay and live mode alike, and no trace is captured for it; the same
-// recipe on a collapsing machine still runs.
+// without collapsing) is refused with a typed error after extraction, and
+// no trace is captured for it; the same recipe on a collapsing machine
+// still runs.
 func TestUnissuableArmRefusedBeforeCapture(t *testing.T) {
 	bad := mgTestJob(5)
 	bad.Config.MaxRecords = 3000
-	for _, live := range []bool{false, true} {
-		e := New(2).WithLiveStream(live)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_, err := e.Simulate(ctx, bad)
-		cancel()
-		var ue *uarch.UnissuableError
-		if !errors.As(err, &ue) {
-			t.Fatalf("live=%v: err = %v, want *uarch.UnissuableError", live, err)
-		}
-		if !strings.Contains(err.Error(), "exceeds the 4-stage ALU pipeline") {
-			t.Errorf("live=%v: error does not give the reason: %v", live, err)
-		}
-		if st := e.Stats(); st.TraceCaptures != 0 {
-			t.Errorf("live=%v: %d captures for a refused arm", live, st.TraceCaptures)
-		}
+	e := New(2)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	_, err := e.Simulate(ctx, bad)
+	cancel()
+	var ue *uarch.UnissuableError
+	if !errors.As(err, &ue) {
+		t.Fatalf("err = %v, want *uarch.UnissuableError", err)
+	}
+	if !strings.Contains(err.Error(), "exceeds the 4-stage ALU pipeline") {
+		t.Errorf("error does not give the reason: %v", err)
+	}
+	if st := e.Stats(); st.TraceCaptures != 0 {
+		t.Errorf("%d captures for a refused arm", st.TraceCaptures)
 	}
 	ok := bad
 	ok.Config.Collapse = true

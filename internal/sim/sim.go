@@ -70,8 +70,6 @@ type SimJob struct {
 // produce identical results map to the same key:
 //
 //   - Config.Name is presentation-only and is cleared;
-//   - Config.StreamWindow is a delivery-buffer override that cannot affect
-//     timing and is cleared;
 //   - baseline jobs zero the extraction axes (Policy, Entries, Compress),
 //     which do not affect an unrewritten binary;
 //   - the front-end axes canonicalize per kind (bpred.Config.Canonical,
@@ -92,7 +90,6 @@ type SimKey struct {
 func (j SimJob) Key() SimKey {
 	k := SimKey{Prepare: j.Prepare, Baseline: j.Baseline, Config: j.Config}
 	k.Config.Name = ""
-	k.Config.StreamWindow = 0
 	k.Config.BPred = k.Config.BPred.Canonical()
 	k.Config.Prefetcher = k.Config.Prefetcher.Canonical()
 	if !j.Baseline {

@@ -32,9 +32,6 @@ func New(depth int) *Pipe {
 	return &Pipe{depth: depth, outBusy: make([]bool, size), mask: int64(size - 1)}
 }
 
-// Depth returns the stage count.
-func (p *Pipe) Depth() int { return p.depth }
-
 // CanAccept reports whether an operation entering at cycle now with output
 // latency outLat (1..depth for mini-graphs; 1 for singleton ALU ops, which
 // execute in the first stage with no penalty) can be scheduled: the entry

@@ -111,11 +111,6 @@ func New(cfg Config, next *Cache, bus *Bus) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// LineAddr returns the line-aligned address containing a.
-func (c *Cache) LineAddr(a isa.Addr) isa.Addr {
-	return a &^ isa.Addr(c.cfg.LineSize-1)
-}
-
 // Access simulates a read (write=false) or write (write=true) of the line
 // containing addr at cycle now. It returns the cycle at which the data is
 // available and whether the access hit in this level.

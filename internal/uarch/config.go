@@ -99,13 +99,6 @@ type Config struct {
 
 	// MaxRecords bounds the run (0 = run to halt).
 	MaxRecords int64
-	// StreamWindow overrides the live stream's rewind-buffer depth. Leave
-	// it 0: the window is derived from the machine itself (MaxSquashDepth),
-	// so an undersized window — a rewind panic waiting to happen — cannot
-	// be configured into existence. A non-zero override (for tests) must
-	// still cover MaxSquashDepth; Validate enforces that. Replay sources
-	// retain the whole trace and ignore it entirely.
-	StreamWindow int
 }
 
 // Baseline returns the paper's baseline machine (§6): 6-way superscalar,
@@ -201,18 +194,6 @@ func (c *Config) MaxSquashDepth() int {
 	return c.ROBSize + c.FrontendCapacity()
 }
 
-// EffectiveStreamWindow returns the live stream's rewind-buffer depth: the
-// machine's own maximum squash depth, unless a (test) override asks for
-// more. Deriving the window from the config removes a whole failure class
-// — the caller-supplied guess that undersizes the buffer and panics on a
-// deep squash.
-func (c *Config) EffectiveStreamWindow() int {
-	if c.StreamWindow > 0 {
-		return c.StreamWindow
-	}
-	return c.MaxSquashDepth()
-}
-
 // Check reports an impossible configuration as a structured error, so
 // layers fed configs from outside the process (the HTTP job spec, the
 // differential harness) can refuse one cleanly instead of panicking a
@@ -231,9 +212,6 @@ func (c *Config) Check() error {
 		return fmt.Errorf("uarch: no integer units")
 	case c.MemLatency < 0:
 		return fmt.Errorf("uarch: negative memory latency %d", c.MemLatency)
-	case c.StreamWindow != 0 && c.StreamWindow < c.MaxSquashDepth():
-		return fmt.Errorf("uarch: stream window override %d smaller than maximum squash depth %d",
-			c.StreamWindow, c.MaxSquashDepth())
 	}
 	if err := c.BPred.Validate(); err != nil {
 		return fmt.Errorf("uarch: %w", err)

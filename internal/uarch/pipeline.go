@@ -187,12 +187,13 @@ const (
 	evResolve
 )
 
-// New builds a pipeline for prog with a live emulation source. mgt may be
-// nil for plain binaries.
+// New builds a pipeline for prog with a live emulation source whose rewind
+// window is the machine's own maximum squash depth, so no squash can rewind
+// past it. mgt may be nil for plain binaries.
 func New(cfg Config, prog *isa.Program, mgt *core.MGT) *Pipeline {
 	cfg.Validate()
 	m := emu.NewMachine(prog, mgt)
-	return NewWithSource(cfg, mgt, emu.NewStream(m, cfg.EffectiveStreamWindow(), cfg.MaxRecords))
+	return NewWithSource(cfg, mgt, emu.NewStream(m, cfg.MaxSquashDepth(), cfg.MaxRecords))
 }
 
 // NewWithSource builds a pipeline fed by an explicit record source — a

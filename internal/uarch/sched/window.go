@@ -95,12 +95,6 @@ func NewWindow(horizon int, capacity Capacities) *Window {
 	return w
 }
 
-// Horizon returns the number of future cycles covered.
-func (w *Window) Horizon() int { return w.horizon }
-
-// Capacity returns the capacity of r.
-func (w *Window) Capacity(r Resource) int { return w.cap[r] }
-
 func (w *Window) slot(cycle int64) int {
 	if w.mask != 0 {
 		return int(cycle & w.mask)

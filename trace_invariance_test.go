@@ -1,17 +1,20 @@
 // Trace golden-invariance tests: the engine's capture-once/replay-many
-// mode must be observationally indistinguishable from live step-by-step
-// emulation. These tests run real experiments both ways and diff the
-// structured reports byte-for-byte — the strongest statement that timing
-// is independent of how records are delivered.
+// replay must be observationally indistinguishable from live step-by-step
+// emulation of the same binary (uarch.New, outside any engine). The tests
+// run real arms both ways and diff the encoded outcomes byte-for-byte — the
+// strongest statement that timing is independent of how records are
+// delivered.
 package minigraph_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
 	"minigraph/internal/core"
 	"minigraph/internal/experiments"
+	"minigraph/internal/rewrite"
 	"minigraph/internal/sim"
 	"minigraph/internal/uarch"
 	"minigraph/internal/workload"
@@ -37,34 +40,90 @@ func sweepJobs(memLats []int) []sim.SimJob {
 	return jobs
 }
 
-// TestReplayMatchesLiveStream runs one full experiment twice on one small
-// benchmark — once through live emulation, once through trace replay — and
-// requires byte-identical reports. fig6 covers baseline and mini-graph
-// arms, integer and integer-memory policies, and collapsing variants, so
-// both the unrewritten and rewritten capture paths are exercised.
+// fig6Jobs are Figure 6's arms on bench: the baseline machine, then the
+// integer and integer-memory rewrites, each without and with collapsing
+// ALU pipelines. The two machines over each rewrite replay one binary's
+// trace.
+func fig6Jobs(bench string) []sim.SimJob {
+	o := experiments.DefaultOptions()
+	pk := sim.PrepareKey{Bench: bench, Input: workload.InputTrain}
+	jobs := []sim.SimJob{sim.Baseline(pk, uarch.Baseline())}
+	for _, intMem := range []bool{false, true} {
+		for _, collapse := range []bool{false, true} {
+			pol := core.DefaultPolicy()
+			pol.MaxSize, pol.AllowMem = o.MaxSize, intMem
+			cfg := uarch.MiniGraph(intMem)
+			cfg.Collapse = collapse
+			jobs = append(jobs, sim.SimJob{Prepare: pk, Policy: pol, Entries: o.MGTEntries, Config: cfg})
+		}
+	}
+	return jobs
+}
+
+// liveOutcome runs job by live step-by-step emulation, with no engine: it
+// rewrites the prepared program under the job's extraction axes (a
+// baseline job keeps the original) and times that binary with uarch.New
+// under the job's canonical machine, reporting the selection an engine
+// reports.
+func liveOutcome(ctx context.Context, pr *sim.Prepared, job sim.SimJob) (*sim.Outcome, error) {
+	key := job.Key()
+	prog, out := pr.Prog, &sim.Outcome{}
+	var mgt *core.MGT
+	if !key.Baseline {
+		out.Selection = core.Extract(pr.CFG, pr.Live, pr.Prof, key.Policy, key.Entries)
+		rw, err := rewrite.Rewrite(pr.Prog, out.Selection, key.Compress)
+		if err != nil {
+			return nil, err
+		}
+		prog, mgt = rw.Prog, core.NewMGT(rw.Templates, sim.ExecParams(key.Config))
+	}
+	res, err := uarch.New(key.Config, prog, mgt).Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out.Result = res
+	return out, nil
+}
+
+// TestReplayMatchesLiveStream runs Figure 6's arms on one small benchmark
+// through an engine, which captures each binary once and replays it, and
+// requires every encoded outcome to be byte-identical to live emulation of
+// the same binary. The arms cover the unrewritten and the rewritten
+// capture paths, and machines that share one binary's trace.
 func TestReplayMatchesLiveStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulations in -short mode")
 	}
-	run := func(live bool) []byte {
-		o := subsetOpts()
-		o.Benchmarks = []string{"sha"}
-		o.Engine = sim.New(0).WithLiveStream(live)
-		a, err := experiments.Run("fig6", o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := a.Report.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	jobs := fig6Jobs("sha")
+	eng := sim.New(0)
+	outs, err := eng.Run(t.Context(), jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	liveRep := run(true)
-	replayRep := run(false)
-	if !bytes.Equal(liveRep, replayRep) {
-		t.Errorf("live and replay reports differ (%d vs %d bytes), first divergence near byte %d",
-			len(liveRep), len(replayRep), firstDiff(liveRep, replayRep))
+	pr, err := eng.Prepare(t.Context(), jobs[0].Prepare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		live, err := liveOutcome(t.Context(), pr, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveEnc, err := sim.EncodeOutcome(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayEnc, err := sim.EncodeOutcome(outs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(liveEnc, replayEnc) {
+			t.Errorf("%s: live and replay outcomes differ (%d vs %d bytes), first divergence near byte %d",
+				job.Config.Name, len(liveEnc), len(replayEnc), firstDiff(liveEnc, replayEnc))
+		}
+	}
+	if st := eng.Stats(); st.TraceCaptures != 3 {
+		t.Errorf("engine captured %d traces, want 3 (the baseline binary and two rewrites)", st.TraceCaptures)
 	}
 }
 
