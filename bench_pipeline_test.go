@@ -16,9 +16,7 @@ package minigraph_test
 
 import (
 	"context"
-	"errors"
 	"runtime"
-	"sync"
 	"testing"
 
 	"minigraph"
@@ -148,22 +146,14 @@ func BenchmarkSweepLiveStream(b *testing.B) {
 	b.ReportAllocs()
 	jobs := sweepArms()
 	preps := prepareSubset(b, minigraph.NewEngine(0))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	limit := make(chan struct{}, runtime.GOMAXPROCS(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		errs := make([]error, len(jobs))
-		for j, job := range jobs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				_, errs[j] = liveOutcome(context.Background(), preps[job.Prepare.Bench], job)
-			}()
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
+		err := sim.FanOut(context.Background(), len(jobs), limit, func(ctx context.Context, j int) error {
+			_, err := liveOutcome(ctx, preps[jobs[j].Prepare.Bench], jobs[j])
+			return err
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
